@@ -11,10 +11,17 @@ closed loop with one caller and no extra threads) for about ``--seconds``
 seconds, after one untimed warm-up op; each op's output is checked untimed,
 and a failed check or a raised exception counts as a failed op.
 
+Every set-up and op is timed between two passes of a fixed reference
+computation (``reference.py``), and the end-to-end times are reported scaled
+by the host's speed at that moment: wall seconds times ``NOMINAL_S`` over the
+reference's time.  This takes the drift of a shared host out of the figures;
+the raw wall times are in the report line.
+
 With ``--trace 0`` the last stdout line carries the end-to-end metrics.  With
 ``--trace 1`` ops alternate between untraced and traced, the traced ones
 record spans around magep's public functions (see ``tracing.py``), and the
-last line carries the per-layer metrics plus the tracing overhead.  The line
+last line carries the per-layer metrics plus the tracing overhead, in wall
+seconds, with the reference's median time as ``host.reference_s``.  The line
 before it is a JSON report with the environment, the op-time samples and the
 failure reasons.  Exit code 2 means the package could not be found.
 """
@@ -40,9 +47,10 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 sys.path[:0] = [HERE, SRC]
 
+from reference import NOMINAL_S, Reference  # noqa: E402
 from workloads import OUT_DIR, WORKLOADS  # noqa: E402
 
-SETUP_REPS = 5
+SETUP_REPS = 9
 TAIL_BEYOND = 10
 
 
@@ -116,14 +124,21 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     w = WORKLOADS[name]
     dims = getattr(w, size)
     os.makedirs(OUT_DIR, exist_ok=True)
-    setup_s = []
+    ref = Reference()
+    ref.time()  # warm-up
+    setup_wall, setup_s, ref_times = [], [], []
     st = None
     for _ in range(SETUP_REPS):
         st = None  # free the previous set-up first, so peak RSS holds one copy
+        r0 = ref.time()
         t_import = _fresh_import()
         t0 = time.perf_counter()
         st = w.setup(seed, dims)
-        setup_s.append(t_import + time.perf_counter() - t0)
+        dt = t_import + time.perf_counter() - t0
+        r = (r0 + ref.time()) / 2
+        setup_wall.append(dt)
+        setup_s.append(dt * NOMINAL_S / r)
+        ref_times.append(r)
 
     tracer = None
     if trace:
@@ -132,11 +147,13 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         tracer = Tracer()
 
     def run_op(k: int, traced_op: bool):
-        """Run, time and check op ``k``: (seconds, output, failure reason)."""
+        """Run, time and check op ``k``: (seconds, reference seconds around
+        it, output, failure reason)."""
         try:
             if traced_op:
                 tracer.attach()
             try:
+                r0 = ref.time()
                 t0 = time.perf_counter()
                 if traced_op:
                     with tracer.op(k):
@@ -147,36 +164,48 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
             finally:
                 if traced_op:
                     tracer.detach()
+            r = (r0 + ref.time()) / 2
             if corrupt:
                 out = w.corrupt(out)
-            return dt, out, w.check(st, out, k)
+            return dt, r, out, w.check(st, out, k)
         except Exception as exc:  # an op that raises is a failed op, not a crash
-            return None, None, "".join(traceback.format_exception_only(type(exc), exc)).strip()
+            return None, None, None, "".join(traceback.format_exception_only(type(exc), exc)).strip()
 
-    times, items, traced, untraced, failures = [], [], [], [], []
+    times, op_refs, items, traced, untraced, failures, laps = [], [], [], [], [], [], []
     try:
         # Op 0 lets caches fill and lazy set-up finish; it is checked, not timed.
-        _, _, reason = run_op(0, False)
+        _, _, _, reason = run_op(0, False)
         if reason is not None:
             failures.append({"op": 0, "reason": reason})
         attempted = 1
-        start = time.perf_counter()
+        start = lap = time.perf_counter()
         while True:
-            spent = time.perf_counter() - start
-            if attempted > (2 if trace else 1) and spent + statistics.median(times or [0.0]) > seconds:
+            spent = lap - start
+            if attempted > (2 if trace else 1) and spent + statistics.median(laps or [0.0]) > seconds:
                 break
             k = attempted
             attempted += 1
             traced_op = tracer is not None and k % 2 == 0
-            dt, out, reason = run_op(k, traced_op)
+            dt, r, out, reason = run_op(k, traced_op)
+            laps.append(time.perf_counter() - lap)
+            lap += laps[-1]
             if reason is not None:
                 failures.append({"op": k, "reason": reason})
                 continue
             times.append(dt)
+            op_refs.append(r)
             items.append(w.items(st, out))
             (traced if traced_op else untraced).append(dt)
     finally:
         w.teardown(st)
+    # The host's speed during op k is taken from the reference passes around
+    # ops k-1, k and k+1: six passes over about three ops track the drift
+    # better than op k's own two, whose timing noise is of the same order.
+    scaled = [
+        dt * NOMINAL_S / statistics.fmean(op_refs[max(0, i - 1):i + 2])
+        for i, dt in enumerate(times)
+    ]
+    ref_times += op_refs
 
     result = {
         "workload": name,
@@ -187,8 +216,12 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         "attempted": attempted,
         "failed": len(failures),
         "failures": failures[:20],
-        "op_times_s": times,
-        "setup_reps_s": setup_s,
+        "op_wall_s": times,
+        "op_scaled_s": scaled,
+        "setup_wall_s": setup_wall,
+        "setup_scaled_s": setup_s,
+        "reference_wall_s": ref_times,
+        "reference_nominal_s": NOMINAL_S,
         "env": environment(),
     }
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -202,6 +235,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         per_layer["trace.untraced_op_median_s"] = statistics.median(untraced)
         per_layer["trace.overhead_ratio"] = statistics.median(traced) / statistics.median(untraced)
         per_layer["trace.wrapped_share"] = tracer.wrapped_self_sum() / op_total
+        per_layer["host.reference_s"] = statistics.median(ref_times)
         result["metrics"] = per_layer
         result["spans"] = len(tracer.spans)
         tracer.dump(os.path.join(OUT_DIR, f"{name}.spans.jsonl"))
@@ -209,14 +243,14 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     if not times:
         result["metrics"] = {}
         return result
-    tail_s, tail_pct, beyond = tail(times)
+    tail_s, tail_pct, beyond = tail(scaled)
     result.update(
         samples=len(times), tail_percentile=tail_pct, tail_beyond=beyond,
         fail_ratio=len(failures) / attempted,
     )
     result["metrics"] = {
-        "items_per_s": sum(items) / sum(times),
-        "op_median_s": statistics.median(times),
+        "items_per_s": sum(items) / sum(scaled),
+        "op_median_s": statistics.median(scaled),
         "op_tail_s": tail_s,
         "setup_s": statistics.median(setup_s),
         "peak_rss_mb": peak_rss_mb,
@@ -236,6 +270,7 @@ UNITS = {
     "trace.untraced_op_median_s": "s",
     "trace.overhead_ratio": "ratio",
     "trace.wrapped_share": "ratio",
+    "host.reference_s": "s",
     "stableterms.all_terms.madds": "computed-madd/op",
     "stableterms.terms_read_ratio": "ratio",
 }

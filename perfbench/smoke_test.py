@@ -14,6 +14,7 @@ import io
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 
@@ -64,6 +65,12 @@ def test_every_declared_metric_is_printed_with_its_unit(workload, trace):
     else:
         report = json.loads(lines[-2])
         assert set(report["env"]) >= {"numpy", "blas", "blas_threads", "nproc", "python", "git_rev"}
+        # Each timed op has its wall time, its reference time and the scaled
+        # time the metrics are taken from.
+        n = len(report["op_wall_s"])
+        assert n >= 1 and len(report["op_scaled_s"]) == n
+        assert len(report["reference_wall_s"]) == n + len(report["setup_wall_s"])
+        assert last["metrics"]["op_median_s"]["value"] == statistics.median(report["op_scaled_s"])
 
 
 @pytest.mark.parametrize("workload", list(WORKLOADS))
