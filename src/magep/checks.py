@@ -184,6 +184,17 @@ def _suite_stability(trials, rng, grid, tol):
     }
 
 
+def _chain_identities(V, s, t, rr, row):
+    """(product, direct value) pairs of the composition identities at (s, t, rr)."""
+    pairs = [(np.matmul(w_chain(V, s, t), w_chain(V, t, rr)), w_chain(V, s, rr))]
+    if rr >= 1:
+        got = np.matmul(w_chain(V, s, t), wb_term(V, t, rr)[..., None])[..., 0]
+        pairs.append((got, wb_term(V, s, rr)))
+    got = np.matmul(bw_term(V, s, t, row, upper=s), w_chain(V, t, rr))
+    pairs.append((got, bw_term(V, s, rr, row, upper=s)))
+    return pairs
+
+
 def _suite_chains(trials, rng, grid, tol):
     worst = 0.0
     exact_specialization = True
@@ -191,6 +202,7 @@ def _suite_chains(trials, rng, grid, tol):
         r = rng.child("chains", k)
         spec = grid.sample_spec(r.child("spec"))
         U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
+        absU = U.map(np.abs)
         L = spec.L
         for s in range(1, L + 1):
             if not np.array_equal(w_chain(U, s, s - 1), U.weight(s)):
@@ -198,17 +210,15 @@ def _suite_chains(trials, rng, grid, tol):
         for s in range(2, L + 1):
             for t in range(1, s):
                 for rr in range(t):
-                    got = np.matmul(w_chain(U, s, t), w_chain(U, t, rr))
-                    worst = max(worst, rel_residual(got, w_chain(U, s, rr)))
-                    if rr >= 1:
-                        got = np.matmul(
-                            w_chain(U, s, t), wb_term(U, t, rr)[..., None]
-                        )[..., 0]
-                        worst = max(worst, rel_residual(got, wb_term(U, s, rr)))
                     row = r.child("psirow", s, t, rr).uniform(-1.0, 1.0, (1, spec.n[s]))
-                    got = np.matmul(bw_term(U, s, t, row, upper=s), w_chain(U, t, rr))
-                    want = bw_term(U, s, rr, row, upper=s)
-                    worst = max(worst, rel_residual(got, want))
+                    # Each residual is measured against the same product over
+                    # the absolute values of its factors, which bounds its
+                    # rounding error; max|product| is no such scale, since
+                    # cancellation can make it arbitrarily small.
+                    exact = _chain_identities(U, s, t, rr, row)
+                    bounds = _chain_identities(absU, s, t, rr, np.abs(row))
+                    for (got, want), (bound, _) in zip(exact, bounds):
+                        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(bound)))
     return {
         "suite": "chains",
         "trials": trials,
@@ -502,6 +512,12 @@ _SUITE_FNS = {
 }
 
 
+def _require_trials(trials: int) -> None:
+    """Zero trials would report a pass that checked nothing."""
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+
+
 def run_suite(
     name: str,
     trials: int,
@@ -513,6 +529,7 @@ def run_suite(
 ) -> dict:
     if name not in _SUITE_FNS:
         raise ValidationError(f"unknown suite {name!r}")
+    _require_trials(trials)
     grid = grid or Grid()
     tol = DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
     rng = Rng(seed)
@@ -534,6 +551,7 @@ def run_suites(
     collapse_psi: bool = False,
 ) -> dict:
     """Run one suite or all of them; returns the full JSON-ready report."""
+    _require_trials(trials)  # before the per-suite error records can swallow it
     names = SUITE_NAMES if selector == "all" else (selector,)
     overrides = tolerance_overrides or {}
     records = []
@@ -577,6 +595,8 @@ def run_bench(reps: int, seed: int, grid: Grid | None = None, batch: int = 8) ->
     ``batch`` rows are evaluated per call: that is the workload the
     contraction path exists for (the loops scale linearly in it).
     """
+    if reps < 1:
+        raise ValidationError(f"reps must be >= 1, got {reps}")
     grid = grid or Grid()
     rng = Rng(seed)
     rows = []
@@ -592,7 +612,7 @@ def run_bench(reps: int, seed: int, grid: Grid | None = None, batch: int = 8) ->
 
             def timed(fn):
                 samples = []
-                for _ in range(max(reps, 1)):
+                for _ in range(reps):
                     t0 = time.perf_counter()
                     fn(params, U)
                     samples.append(time.perf_counter() - t0)

@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checks, fitting, jsonio, monomial, netfunc
 from .activations import relu
 from .dense import Rng, rel_residual
@@ -132,6 +130,8 @@ def cmd_fit(args) -> int:
         raise MagepError(f"--lambda must be >= 0, got {args.lam}")
     if not 0.0 < args.split < 1.0:
         raise MagepError(f"--split must be in (0, 1), got {args.split}")
+    if args.probes < 1:
+        raise MagepError(f"--probes must be >= 1, got {args.probes}")
     spec = _spec_from_args(args)
     rng = Rng(args.seed)
     psi = PsiParams.random(spec, rng.child("psi"))
@@ -143,8 +143,7 @@ def cmd_fit(args) -> int:
     )
     if args.target == "planted":
         phi_star = rng.child("phi-star").uniform(-1.0, 1.0, (F, 1))
-        X = np.stack([fitting.featurize(u, psi) for u in objects])
-        targets = X @ phi_star
+        targets = fitting.design_matrix(objects, psi) @ phi_star
     else:
         probes = [
             rng.child("probe", p).uniform(-1.0, 1.0, spec.n[0])

@@ -3,10 +3,13 @@ contractions, and a seeded deterministic random stream.
 
 All numeric state in this package is a row-major ``numpy.ndarray`` of
 ``float64``; the helpers here add the shape validation and error reporting
-the rest of the package relies on.  Contractions are evaluated with
-``numpy.einsum`` with path optimization disabled, so the reduction order is
-the fixed left-to-right order of the spec string and results are
-reproducible across runs.
+the rest of the package relies on.  :func:`contract` evaluates with
+``numpy.einsum`` with path optimization disabled, so its reduction order is
+the fixed left-to-right order of the spec string.  That fixed order is not
+what makes the layers reproducible: the featurizer and the invariant layer
+use BLAS matrix products (``numpy.matmul``), whose results repeat exactly
+for a fixed BLAS build and thread count, and can differ in the last digits
+across them.
 """
 
 from __future__ import annotations

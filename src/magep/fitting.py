@@ -3,23 +3,26 @@
 For frozen connection matrices the invariant layer is linear in its
 coefficient blocks, so fitting those blocks against any target reduces to
 ridge regression on a fixed feature vector.  The features are exactly the
-scalars the invariant layer contracts against, in a canonical order that is
-part of the public contract (per channel: the two full boundary blocks,
-the per-layer traces, the ``[bW]`` boundary block, the per-``t`` ``[Wb]``
-entries and traces, the last bias, then one trailing constant).
+scalars the invariant layer contracts against, computed by
+:func:`magep.stableterms.featurize` (re-exported here as ``featurize``) in a
+canonical order that is part of the public contract (per channel: the two
+full boundary blocks, the per-layer traces, the ``[bW]`` boundary block, the
+per-``t`` ``[Wb]`` entries and traces, the last bias, then one trailing
+constant).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import jsonio
 from .dense import Rng
 from .errors import ValidationError
-from .stableterms import PsiParams, all_terms
-from .weightspace import WeightObject
+from .stableterms import FEATURE_ORDER_VERSION, PsiParams, feature_count, featurize
+from .weightspace import WeightObject, stack_blocks
 
 __all__ = [
     "FEATURE_ORDER_VERSION",
@@ -35,50 +38,7 @@ __all__ = [
     "load_fit",
 ]
 
-FEATURE_ORDER_VERSION = "magep-feat/1"
 FIT_FORMAT = "magep-fit/1"
-
-
-def feature_count(spec) -> int:
-    """Number of invariant features, the trailing constant included."""
-    L = spec.L
-    n0, nL = spec.n[0], spec.n[L]
-    per_channel = 3 * nL * n0 + (L - 1) + (L - 1) * nL + (L - 1) + nL
-    return spec.d * per_channel + 1
-
-
-def featurize(U: WeightObject, psi: PsiParams) -> np.ndarray:
-    """Invariant feature vector of one unbatched weight object.
-
-    Canonical order, for each channel c = 1..d: (1) ``[WW]^(L,0)(L,0)``
-    row-major, (2) ``[W]^(L,0)``, (3) traces of ``[WW]^(s,0)(L,s)`` for
-    s = L-1..1, (4) ``[bW]^(L)(L,0)``, (5) ``[Wb]^(L,t)(t)`` for
-    t = L-1..1, (6) traces of ``[bW]^(t)(L,t)`` for t = L-1..1,
-    (7) ``[b]^(L)``; then one trailing constant 1.
-    """
-    if U.batch is not None:
-        raise ValidationError("featurize expects an unbatched weight object")
-    spec = U.spec
-    L = spec.L
-    terms = all_terms(U, psi)
-    parts = []
-    for c in range(spec.d):
-        parts.append(terms.ww[(L, 0)][c].ravel())
-        parts.append(terms.w[(L, 0)][c].ravel())
-        parts.append(
-            np.array([np.trace(terms.ww[(s, s)][c]) for s in range(L - 1, 0, -1)])
-        )
-        parts.append(terms.bw[(L, 0)][c].ravel())
-        for t in range(L - 1, 0, -1):
-            parts.append(terms.wb[(L, t)][c].ravel())
-        parts.append(
-            np.array([np.trace(terms.bw[(t, t)][c]) for t in range(L - 1, 0, -1)])
-        )
-        parts.append(terms.b[L][c].ravel())
-    parts.append(np.ones(1))
-    out = np.concatenate(parts)
-    assert out.size == feature_count(spec)
-    return out
 
 
 @dataclass(frozen=True)
@@ -143,8 +103,13 @@ class FitResult:
         return FitResult(self.phi, self.lam, self.train_mse, value, self.rank_deficient)
 
 
-def design_matrix(data: FitDataset, psi: PsiParams) -> np.ndarray:
-    return np.stack([featurize(u, psi) for u in data.objects])
+def design_matrix(objects: Sequence[WeightObject], psi: PsiParams) -> np.ndarray:
+    """Feature rows ``[N, F]`` of unbatched, spec-homogeneous objects.
+
+    The objects are featurized in stacked blocks (see
+    :func:`magep.weightspace.stack_blocks`), one batched call per block.
+    """
+    return np.concatenate([featurize(block, psi) for block in stack_blocks(objects)])
 
 
 def fit_ridge(train: FitDataset, psi: PsiParams, lam: float) -> FitResult:
@@ -161,7 +126,7 @@ def fit_ridge(train: FitDataset, psi: PsiParams, lam: float) -> FitResult:
         raise ValidationError("fit needs at least one training row")
     if lam < 0:
         raise ValidationError(f"ridge strength must be >= 0, got {lam}")
-    X = design_matrix(train, psi)
+    X = design_matrix(train.objects, psi)
     y = train.targets
     F = X.shape[1]
     rank_deficient = False
@@ -190,7 +155,7 @@ def evaluate(result: FitResult, data: FitDataset, psi: PsiParams) -> float:
     """Mean squared residual of the fitted predictor over ``data``."""
     if len(data) == 0:
         raise ValidationError("cannot evaluate on an empty dataset")
-    X = design_matrix(data, psi)
+    X = design_matrix(data.objects, psi)
     return float(np.mean((X @ result.phi - data.targets) ** 2))
 
 

@@ -18,7 +18,9 @@ input-width index plus per-``t`` ``[Wb]`` terms and the bias.
 
 The invariant map sends a ``d``-channel weight object to an ``[e, d']``
 array through the eight-term combination of the boundary-pinned terms,
-the diagonal traces, and a constant.
+the diagonal traces, and a constant.  It is linear in the invariant
+features of :func:`magep.stableterms.featurize`, so it is evaluated as the
+feature rows times the coefficient blocks packed in the same order.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import jsonio
 from .activations import Activation
 from .dense import Rng, tensor
 from .errors import ConfigurationError, ValidationError
-from .stableterms import PsiParams, all_terms, psi_indices
+from .stableterms import PsiParams, all_terms, featurize, in_feature_order, psi_indices
 from .weightspace import WeightObject, WeightSpec
 
 __all__ = [
@@ -250,6 +252,31 @@ class InvariantParams:
                 out[f"{attr}[{k}]"] = v
         return out
 
+    def packed(self) -> np.ndarray:
+        """All blocks as one ``[e * d_out, F]`` matrix in feature order.
+
+        Column ``f`` holds the coefficients of feature ``f`` of
+        :func:`magep.stableterms.featurize`; row ``i * d_out + k`` feeds
+        output ``[i, k]``.  Built on every call, so in-place edits of the
+        blocks take effect.
+        """
+        d, e, dp, L = self.d, self.e, self.d_out, self.spec.L
+        # Each part becomes [e * d_out, d, k]: output row, channel, entries.
+        rows = lambda a: a.reshape(e * dp, d, -1)
+        vec_rows = lambda a: rows(a.transpose(1, 3, 0, 2))  # from [d, e, k, d']
+        mat_rows = lambda a: rows(a.transpose(1, 4, 0, 2, 3))  # from [d, e, j, k, d']
+        stacked = lambda table: np.stack([table[k] for k in range(L - 1, 0, -1)], axis=2)
+        return in_feature_order(
+            mat_rows(self.phi_WWLL),
+            mat_rows(self.phi_WL0),
+            vec_rows(stacked(self.phi_trWW)),
+            mat_rows(self.phi_bWLL0),
+            mat_rows(stacked(self.phi_Wb)),
+            vec_rows(stacked(self.phi_trbW)),
+            vec_rows(self.phi_b),
+            self.phi_1.reshape(e * dp, 1),
+        )
+
 
 def _block(rng: Rng, shape: tuple[int, ...], d: int, fan: int, scale: float) -> np.ndarray:
     a = scale / np.sqrt(d * fan)
@@ -444,23 +471,9 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
 def invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndarray:
     """Apply the invariant layer; returns an ``[e, d_out]`` array per row."""
     _check_input(params, U)
-    V, had_batch = _batched(U)
-    terms = all_terms(V, params.psi)
-    L = params.spec.L
-    es = np.einsum
-    out = (
-        es("bdpq,depqk->bek", terms.ww[(L, 0)], params.phi_WWLL)
-        + es("bdpq,depqk->bek", terms.w[(L, 0)], params.phi_WL0)
-        + es("bdpq,depqk->bek", terms.bw[(L, 0)], params.phi_bWLL0)
-        + es("bdp,depk->bek", terms.b[L], params.phi_b)
-        + params.phi_1[None]
-    )
-    for s in range(1, L):
-        out = out + es("bd,dek->bek", _diag_trace(terms.ww[(s, s)]), params.phi_trWW[s])
-    for t in range(1, L):
-        out = out + es("bdp,depk->bek", terms.wb[(L, t)], params.phi_Wb[t])
-        out = out + es("bd,dek->bek", _diag_trace(terms.bw[(t, t)]), params.phi_trbW[t])
-    return out if had_batch else out[0]
+    X = featurize(U, params.psi)
+    out = np.matmul(X, params.packed().T)
+    return out.reshape(X.shape[:-1] + (params.e, params.d_out))
 
 
 def activation(act: Activation, U: WeightObject) -> WeightObject:

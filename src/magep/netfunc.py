@@ -18,7 +18,7 @@ import numpy as np
 from .activations import Activation
 from .dense import tensor
 from .errors import DimensionError, ValidationError
-from .weightspace import WeightObject
+from .weightspace import WeightObject, stack_blocks
 
 __all__ = ["mlp_forward", "probe_targets"]
 
@@ -54,18 +54,14 @@ def probe_targets(
 
     Row ``u`` concatenates ``mlp_forward(dataset[u], p, act)`` over the
     probes, giving a ``[len(dataset), len(probes) * n_L]`` matrix.  All
-    objects must be unbatched and share one architecture.
+    objects must be unbatched and share one architecture.  The networks are
+    evaluated in stacked blocks (see :func:`magep.weightspace.stack_blocks`),
+    one batched forward per probe and block.
     """
     if not dataset:
         return np.zeros((0, 0))
-    spec = dataset[0].spec
-    for u in dataset:
-        if u.spec != spec:
-            raise ValidationError("probe targets need a homogeneous dataset")
-        if u.batch is not None:
-            raise ValidationError("probe targets expect unbatched weight objects")
     rows = []
-    for u in dataset:
-        outs = [mlp_forward(u, p, act) for p in probes]
-        rows.append(np.concatenate(outs) if outs else np.zeros(0))
-    return np.stack(rows)
+    for block in stack_blocks(dataset):
+        outs = [mlp_forward(block, p, act) for p in probes]
+        rows.append(np.concatenate(outs, axis=-1) if outs else np.zeros((block.batch, 0)))
+    return np.concatenate(rows)

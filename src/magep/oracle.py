@@ -18,9 +18,8 @@ import numpy as np
 
 from .dense import Rng
 from .errors import ValidationError
-from .fitting import featurize
 from .layers import EquivariantParams, InvariantParams
-from .stableterms import PsiParams, all_terms, psi_indices, w_indices, wb_indices
+from .stableterms import PsiParams, all_terms, featurize, psi_indices, w_indices, wb_indices
 from .weightspace import Uniform, WeightObject, WeightSpec, random_weights
 
 __all__ = [

@@ -17,6 +17,10 @@ connection matrices ``Psi`` bridge the mismatched chain endpoints: the
 middle chain defaults to ``L`` but is exposed as the ``upper`` argument so
 compositions like ``[bW]^(s)(s,t) [W]^(t,r) = [bW]^(s)(s,r)`` are
 expressible.
+
+:func:`all_terms` evaluates every family at every index pair from their
+definitions.  :func:`featurize` evaluates only the invariant scalars the
+invariant layer and the ridge fit read, from O(L) prefix and suffix chains.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import IndexRangeError, ValidationError
 from .weightspace import WeightObject, WeightSpec
 
 __all__ = [
+    "FEATURE_ORDER_VERSION",
     "PsiParams",
     "StableTermSet",
     "w_indices",
@@ -41,7 +46,12 @@ __all__ = [
     "bw_term",
     "ww_term",
     "all_terms",
+    "feature_count",
+    "featurize",
+    "in_feature_order",
 ]
+
+FEATURE_ORDER_VERSION = "magep-feat/1"
 
 
 def w_indices(L: int) -> list[tuple[int, int]]:
@@ -214,6 +224,11 @@ def ww_term(
     return np.matmul(left, w_chain(U, u, t))
 
 
+def _check_psi_fits(spec: WeightSpec, psi: PsiParams) -> None:
+    if psi.spec.n != spec.n or psi.spec.L != spec.L:
+        raise ValidationError("psi was built for a different architecture")
+
+
 def all_terms(U: WeightObject, psi: PsiParams) -> StableTermSet:
     """Evaluate every family at every feasible index pair.
 
@@ -222,8 +237,7 @@ def all_terms(U: WeightObject, psi: PsiParams) -> StableTermSet:
     evaluation.
     """
     spec = U.spec
-    if psi.spec.n != spec.n or psi.spec.L != spec.L:
-        raise ValidationError("psi was built for a different architecture")
+    _check_psi_fits(spec, psi)
     L = spec.L
     chains: dict[tuple[int, int], np.ndarray] = {}
     for t in range(L):
@@ -242,3 +256,71 @@ def all_terms(U: WeightObject, psi: PsiParams) -> StableTermSet:
         ww[(s, t)] = np.matmul(np.matmul(chains[(s, 0)], psi.ww[(s, t)]), chains[(L, t)])
     b = {s: U.bias(s) for s in range(1, L + 1)}
     return StableTermSet(spec, chains, wb, bw, ww, b)
+
+
+def feature_count(spec: WeightSpec) -> int:
+    """Number of invariant features, the trailing constant included."""
+    L = spec.L
+    n0, nL = spec.n[0], spec.n[L]
+    per_channel = 3 * nL * n0 + (L - 1) + (L - 1) * nL + (L - 1) + nL
+    return spec.d * per_channel + 1
+
+
+def in_feature_order(ww, w, tr_ww, bw, wb, tr_bw, b, const) -> np.ndarray:
+    """Concatenate per-channel parts in the ``magep-feat/1`` order.
+
+    Each part has shape ``[..., d, k]``: its ``k`` entries for every channel
+    (the part names and widths are those of :func:`featurize`).  The result
+    lists, for channel 1, 2, ..., d, the seven parts in turn, then the
+    ``[..., 1]`` trailing ``const``.  The same order serves the feature rows
+    and the invariant layer's coefficient matrix.
+    """
+    per_channel = np.concatenate([ww, w, tr_ww, bw, wb, tr_bw, b], axis=-1)
+    flat = per_channel.reshape(per_channel.shape[:-2] + (-1,))
+    return np.concatenate([flat, const], axis=-1)
+
+
+def featurize(U: WeightObject, psi: PsiParams) -> np.ndarray:
+    """Invariant feature vector of ``U``: ``[F]``, or ``[B, F]`` when batched.
+
+    Canonical order (``magep-feat/1``), for each channel c = 1..d:
+    (1) ``[WW]^(L,0)(L,0)`` row-major, (2) ``[W]^(L,0)``, (3) traces of
+    ``[WW]^(s,0)(L,s)`` for s = L-1..1, (4) ``[bW]^(L)(L,0)``,
+    (5) ``[Wb]^(L,t)(t)`` for t = L-1..1, (6) traces of ``[bW]^(t)(L,t)``
+    for t = L-1..1, (7) ``[b]^(L)``; then one trailing constant 1.
+
+    Only the suffix chains ``[W]^(L,t)`` and prefix chains ``[W]^(s,0)`` are
+    formed, about 2L products.  The traces never form their square
+    products: ``tr [WW]^(s,0)(L,s)`` is the entrywise sum of
+    ``([W]^(s,0) Psi) * [W]^(L,s)^T``, and ``tr [bW]^(t)(L,t)`` is
+    ``psi . [Wb]^(L,t)(t)``.
+    """
+    spec = U.spec
+    _check_psi_fits(spec, psi)
+    L = spec.L
+    suffix = {L - 1: U.weight(L)}  # t -> [W]^(L,t)
+    for t in range(L - 2, -1, -1):
+        suffix[t] = np.matmul(suffix[t + 1], U.weight(t + 1))
+    prefix = {1: U.weight(1)}  # s -> [W]^(s,0)
+    for s in range(2, L):
+        prefix[s] = np.matmul(U.weight(s), prefix[s - 1])
+    full = suffix[0]
+    hidden = range(L - 1, 0, -1)
+    tr_ww = [
+        np.einsum("...ij,...ji->...", np.matmul(prefix[s], psi.ww[(s, s)]), suffix[s])
+        for s in hidden
+    ]
+    wb = [np.matmul(suffix[t], U.bias(t)[..., None])[..., 0] for t in hidden]
+    tr_bw = [np.matmul(v, psi.bw[(t, t)][0]) for t, v in zip(hidden, wb)]
+    b_last = U.bias(L)
+    flat = lambda m: m.reshape(m.shape[:-2] + (-1,))
+    return in_feature_order(
+        flat(np.matmul(np.matmul(full, psi.ww[(L, 0)]), full)),
+        flat(full),
+        np.stack(tr_ww, axis=-1),
+        flat(b_last[..., :, None] * np.matmul(psi.bw[(L, 0)][0], full)[..., None, :]),
+        np.concatenate(wb, axis=-1),
+        np.stack(tr_bw, axis=-1),
+        b_last,
+        np.ones(b_last.shape[:-2] + (1,)),
+    )

@@ -10,6 +10,7 @@ weights).  An element holds one weight tensor per layer, shaped
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,11 +25,18 @@ __all__ = [
     "Gaussian",
     "dim",
     "random_weights",
+    "STACK_BLOCK",
+    "stack_blocks",
     "save",
     "load",
 ]
 
 WEIGHT_FORMAT = "magep-weights/1"
+
+# Objects per stacked batch in :func:`stack_blocks`.  One block amortizes the
+# per-call overhead of the batched numerics; stacking a whole dataset at once
+# would hold a second copy of all of its weights.
+STACK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -193,6 +201,28 @@ def random_weights(
         dist.sample(rng, prefix + spec.bias_shape(i)) for i in range(1, spec.L + 1)
     )
     return WeightObject(spec, W, b, batch)
+
+
+def stack_blocks(objects: Sequence[WeightObject]) -> Iterator[WeightObject]:
+    """Batched objects of up to :data:`STACK_BLOCK` consecutive rows each.
+
+    The inputs must be unbatched and share one spec; row ``k`` of the
+    ``j``-th block is ``objects[j * STACK_BLOCK + k]``.
+    """
+    if not objects:
+        return
+    spec = objects[0].spec
+    for u in objects:
+        if u.spec != spec or u.batch is not None:
+            raise ValidationError("stacking needs unbatched weight objects of one spec")
+    for lo in range(0, len(objects), STACK_BLOCK):
+        rows = objects[lo : lo + STACK_BLOCK]
+        yield WeightObject(
+            spec,
+            tuple(np.stack(layer) for layer in zip(*(u.W for u in rows))),
+            tuple(np.stack(layer) for layer in zip(*(u.b for u in rows))),
+            batch=len(rows),
+        )
 
 
 _WEIGHT_KEYS = ("format", "L", "n", "d", "batch", "W", "b")

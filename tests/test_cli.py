@@ -170,3 +170,23 @@ def test_validate_report_rejects_bad_documents():
         validate_report({"format": "report/2"})
     with pytest.raises(Exception):
         validate_report({"format": "report/1", "command": "nope"})
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_without_trials_is_usage_error(trials):
+    res = run_cli("check", "--suite", "group", "--trials", trials)
+    assert res.returncode == 2
+    assert "trials must be >= 1" in res.stderr
+    assert "[pass]" not in res.stderr
+
+
+def test_bench_without_reps_is_usage_error():
+    res = run_cli("bench", "--reps", "0", "--L-values", "2", "--d-values", "1")
+    assert res.returncode == 2
+    assert "reps must be >= 1" in res.stderr
+
+
+def test_fit_without_probes_is_usage_error():
+    res = run_cli("fit", "--probes", "0")
+    assert res.returncode == 2
+    assert "--probes must be >= 1" in res.stderr

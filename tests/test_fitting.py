@@ -103,7 +103,7 @@ def test_duplicate_rows_equal_weighted_normal_equations():
     base = _dataset(spec, psi, 2 * F, 8, lambda objs: Rng(9).uniform(-1.0, 1.0, (len(objs), 1)))
     doubled = fitting.FitDataset(base.objects + base.objects, np.vstack([base.targets] * 2))
     lam = 1e-3
-    X = fitting.design_matrix(base, psi)
+    X = fitting.design_matrix(base.objects, psi)
     # Reference phi* = (2 X^T X + lam I)^-1 2 X^T y, exact over the rationals
     # from the same float64 X, y and lam, so it carries no rounding of its own.
     Xq = [[Fraction(v) for v in row] for row in X.tolist()]
@@ -143,7 +143,7 @@ def test_evaluate_perfect_and_constant_predictors():
     F = fitting.feature_count(SPEC)
     data = _dataset(SPEC, psi, 25, 12, lambda objs: Rng(13).uniform(-1.0, 1.0, (len(objs), 1)))
     fit = fitting.fit_ridge(data, psi, 0.0)
-    preds = fitting.design_matrix(data, psi) @ fit.phi
+    preds = fitting.design_matrix(data.objects, psi) @ fit.phi
     perfect = fitting.FitDataset(data.objects, preds)
     assert fitting.evaluate(fit, perfect, psi) <= 1e-20
 

@@ -130,3 +130,15 @@ def test_activation_validation():
         Activation("softplus")
     with pytest.raises(ValidationError):
         Activation("leaky_relu", alpha=0.0)
+
+
+def test_probe_targets_match_per_object_forward_across_blocks():
+    spec = WeightSpec(3, (3, 5, 4, 2), 1)
+    dataset = [random_weights(spec, Rng(200 + k)) for k in range(300)]
+    probes = [Rng(300 + p).uniform(-1.0, 1.0, 3) for p in range(3)]
+    got = netfunc.probe_targets(dataset, probes, relu)
+    want = np.stack(
+        [np.concatenate([netfunc.mlp_forward(u, p, relu) for p in probes]) for u in dataset]
+    )
+    assert got.shape == (300, 6)
+    assert rel_residual(got, want) <= 1e-14
