@@ -21,7 +21,6 @@ from .errors import ValidationError
 from .monomial import VARIANT_POSITIVE, VARIANT_SIGN
 from .stableterms import (
     PsiParams,
-    all_terms,
     bw_term,
     psi_indices,
     w_chain,
@@ -308,10 +307,8 @@ def _force_hidden_swap(g, variant):
 def _corrupt_equivariant(params, U, out):
     """Emulate one broken sharing constraint: the first-layer weight-row
     coefficient acquires a row dependence it is not allowed to have."""
-    terms = all_terms(U, params.psi)
-    w10 = terms.w[(1, 0)]
     weights = np.arange(1, U.spec.n[1] + 1, dtype=np.float64)
-    rogue = np.einsum("...djq,j->...j", w10, weights)
+    rogue = np.einsum("...djq,j->...j", U.weight(1), weights)  # [W]^(1,0) = W^(1)
     W = list(out.W)
     W[0] = W[0] + 0.1 * rogue[..., None, :, None]
     return WeightObject(out.spec, tuple(W), tuple(out.b), out.batch)
@@ -590,7 +587,7 @@ def run_suites(
 
 
 def run_bench(reps: int, seed: int, grid: Grid | None = None, batch: int = 8) -> dict:
-    """Median wall-clock time per batched forward, einsum path vs naive loops.
+    """Median wall-clock time per batched forward, BLAS path vs naive loops.
 
     ``batch`` rows are evaluated per call: that is the workload the
     contraction path exists for (the loops scale linearly in it).

@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", default=None)
     p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("bench", help="time the einsum forwards against the naive loops")
+    p = sub.add_parser("bench", help="time the layer forwards against the naive loops")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch", type=int, default=8, help="rows per timed forward")

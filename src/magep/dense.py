@@ -5,11 +5,12 @@ All numeric state in this package is a row-major ``numpy.ndarray`` of
 ``float64``; the helpers here add the shape validation and error reporting
 the rest of the package relies on.  :func:`contract` evaluates with
 ``numpy.einsum`` with path optimization disabled, so its reduction order is
-the fixed left-to-right order of the spec string.  That fixed order is not
-what makes the layers reproducible: the featurizer and the invariant layer
-use BLAS matrix products (``numpy.matmul``), whose results repeat exactly
-for a fixed BLAS build and thread count, and can differ in the last digits
-across them.
+the fixed left-to-right order of the spec string; no layer uses it.  The
+featurizer, the invariant layer and the equivariant layer are BLAS matrix
+products (``numpy.matmul``), whose results repeat exactly for a fixed BLAS
+build and thread count, and can differ in the last digits across them.
+Their largest products go through :func:`serial_matmul`, which keeps each
+BLAS call small enough to run on the calling thread.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import DimensionError, SpecError
 __all__ = [
     "tensor",
     "channel_matmul",
+    "serial_matmul",
     "contract",
     "rel_residual",
     "Rng",
@@ -52,6 +54,35 @@ def channel_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"channel_matmul shape mismatch: {a.shape} x {b.shape}"
         )
     return np.matmul(a, b)
+
+
+# OpenBLAS runs a GEMM of up to this many multiply-adds on the calling thread.
+# Larger ones it spreads over every core; with OpenBLAS 0.3.31 on a 2-vCPU
+# Xeon VM the switch lay between 0.8M and 1.6M multiply-adds.
+SERIAL_MADDS = 1 << 18
+
+
+def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.matmul(a, b)`` issued as BLAS calls of at most ``SERIAL_MADDS``
+    multiply-adds each, so that every call runs on the calling thread.
+
+    The contracted axis is cut into chunks whose products are summed.  At
+    the layer sizes here a threaded GEMM saves little time but keeps a
+    second core spinning for the whole forward, which doubles its CPU time
+    and ties its speed to the load on that core.  A product whose output
+    rows times columns alone exceed the budget goes to BLAS whole.
+    """
+    if a.ndim == 1:
+        return serial_matmul(a[None], b)[..., 0, :]
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
+    step = SERIAL_MADDS // (m * n)
+    if step >= k or step == 0:
+        return np.matmul(a, b)
+    out = np.matmul(a[..., :step], b[..., :step, :])
+    for s in range(step, k, step):
+        out += np.matmul(a[..., s:s + step], b[..., s:s + step, :])
+    return out
 
 
 def _parse_spec(spec: str, n_operands: int) -> tuple[list[str], str]:

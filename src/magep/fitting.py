@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jsonio
-from .dense import Rng
+from .dense import Rng, tensor
 from .errors import ValidationError
 from .stableterms import FEATURE_ORDER_VERSION, PsiParams, feature_count, featurize
 from .weightspace import WeightObject, stack_blocks
@@ -173,24 +173,49 @@ def save_fit(result: FitResult, path) -> None:
         "phi": result.phi,
         "train_mse": result.train_mse,
         "test_mse": result.test_mse,
+        "rank_deficient": result.rank_deficient,
     }
     jsonio.dump_path(doc, path)
 
 
+_FIT_KEYS = (
+    "format", "feature_order_version", "lambda", "width", "phi",
+    "train_mse", "test_mse", "rank_deficient",
+)
+
+
 def load_fit(path) -> FitResult:
+    """Read a ``.mgfit.json`` document; inverse of :func:`save_fit`.
+
+    Unknown or missing keys and non-finite values raise ``ValidationError``.
+    """
     doc = jsonio.load_path(path)
-    if doc.get("format") != FIT_FORMAT:
-        raise ValidationError(f"unsupported format {doc.get('format')!r}")
-    if doc.get("feature_order_version") != FEATURE_ORDER_VERSION:
+    unknown = set(doc) - set(_FIT_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
+    missing = set(_FIT_KEYS) - set(doc)
+    if missing:
+        raise ValidationError(f"missing top-level keys: {sorted(missing)}")
+    if doc["format"] != FIT_FORMAT:
+        raise ValidationError(f"unsupported format {doc['format']!r}")
+    if doc["feature_order_version"] != FEATURE_ORDER_VERSION:
         raise ValidationError(
-            f"unsupported feature order {doc.get('feature_order_version')!r}"
+            f"unsupported feature order {doc['feature_order_version']!r}"
         )
-    phi = np.asarray(doc["phi"], dtype=np.float64)
+    phi = tensor(doc["phi"])
     if phi.ndim != 2 or phi.shape[1] != doc["width"]:
         raise ValidationError("phi payload does not match the declared width")
+    scalars = [doc["lambda"], doc["train_mse"]]
+    if doc["test_mse"] is not None:
+        scalars.append(doc["test_mse"])
+    if not (np.isfinite(phi).all() and np.isfinite(tensor(scalars)).all()):
+        raise ValidationError("fit payload holds a non-finite value")
+    if not isinstance(doc["rank_deficient"], bool):
+        raise ValidationError("rank_deficient must be true or false")
     return FitResult(
         phi,
         float(doc["lambda"]),
         float(doc["train_mse"]),
         None if doc["test_mse"] is None else float(doc["test_mse"]),
+        doc["rank_deficient"],
     )

@@ -54,9 +54,18 @@ def dump_path(doc: dict, path) -> None:
     Path(path).write_text(_emit(doc) + "\n", encoding="utf-8")
 
 
+def _reject_constant(token: str):
+    raise ParseError(f"non-finite number {token} is not valid JSON")
+
+
 def loads(text: str) -> dict:
+    """Parse one JSON object; ``NaN`` and ``Infinity`` tokens are rejected.
+
+    Numbers too large for a float (``1e999``) still parse, to ``inf``; the
+    loaders reject them with one ``isfinite`` check per array.
+    """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", offset=exc.pos) from exc
     if not isinstance(doc, dict):

@@ -16,6 +16,21 @@ terms mix across the column index.  At interior layers only scalar
 row mixes ``[W]^(i,0)``, ``[WW]^(i,0)(L,0)``, ``[bW]^(i)(L,0)`` over the
 input-width index plus per-``t`` ``[Wb]`` terms and the bias.
 
+The forward reads only the O(L) terms these rows need, from the suffix
+chains ``[W]^(L,t)`` and prefix chains ``[W]^(s,0)`` that the featurizer
+builds, once per call; ``[bW]`` is formed as the outer product
+``b^(s) (x) psi [W]^(L,t)`` and ``[Wb]^(i,t)`` by the recursion
+``W^(i) [Wb]^(i-1,t)``.  The last-layer bias row is the invariant map
+with ``d_out = n_L``: the feature rows times the ``phib_L_*`` blocks packed
+in feature order.  Every other row is one batched BLAS matrix product: the
+terms of a family sum are concatenated along the contracted axis, and their
+coefficient blocks along the matching axis.  The first-layer rows and the
+interior bias rows contract over one input channel at a time and sum the
+channels.  The products with a long contracted axis (the feature rows times
+the packed blocks, and the last weight row) go through
+:func:`magep.dense.serial_matmul`, so every BLAS call runs on the calling
+thread.
+
 The invariant map sends a ``d``-channel weight object to an ``[e, d']``
 array through the eight-term combination of the boundary-pinned terms,
 the diagonal traces, and a constant.  It is linear in the invariant
@@ -25,16 +40,16 @@ feature rows times the coefficient blocks packed in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import jsonio
 from .activations import Activation
-from .dense import Rng, tensor
+from .dense import Rng, serial_matmul, tensor
 from .errors import ConfigurationError, ValidationError
-from .stableterms import PsiParams, all_terms, featurize, in_feature_order, psi_indices
+from .stableterms import PsiParams, _chains, _features, featurize, in_feature_order, psi_indices
 from .weightspace import WeightObject, WeightSpec
 
 __all__ = [
@@ -52,9 +67,19 @@ __all__ = [
     "save_params",
     "load_params",
     "PARAMS_FORMAT",
+    "ROW_BLOCK",
 ]
 
 PARAMS_FORMAT = "magep-params/1"
+
+# Rows per block in :func:`stack_forward`.  Rows are independent, so blocking
+# changes no value; it bounds the size of the stack's intermediates.  At
+# L=6, n=32, d=1->4->4 with 64 rows (glibc malloc) the unblocked stack mapped
+# about 40 MB of fresh pages per call: 10K page faults, a fifth of its time,
+# in a count that varied by a quarter from process to process.  In blocks of
+# 8 rows the heap serves every block from memory it already holds, with no
+# page faults; blocks of 12 rows fault again.
+ROW_BLOCK = 8
 
 
 def _expect(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -193,6 +218,25 @@ class EquivariantParams:
             out[f"vecsb[{i}].b"] = blk.b_b
         return out
 
+    def last_bias_packed(self) -> np.ndarray:
+        """The ``phib_L_*`` blocks as one ``[e, F, n_L]`` tensor in feature order.
+
+        The last-layer bias row is the invariant map of the features with
+        ``d_out = n_L``: ``b^(L)[i, j]`` is ``featurize(U) @ P[i, :, j]``.
+        Built on every call, so in-place edits of the blocks take effect.
+        """
+        return _pack_features(
+            self.spec.L,
+            self.phib_L_WWLL,
+            self.phib_L_WL0,
+            self.phib_L_trWW,
+            self.phib_L_bWLL0,
+            self.phib_L_Wb,
+            self.phib_L_trbW,
+            self.phib_L_b,
+            self.phib_L_1,
+        )
+
 
 @dataclass(frozen=True)
 class InvariantParams:
@@ -253,29 +297,50 @@ class InvariantParams:
         return out
 
     def packed(self) -> np.ndarray:
-        """All blocks as one ``[e * d_out, F]`` matrix in feature order.
+        """All blocks as one ``[e, F, d_out]`` tensor in feature order.
 
-        Column ``f`` holds the coefficients of feature ``f`` of
-        :func:`magep.stableterms.featurize`; row ``i * d_out + k`` feeds
-        output ``[i, k]``.  Built on every call, so in-place edits of the
-        blocks take effect.
+        ``P[i, f, k]`` is the coefficient of feature ``f`` of
+        :func:`magep.stableterms.featurize` in output ``[i, k]``.  Built on
+        every call, so in-place edits of the blocks take effect.
         """
-        d, e, dp, L = self.d, self.e, self.d_out, self.spec.L
-        # Each part becomes [e * d_out, d, k]: output row, channel, entries.
-        rows = lambda a: a.reshape(e * dp, d, -1)
-        vec_rows = lambda a: rows(a.transpose(1, 3, 0, 2))  # from [d, e, k, d']
-        mat_rows = lambda a: rows(a.transpose(1, 4, 0, 2, 3))  # from [d, e, j, k, d']
-        stacked = lambda table: np.stack([table[k] for k in range(L - 1, 0, -1)], axis=2)
-        return in_feature_order(
-            mat_rows(self.phi_WWLL),
-            mat_rows(self.phi_WL0),
-            vec_rows(stacked(self.phi_trWW)),
-            mat_rows(self.phi_bWLL0),
-            mat_rows(stacked(self.phi_Wb)),
-            vec_rows(stacked(self.phi_trbW)),
-            vec_rows(self.phi_b),
-            self.phi_1.reshape(e * dp, 1),
+        ed = lambda a: a.swapaxes(0, 1)  # [d, e, ...] -> [e, d, ...]
+        eds = lambda table: {k: ed(v) for k, v in table.items()}
+        return _pack_features(
+            self.spec.L,
+            ed(self.phi_WWLL),
+            ed(self.phi_WL0),
+            eds(self.phi_trWW),
+            ed(self.phi_bWLL0),
+            eds(self.phi_Wb),
+            eds(self.phi_trbW),
+            ed(self.phi_b),
+            self.phi_1,
         )
+
+
+def _pack_features(L, ww, w, tr_ww, bw, wb, tr_bw, b, const) -> np.ndarray:
+    """Coefficient blocks of an invariant map as one ``[e, F, m]`` tensor.
+
+    The blocks are laid out ``[e, d, ..., m]`` (``const`` is ``[e, m]``; the
+    three tables are keyed by hidden layer) and the feature axis follows
+    :func:`magep.stableterms.in_feature_order`.  The full blocks enter as
+    ``[e, d, k, m]`` views, so they are copied once.
+    """
+    e, d, m = b.shape[0], b.shape[1], b.shape[-1]
+    part = lambda a: a.reshape(e, d, -1, m)
+    hidden = range(L - 1, 0, -1)
+    traces = lambda table: np.concatenate([table[k][:, :, None] for k in hidden], axis=2)
+    return in_feature_order(
+        part(ww),
+        part(w),
+        traces(tr_ww),
+        part(bw),
+        np.concatenate([wb[k] for k in hidden], axis=2),
+        traces(tr_bw),
+        b,
+        const[:, None],
+        axis=-2,
+    )
 
 
 def _block(rng: Rng, shape: tuple[int, ...], d: int, fan: int, scale: float) -> np.ndarray:
@@ -390,90 +455,95 @@ def _check_input(params, U: WeightObject) -> None:
         )
 
 
-def _diag_trace(mat: np.ndarray) -> np.ndarray:
-    return np.trace(mat, axis1=-2, axis2=-1)
+def _row_coefficients(heads, tail) -> np.ndarray:
+    """``[d, 3 n0 + c, e k]`` coefficients of a boundary row, per input channel.
+
+    ``heads`` are the three ``[d, e, n0, *k]`` blocks of ``[W]^(i,0)``,
+    ``[WW]^(i,0)(L,0)`` and ``[bW]^(i)(L,0)``; ``tail`` the ``c`` blocks
+    ``[d, e, *k]`` of the per-channel columns.  The middle axis follows the
+    columns of the row terms built in :func:`equivariant_forward`.
+    """
+    h = np.array(heads).swapaxes(2, 3).swapaxes(0, 1)  # [d, 3, n0, e, *k]
+    t = np.array(tail).swapaxes(0, 1)  # [d, c, e, *k]
+    d = t.shape[0]
+    return np.concatenate([h.reshape(d, 3 * h.shape[2], -1), t.reshape(d, t.shape[1], -1)], axis=1)
 
 
 def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObject:
     """Apply the equivariant layer, mapping d input channels to e output ones."""
     _check_input(params, U)
     V, had_batch = _batched(U)
-    terms = all_terms(V, params.psi)
-    L = params.spec.L
-    es = np.einsum
+    spec, psi, e = params.spec, params.psi, params.e
+    L, n, d, B = spec.L, spec.n, spec.d, V.batch
+    suffix, prefix = _chains(V)
+
+    def ww(s, t):  # [WW]^(s,0)(L,t)
+        return np.matmul(np.matmul(prefix[s], psi.ww[(s, t)]), suffix[t])
+
+    def bw(s, t):  # [bW]^(s)(L,t) as the outer product b^(s) (x) psi [W]^(L,t)
+        row = np.matmul(psi.bw[(s, t)][0], suffix[t])
+        return V.bias(s)[..., :, None] * row[..., None, :]
+
+    def weight_terms(i):  # [B, 3d, n_i, n_{i-1}], channels grouped by family
+        return np.concatenate([V.weight(i), ww(i, i - 1), bw(i, i - 1)], axis=1)
+
+    def boundary_row(i, tail, coef):  # [B, n_i, e k]: per-channel GEMMs, summed
+        terms = np.concatenate([prefix[i], ww(i, 0), bw(i, 0), tail], axis=-1)
+        return np.matmul(terms, coef).sum(axis=1)
 
     W_out: list[np.ndarray] = [None] * L  # type: ignore[list-item]
     b_out: list[np.ndarray] = [None] * L  # type: ignore[list-item]
 
-    # Last layer: row-mixing weight terms, eight-term bias row.
-    W_out[L - 1] = (
-        es("edpj,bdpk->bejk", params.phiW_L_W, terms.w[(L, L - 1)])
-        + es("edpj,bdpk->bejk", params.phiW_L_WW, terms.ww[(L, L - 1)])
-        + es("edpj,bdpk->bejk", params.phiW_L_bW, terms.bw[(L, L - 1)])
-    )
-    bL = (
-        es("edpqj,bdpq->bej", params.phib_L_WWLL, terms.ww[(L, 0)])
-        + es("edpqj,bdpq->bej", params.phib_L_WL0, terms.w[(L, 0)])
-        + es("edpqj,bdpq->bej", params.phib_L_bWLL0, terms.bw[(L, 0)])
-        + es("edpj,bdp->bej", params.phib_L_b, terms.b[L])
-        + params.phib_L_1[None]
-    )
-    for s in range(1, L):
-        bL = bL + es("edj,bd->bej", params.phib_L_trWW[s], _diag_trace(terms.ww[(s, s)]))
-    for t in range(1, L):
-        bL = bL + es("edpj,bdp->bej", params.phib_L_Wb[t], terms.wb[(L, t)])
-        bL = bL + es("edj,bd->bej", params.phib_L_trbW[t], _diag_trace(terms.bw[(t, t)]))
-    b_out[L - 1] = bL
+    # Last layer: the three weight terms mix over their row index in one
+    # GEMM; the bias row is the invariant map of the feature rows.
+    coef = np.concatenate([params.phiW_L_W, params.phiW_L_WW, params.phiW_L_bW], axis=1)
+    coef = coef.transpose(0, 3, 1, 2).reshape(e * n[L], 3 * d * n[L])
+    terms = weight_terms(L).reshape(B, 3 * d * n[L], n[L - 1])
+    W_out[L - 1] = serial_matmul(coef, terms).reshape(B, e, n[L], n[L - 1])
+    X = _features(V, psi, suffix, prefix)
+    b_out[L - 1] = serial_matmul(X, params.last_bias_packed()).swapaxes(0, 1)
 
-    # First layer: column-mixing terms plus the bias broadcast.
-    W_out[0] = (
-        es("bdjq,deqk->bejk", terms.w[(1, 0)], params.phiW_1_W)
-        + es("bdjq,deqk->bejk", terms.ww[(1, 0)], params.phiW_1_WW)
-        + es("bdjq,deqk->bejk", terms.bw[(1, 0)], params.phiW_1_bW)
-        + es("bdj,dek->bejk", terms.b[1], params.phiW_1_b)
+    # First layer: the weight and bias rows share the GEMMs over the
+    # column-mixing terms and the bias.
+    tail = V.bias(1)[..., None]
+    coef = np.concatenate(
+        [
+            _row_coefficients(
+                [params.phiW_1_W, params.phiW_1_WW, params.phiW_1_bW], [params.phiW_1_b]
+            ),
+            _row_coefficients(
+                [params.phib_1_W, params.phib_1_WW, params.phib_1_bW], [params.phib_1_b]
+            ),
+        ],
+        axis=2,
     )
-    b_out[0] = (
-        es("bdjq,deq->bej", terms.w[(1, 0)], params.phib_1_W)
-        + es("bdjq,deq->bej", terms.ww[(1, 0)], params.phib_1_WW)
-        + es("bdjq,deq->bej", terms.bw[(1, 0)], params.phib_1_bW)
-        + es("bdj,de->bej", terms.b[1], params.phib_1_b)
-    )
+    rows = boundary_row(1, tail, coef)
+    W_out[0] = rows[..., : e * n[0]].reshape(B, n[1], e, n[0]).transpose(0, 2, 1, 3)
+    b_out[0] = rows[..., e * n[0] :].transpose(0, 2, 1)
 
-    # Interior layers: scalar coefficients for the weight row.
+    # Interior layers: scalar coefficients for the weight row; the bias row
+    # reads [Wb]^(i,t)(t) = W^(i) [Wb]^(i-1,t)(t) for t = 1..i-1, then b^(i).
     for i in range(2, L):
         blk = params.mid[i]
-        W_out[i - 1] = (
-            es("bdjk,de->bejk", terms.w[(i, i - 1)], blk.w)
-            + es("bdjk,de->bejk", terms.ww[(i, i - 1)], blk.ww)
-            + es("bdjk,de->bejk", terms.bw[(i, i - 1)], blk.bw)
+        coef = np.concatenate([blk.w, blk.ww, blk.bw]).T
+        terms = weight_terms(i).reshape(B, 3 * d, -1)
+        W_out[i - 1] = np.matmul(coef, terms).reshape(B, e, n[i], n[i - 1])
+        tail = np.concatenate([np.matmul(V.weight(i), tail), V.bias(i)[..., None]], axis=-1)
+        coef = _row_coefficients(
+            [blk.b_w, blk.b_ww, blk.b_bw], [blk.b_wb[t] for t in range(1, i)] + [blk.b_b]
         )
-        bi = (
-            es("bdjq,deq->bej", terms.w[(i, 0)], blk.b_w)
-            + es("bdjq,deq->bej", terms.ww[(i, 0)], blk.b_ww)
-            + es("bdjq,deq->bej", terms.bw[(i, 0)], blk.b_bw)
-            + es("bdj,de->bej", terms.b[i], blk.b_b)
-        )
-        for t in range(1, i):
-            bi = bi + es("bdj,de->bej", terms.wb[(i, t)], blk.b_wb[t])
-        b_out[i - 1] = bi
+        b_out[i - 1] = boundary_row(i, tail, coef).transpose(0, 2, 1)
 
-    out = WeightObject(params.out_spec(), tuple(W_out), tuple(b_out), batch=V.batch)
     if not had_batch:
-        out = WeightObject(
-            params.out_spec(),
-            tuple(w[0] for w in out.W),
-            tuple(v[0] for v in out.b),
-            batch=None,
-        )
-    return out
+        W_out = [w[0] for w in W_out]
+        b_out = [v[0] for v in b_out]
+    return WeightObject(params.out_spec(), tuple(W_out), tuple(b_out), batch=U.batch)
 
 
 def invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndarray:
     """Apply the invariant layer; returns an ``[e, d_out]`` array per row."""
     _check_input(params, U)
-    X = featurize(U, params.psi)
-    out = np.matmul(X, params.packed().T)
-    return out.reshape(X.shape[:-1] + (params.e, params.d_out))
+    return np.moveaxis(serial_matmul(featurize(U, params.psi), params.packed()), 0, -2)
 
 
 def activation(act: Activation, U: WeightObject) -> WeightObject:
@@ -491,7 +561,8 @@ def stack_forward(
 
     The channel widths must chain (input d -> e -> ... -> head input) and
     every activation must be compatible with the symmetry variant the stack
-    is supposed to respect.
+    is supposed to respect.  A batch runs through the whole stack
+    :data:`ROW_BLOCK` rows at a time.
     """
     expected_d = U.spec.d
     for idx, (params, act) in enumerate(stack):
@@ -508,6 +579,17 @@ def stack_forward(
         raise ConfigurationError(
             f"invariant head expects {head.spec.d} input channels, got {expected_d}"
         )
+    if U.batch is None or U.batch <= ROW_BLOCK:
+        return _stack_rows(stack, head, U)
+    return np.concatenate(
+        [
+            _stack_rows(stack, head, U.rows(lo, lo + ROW_BLOCK))
+            for lo in range(0, U.batch, ROW_BLOCK)
+        ]
+    )
+
+
+def _stack_rows(stack, head, U: WeightObject) -> np.ndarray:
     for params, act in stack:
         U = activation(act, equivariant_forward(params, U))
     return invariant_forward(head, U)
@@ -543,6 +625,22 @@ def invariant_parameter_count(spec: WeightSpec, e: int, d_out: int) -> int:
     return count
 
 
+def _phi_fields(cls) -> list[tuple[str, bool]]:
+    """``(name, is_table)`` of every coefficient block field, in file order."""
+    return [(f.name, f.type.startswith("Mapping")) for f in fields(cls) if f.name.startswith("phi")]
+
+
+# Top-level keys of a .mgp.json document, per layer kind.
+_PARAMS_KEYS = {
+    "equivariant": ("format", "kind", "spec", "e")
+    + tuple(name for name, _ in _phi_fields(EquivariantParams))
+    + ("scalarsW", "vecsb", "psi"),
+    "invariant": ("format", "kind", "spec", "e", "d_out")
+    + tuple(name for name, _ in _phi_fields(InvariantParams))
+    + ("psi",),
+}
+
+
 def _psi_to_json(psi: PsiParams) -> dict:
     return {
         "bw": {f"{s},{t}": psi.bw[(s, t)] for s, t in psi_indices(psi.spec.L)},
@@ -550,42 +648,50 @@ def _psi_to_json(psi: PsiParams) -> dict:
     }
 
 
+def _finite(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array; non-numeric or non-finite payloads are rejected."""
+    try:
+        arr = tensor(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not a numeric array") from exc
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} holds a non-finite value")
+    return arr
+
+
+def _table(name: str, doc: dict) -> dict[int, np.ndarray]:
+    if not isinstance(doc, dict) or not all(k.isdigit() for k in doc):
+        raise ValidationError(f"{name} must map layer indices to arrays")
+    return {int(k): _finite(f"{name}[{k}]", v) for k, v in doc.items()}
+
+
 def _psi_from_json(spec: WeightSpec, doc: dict) -> PsiParams:
-    def parse(table):
+    def parse(family):
         out = {}
-        for key, val in table.items():
+        for key, val in doc[family].items():
             s, t = key.split(",")
-            out[(int(s), int(t))] = tensor(val)
+            out[(int(s), int(t))] = _finite(f"psi.{family}[{key}]", val)
         return out
 
-    return PsiParams(spec, parse(doc["bw"]), parse(doc["ww"]))
+    return PsiParams(spec, parse("bw"), parse("ww"))
 
 
 def save_params(params: EquivariantParams | InvariantParams, path) -> None:
     """Write layer parameters as a ``.mgp.json`` document."""
     spec = params.spec
+    equivariant = isinstance(params, EquivariantParams)
     doc: dict = {
         "format": PARAMS_FORMAT,
-        "kind": "equivariant" if isinstance(params, EquivariantParams) else "invariant",
+        "kind": "equivariant" if equivariant else "invariant",
         "spec": {"L": spec.L, "n": list(spec.n), "d": spec.d},
         "e": params.e,
     }
-    if isinstance(params, EquivariantParams):
-        for name in (
-            "phiW_L_W", "phiW_L_WW", "phiW_L_bW",
-            "phib_L_WWLL", "phib_L_WL0", "phib_L_bWLL0",
-        ):
-            doc[name] = getattr(params, name)
-        doc["phib_L_trWW"] = {str(k): v for k, v in params.phib_L_trWW.items()}
-        doc["phib_L_Wb"] = {str(k): v for k, v in params.phib_L_Wb.items()}
-        doc["phib_L_trbW"] = {str(k): v for k, v in params.phib_L_trbW.items()}
-        doc["phib_L_b"] = params.phib_L_b
-        doc["phib_L_1"] = params.phib_L_1
-        for name in (
-            "phiW_1_W", "phiW_1_WW", "phiW_1_bW", "phiW_1_b",
-            "phib_1_W", "phib_1_WW", "phib_1_bW", "phib_1_b",
-        ):
-            doc[name] = getattr(params, name)
+    if not equivariant:
+        doc["d_out"] = params.d_out
+    for name, is_table in _phi_fields(type(params)):
+        value = getattr(params, name)
+        doc[name] = {str(k): v for k, v in value.items()} if is_table else value
+    if equivariant:
         doc["scalarsW"] = {
             str(i): {"W": blk.w, "WW": blk.ww, "bW": blk.bw}
             for i, blk in params.mid.items()
@@ -600,79 +706,50 @@ def save_params(params: EquivariantParams | InvariantParams, path) -> None:
             }
             for i, blk in params.mid.items()
         }
-    else:
-        doc["d_out"] = params.d_out
-        doc["phi_WWLL"] = params.phi_WWLL
-        doc["phi_WL0"] = params.phi_WL0
-        doc["phi_trWW"] = {str(k): v for k, v in params.phi_trWW.items()}
-        doc["phi_bWLL0"] = params.phi_bWLL0
-        doc["phi_Wb"] = {str(k): v for k, v in params.phi_Wb.items()}
-        doc["phi_trbW"] = {str(k): v for k, v in params.phi_trbW.items()}
-        doc["phi_b"] = params.phi_b
-        doc["phi_1"] = params.phi_1
     doc["psi"] = _psi_to_json(params.psi)
     jsonio.dump_path(doc, path)
 
 
 def load_params(path) -> EquivariantParams | InvariantParams:
-    """Read a ``.mgp.json`` document; inverse of :func:`save_params` bit-exactly."""
+    """Read a ``.mgp.json`` document; inverse of :func:`save_params` bit-exactly.
+
+    Unknown or missing keys and non-finite values raise ``ValidationError``.
+    """
     doc = jsonio.load_path(path)
     if doc.get("format") != PARAMS_FORMAT:
         raise ValidationError(f"unsupported format {doc.get('format')!r}")
-    spec = WeightSpec(doc["spec"]["L"], tuple(doc["spec"]["n"]), doc["spec"]["d"])
-    psi = _psi_from_json(spec, doc["psi"])
     kind = doc.get("kind")
-    if kind == "equivariant":
-        return EquivariantParams(
-            spec=spec,
-            e=doc["e"],
-            phiW_L_W=tensor(doc["phiW_L_W"]),
-            phiW_L_WW=tensor(doc["phiW_L_WW"]),
-            phiW_L_bW=tensor(doc["phiW_L_bW"]),
-            phib_L_WWLL=tensor(doc["phib_L_WWLL"]),
-            phib_L_WL0=tensor(doc["phib_L_WL0"]),
-            phib_L_bWLL0=tensor(doc["phib_L_bWLL0"]),
-            phib_L_trWW={int(k): tensor(v) for k, v in doc["phib_L_trWW"].items()},
-            phib_L_Wb={int(k): tensor(v) for k, v in doc["phib_L_Wb"].items()},
-            phib_L_trbW={int(k): tensor(v) for k, v in doc["phib_L_trbW"].items()},
-            phib_L_b=tensor(doc["phib_L_b"]),
-            phib_L_1=tensor(doc["phib_L_1"]),
-            phiW_1_W=tensor(doc["phiW_1_W"]),
-            phiW_1_WW=tensor(doc["phiW_1_WW"]),
-            phiW_1_bW=tensor(doc["phiW_1_bW"]),
-            phiW_1_b=tensor(doc["phiW_1_b"]),
-            phib_1_W=tensor(doc["phib_1_W"]),
-            phib_1_WW=tensor(doc["phib_1_WW"]),
-            phib_1_bW=tensor(doc["phib_1_bW"]),
-            phib_1_b=tensor(doc["phib_1_b"]),
-            mid={
-                int(i): MiddleBlocks(
-                    w=tensor(doc["scalarsW"][i]["W"]),
-                    ww=tensor(doc["scalarsW"][i]["WW"]),
-                    bw=tensor(doc["scalarsW"][i]["bW"]),
-                    b_w=tensor(doc["vecsb"][i]["W"]),
-                    b_ww=tensor(doc["vecsb"][i]["WW"]),
-                    b_bw=tensor(doc["vecsb"][i]["bW"]),
-                    b_wb={int(t): tensor(v) for t, v in doc["vecsb"][i]["Wb"].items()},
-                    b_b=tensor(doc["vecsb"][i]["b"]),
-                )
-                for i in doc["scalarsW"]
-            },
-            psi=psi,
-        )
-    if kind == "invariant":
-        return InvariantParams(
-            spec=spec,
-            e=doc["e"],
-            d_out=doc["d_out"],
-            phi_WWLL=tensor(doc["phi_WWLL"]),
-            phi_WL0=tensor(doc["phi_WL0"]),
-            phi_trWW={int(k): tensor(v) for k, v in doc["phi_trWW"].items()},
-            phi_bWLL0=tensor(doc["phi_bWLL0"]),
-            phi_Wb={int(k): tensor(v) for k, v in doc["phi_Wb"].items()},
-            phi_trbW={int(k): tensor(v) for k, v in doc["phi_trbW"].items()},
-            phi_b=tensor(doc["phi_b"]),
-            phi_1=tensor(doc["phi_1"]),
-            psi=psi,
-        )
-    raise ValidationError(f"unknown params kind {kind!r}")
+    if kind not in _PARAMS_KEYS:
+        raise ValidationError(f"unknown params kind {kind!r}")
+    unknown = set(doc) - set(_PARAMS_KEYS[kind])
+    if unknown:
+        raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
+    missing = set(_PARAMS_KEYS[kind]) - set(doc)
+    if missing:
+        raise ValidationError(f"missing top-level keys: {sorted(missing)}")
+    cls = EquivariantParams if kind == "equivariant" else InvariantParams
+    try:
+        spec = WeightSpec(doc["spec"]["L"], tuple(doc["spec"]["n"]), doc["spec"]["d"])
+        blocks = {
+            name: _table(name, doc[name]) if is_table else _finite(name, doc[name])
+            for name, is_table in _phi_fields(cls)
+        }
+        psi = _psi_from_json(spec, doc["psi"])
+        if kind == "invariant":
+            return InvariantParams(spec=spec, e=doc["e"], d_out=doc["d_out"], psi=psi, **blocks)
+        mid = {}
+        for i, row in doc["scalarsW"].items():
+            vecs = doc["vecsb"][i]
+            mid[int(i)] = MiddleBlocks(
+                w=_finite(f"scalarsW[{i}].W", row["W"]),
+                ww=_finite(f"scalarsW[{i}].WW", row["WW"]),
+                bw=_finite(f"scalarsW[{i}].bW", row["bW"]),
+                b_w=_finite(f"vecsb[{i}].W", vecs["W"]),
+                b_ww=_finite(f"vecsb[{i}].WW", vecs["WW"]),
+                b_bw=_finite(f"vecsb[{i}].bW", vecs["bW"]),
+                b_wb=_table(f"vecsb[{i}].Wb", vecs["Wb"]),
+                b_b=_finite(f"vecsb[{i}].b", vecs["b"]),
+            )
+        return EquivariantParams(spec=spec, e=doc["e"], mid=mid, psi=psi, **blocks)
+    except KeyError as exc:
+        raise ValidationError(f"missing key {exc.args[0]!r}") from exc

@@ -3,7 +3,7 @@ rank checks of stable-term feature families.
 
 The naive forwards evaluate the layer formulas summation by summation on
 nested Python lists, with no contraction library, so they can certify the
-einsum-based forwards.  The rank machinery realizes "linear independence
+BLAS-based forwards.  The rank machinery realizes "linear independence
 of stable polynomial terms as functions" numerically: a family of terms is
 independent iff its design matrix of random evaluations has full column
 rank, which we certify through the singular-value ratio of a 3x-oversampled

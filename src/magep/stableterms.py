@@ -19,8 +19,9 @@ compositions like ``[bW]^(s)(s,t) [W]^(t,r) = [bW]^(s)(s,r)`` are
 expressible.
 
 :func:`all_terms` evaluates every family at every index pair from their
-definitions.  :func:`featurize` evaluates only the invariant scalars the
-invariant layer and the ridge fit read, from O(L) prefix and suffix chains.
+definitions; the checks, the oracle and the tests read it.  :func:`featurize`
+evaluates only the invariant scalars the invariant layer and the ridge fit
+read, from O(L) prefix and suffix chains, which the equivariant layer shares.
 """
 
 from __future__ import annotations
@@ -266,18 +267,43 @@ def feature_count(spec: WeightSpec) -> int:
     return spec.d * per_channel + 1
 
 
-def in_feature_order(ww, w, tr_ww, bw, wb, tr_bw, b, const) -> np.ndarray:
+def in_feature_order(ww, w, tr_ww, bw, wb, tr_bw, b, const, axis: int = -1) -> np.ndarray:
     """Concatenate per-channel parts in the ``magep-feat/1`` order.
 
     Each part has shape ``[..., d, k]``: its ``k`` entries for every channel
     (the part names and widths are those of :func:`featurize`).  The result
     lists, for channel 1, 2, ..., d, the seven parts in turn, then the
     ``[..., 1]`` trailing ``const``.  The same order serves the feature rows
-    and the invariant layer's coefficient matrix.
+    and the layers' coefficient tensors; those keep an output axis after the
+    entries (parts ``[..., d, k, m]``, ``const`` ``[..., 1, m]``), selected
+    by ``axis=-2``.
     """
-    per_channel = np.concatenate([ww, w, tr_ww, bw, wb, tr_bw, b], axis=-1)
-    flat = per_channel.reshape(per_channel.shape[:-2] + (-1,))
-    return np.concatenate([flat, const], axis=-1)
+    parts = [ww, w, tr_ww, bw, wb, tr_bw, b]
+    a = axis % b.ndim
+    lead, d, trail = b.shape[: a - 1], b.shape[a - 1], b.shape[a + 1 :]
+    width = sum(p.shape[a] for p in parts)
+    out = np.empty(lead + (d * width + 1,) + trail)
+    head = (slice(None),) * (a - 1)
+    # The parts are written straight into the flat result, one copy.
+    body = out[head + (slice(None, -1),)].reshape(lead + (d, width) + trail, copy=False)
+    np.concatenate(parts, axis=a, out=body)
+    out[head + (slice(-1, None),)] = const
+    return out
+
+
+def _chains(U: WeightObject) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Suffix chains ``t -> [W]^(L,t)`` (t = 0..L-1) and prefix chains
+    ``s -> [W]^(s,0)`` (s = 1..L), about 2L products; ``prefix[L]`` is
+    ``suffix[0]``."""
+    L = U.spec.L
+    suffix = {L - 1: U.weight(L)}
+    for t in range(L - 2, -1, -1):
+        suffix[t] = np.matmul(suffix[t + 1], U.weight(t + 1))
+    prefix = {1: U.weight(1)}
+    for s in range(2, L):
+        prefix[s] = np.matmul(U.weight(s), prefix[s - 1])
+    prefix[L] = suffix[0]
+    return suffix, prefix
 
 
 def featurize(U: WeightObject, psi: PsiParams) -> np.ndarray:
@@ -295,15 +321,13 @@ def featurize(U: WeightObject, psi: PsiParams) -> np.ndarray:
     ``([W]^(s,0) Psi) * [W]^(L,s)^T``, and ``tr [bW]^(t)(L,t)`` is
     ``psi . [Wb]^(L,t)(t)``.
     """
-    spec = U.spec
-    _check_psi_fits(spec, psi)
-    L = spec.L
-    suffix = {L - 1: U.weight(L)}  # t -> [W]^(L,t)
-    for t in range(L - 2, -1, -1):
-        suffix[t] = np.matmul(suffix[t + 1], U.weight(t + 1))
-    prefix = {1: U.weight(1)}  # s -> [W]^(s,0)
-    for s in range(2, L):
-        prefix[s] = np.matmul(U.weight(s), prefix[s - 1])
+    _check_psi_fits(U.spec, psi)
+    return _features(U, psi, *_chains(U))
+
+
+def _features(U: WeightObject, psi: PsiParams, suffix, prefix) -> np.ndarray:
+    """:func:`featurize` on chains already built by :func:`_chains`."""
+    L = U.spec.L
     full = suffix[0]
     hidden = range(L - 1, 0, -1)
     tr_ww = [

@@ -124,6 +124,13 @@ class WeightObject:
     def bias(self, i: int) -> np.ndarray:
         return self.b[i - 1]
 
+    def rows(self, lo: int, hi: int) -> "WeightObject":
+        """Rows ``lo..hi-1`` of a batched object, as views."""
+        if self.batch is None:
+            raise ValidationError("rows() needs a batched weight object")
+        W = tuple(w[lo:hi] for w in self.W)
+        return WeightObject(self.spec, W, tuple(v[lo:hi] for v in self.b), W[0].shape[0])
+
     def map(self, fn) -> "WeightObject":
         """Apply ``fn`` to every weight and bias tensor."""
         return WeightObject(
@@ -276,10 +283,9 @@ def load(path) -> tuple[WeightSpec, WeightObject]:
             raise ValidationError(f"layer {i} weight payload has a wrong shape")
         if not _nested_shape_ok(doc["b"][i - 1], prefix + spec.bias_shape(i)):
             raise ValidationError(f"layer {i} bias payload has a wrong shape")
-    obj = WeightObject(
-        spec,
-        tuple(tensor(w) for w in doc["W"]),
-        tuple(tensor(v) for v in doc["b"]),
-        batch,
-    )
-    return spec, obj
+    W = tuple(tensor(w) for w in doc["W"])
+    b = tuple(tensor(v) for v in doc["b"])
+    for i in range(1, spec.L + 1):
+        if not (np.isfinite(W[i - 1]).all() and np.isfinite(b[i - 1]).all()):
+            raise ValidationError(f"layer {i} payload holds a non-finite value")
+    return spec, WeightObject(spec, W, b, batch)

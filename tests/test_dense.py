@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magep.dense import Rng, channel_matmul, contract, rel_residual
+from magep.dense import SERIAL_MADDS, Rng, channel_matmul, contract, rel_residual, serial_matmul
 from magep.errors import DimensionError, SpecError
 
 
@@ -130,6 +130,41 @@ def test_channel_matmul_associativity(seed, d, m, k, n):
     left = channel_matmul(channel_matmul(a, b), c)
     right = channel_matmul(a, channel_matmul(b, c))
     assert rel_residual(left, right) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [
+        ((64, 3000), (4, 3000, 32)),    # long contracted axis, broadcast over e
+        ((3000,), (2, 3000, 5)),        # unbatched feature row
+        ((128, 384), (3, 384, 32)),     # last-layer weight row
+        ((2, 7, 9), (2, 9, 5)),         # small: one BLAS call
+        ((600, 10), (10, 600)),         # rows x columns above the budget
+    ],
+)
+def test_serial_matmul_matches_matmul(a_shape, b_shape):
+    rng = Rng(11)
+    a = rng.uniform(-1.0, 1.0, a_shape)
+    b = rng.uniform(-1.0, 1.0, b_shape)
+    got, want = serial_matmul(a, b), np.matmul(a, b)
+    assert got.shape == want.shape
+    assert rel_residual(got, want) <= 1e-13
+
+
+def test_serial_matmul_chunks_stay_within_budget(monkeypatch):
+    calls = []
+    real = np.matmul
+
+    def spy(x, y):
+        calls.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
+        return real(x, y)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    a, b = np.ones((64, 1000)), np.ones((4, 1000, 32))
+    out = serial_matmul(a, b)
+    assert len(calls) == -(-1000 // (SERIAL_MADDS // (64 * 32)))
+    assert max(calls) <= SERIAL_MADDS
+    assert np.array_equal(out, np.full((4, 64, 32), 1000.0))
 
 
 def test_rng_same_seed_same_stream():

@@ -1,0 +1,160 @@
+"""Loaders reject non-finite, missing-key and unknown-key documents with a MagepError."""
+
+import json
+import re
+
+import numpy as np
+import pytest
+
+from magep import cli, fitting, jsonio, layers, weightspace
+from magep.dense import Rng
+from magep.errors import ParseError, ValidationError
+from magep.stableterms import PsiParams
+from magep.weightspace import WeightSpec, random_weights
+
+SPEC = WeightSpec(3, (2, 3, 2, 2), 2)
+SENTINEL = 42.0  # written as the bare token 42, which no random payload entry prints as
+
+# A NaN token is not JSON; 1e999 is valid JSON that overflows to inf.
+BAD_TOKENS = [("NaN", ParseError), ("-Infinity", ParseError), ("1e999", ValidationError)]
+
+
+def _poison(path, token):
+    """Replace the sentinel entry of the document at ``path`` by ``token``."""
+    text, count = re.subn(r"(?<=[\[,])42(?=[,\]])", token, path.read_text(), count=1)
+    assert count == 1
+    path.write_text(text)
+
+
+def _weights_file(tmp_path):
+    U = random_weights(SPEC, Rng(1), batch=2)
+    U.W[1][1, 0, 1, 2] = SENTINEL
+    path = tmp_path / "u.mgw.json"
+    weightspace.save(U, path)
+    return path
+
+
+def _equivariant_file(tmp_path):
+    params = layers.init_equivariant(SPEC, 2, Rng(2))
+    params.phib_L_Wb[2][0, 1, 1, 0] = SENTINEL
+    path = tmp_path / "eq.mgp.json"
+    layers.save_params(params, path)
+    return path
+
+
+def _invariant_file(tmp_path):
+    params = layers.init_invariant(SPEC, 2, 3, Rng(3))
+    params.psi.ww[(2, 1)][1, 0] = SENTINEL
+    path = tmp_path / "inv.mgp.json"
+    layers.save_params(params, path)
+    return path
+
+
+def _fit_file(tmp_path):
+    phi = Rng(4).uniform(-1.0, 1.0, (5, 2))
+    phi[3, 1] = SENTINEL
+    path = tmp_path / "f.mgfit.json"
+    fitting.save_fit(fitting.FitResult(phi, 1e-3, 0.5, 0.25), path)
+    return path
+
+
+LOADERS = [
+    (_weights_file, weightspace.load),
+    (_equivariant_file, layers.load_params),
+    (_invariant_file, layers.load_params),
+    (_fit_file, fitting.load_fit),
+]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_loads_rejects_non_finite_tokens(token):
+    with pytest.raises(ParseError, match="non-finite"):
+        jsonio.loads('{"a": [1.0, %s]}' % token)
+
+
+def test_loads_keeps_ordinary_numbers():
+    assert jsonio.loads('{"a": [1, -2.5e-3, 1e300]}') == {"a": [1, -2.5e-3, 1e300]}
+
+
+@pytest.mark.parametrize("make, load", LOADERS)
+def test_clean_sentinel_file_loads(tmp_path, make, load):
+    load(make(tmp_path))
+
+
+@pytest.mark.parametrize("token, error", BAD_TOKENS)
+@pytest.mark.parametrize("make, load", LOADERS)
+def test_loaders_reject_non_finite_payloads(tmp_path, make, load, token, error):
+    path = make(tmp_path)
+    _poison(path, token)
+    with pytest.raises(error, match="non-finite"):
+        load(path)
+
+
+@pytest.mark.parametrize("token, error", BAD_TOKENS)
+@pytest.mark.parametrize("make, load", LOADERS)
+def test_cli_maps_loader_errors_to_exit_2(tmp_path, monkeypatch, capsys, make, load, token, error):
+    # No subcommand reads these files yet; a command that does goes through
+    # the same error mapping in main().
+    path = make(tmp_path)
+    _poison(path, token)
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: load(path))
+    code = cli.main(["gen", "--L", "2", "--n", "1,1,1", "--count", "0"])
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_USAGE, cli.EXIT_IO)
+    assert "non-finite" in err and "Traceback" not in err
+
+
+def _edit(path, fn):
+    doc = json.loads(path.read_text())
+    fn(doc)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("make", [_equivariant_file, _invariant_file])
+def test_load_params_names_missing_key(tmp_path, make):
+    path = make(tmp_path)
+    key = "phiW_L_W" if make is _equivariant_file else "phi_trbW"
+    _edit(path, lambda doc: doc.pop(key))
+    with pytest.raises(ValidationError, match=key):
+        layers.load_params(path)
+
+
+@pytest.mark.parametrize("make", [_equivariant_file, _invariant_file])
+def test_load_params_names_unknown_key(tmp_path, make):
+    path = make(tmp_path)
+    _edit(path, lambda doc: doc.update(phi_extra=[1.0]))
+    with pytest.raises(ValidationError, match="phi_extra"):
+        layers.load_params(path)
+
+
+def test_load_params_names_missing_nested_key(tmp_path):
+    path = _equivariant_file(tmp_path)
+    _edit(path, lambda doc: doc["vecsb"]["2"].pop("Wb"))
+    with pytest.raises(ValidationError, match="Wb"):
+        layers.load_params(path)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: doc.pop("rank_deficient"), "rank_deficient"),
+    (lambda doc: doc.update(extra=1), "extra"),
+])
+def test_load_fit_names_bad_keys(tmp_path, edit, key):
+    path = _fit_file(tmp_path)
+    _edit(path, edit)
+    with pytest.raises(ValidationError, match=key):
+        fitting.load_fit(path)
+
+
+def test_rank_deficient_fit_round_trip(tmp_path):
+    spec = WeightSpec(2, (2, 3, 2), 1)
+    psi = PsiParams.random(spec, Rng(5))
+    objects = tuple(random_weights(spec, Rng(6).child("row", k)) for k in range(4))
+    data = fitting.FitDataset(objects, Rng(7).uniform(-1.0, 1.0, (4, 2)))
+    fit = fitting.fit_ridge(data, psi, 0.0)  # 4 rows, many more features
+    assert fit.rank_deficient
+    path = tmp_path / "rd.mgfit.json"
+    fitting.save_fit(fit, path)
+    loaded = fitting.load_fit(path)
+    assert loaded.rank_deficient is True
+    assert np.array_equal(loaded.phi, fit.phi)
+    assert (loaded.lam, loaded.train_mse, loaded.test_mse) == (fit.lam, fit.train_mse, None)

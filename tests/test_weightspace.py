@@ -151,3 +151,16 @@ def test_weight_object_shape_validation():
             (np.zeros((1, 2, 1)), np.zeros((1, 2, 2))),  # layer 2 wrong
             (np.zeros((1, 2)), np.zeros((1, 1))),
         )
+
+
+def test_rows_are_views_of_a_batched_object():
+    spec = WeightSpec(2, (2, 3, 1), 2)
+    U = random_weights(spec, Rng(4), Uniform(-1.0, 1.0), batch=5)
+    part = U.rows(3, 8)  # clipped at the batch end
+    assert part.batch == 2
+    for i in range(1, spec.L + 1):
+        assert np.array_equal(part.weight(i), U.weight(i)[3:])
+        assert np.shares_memory(part.bias(i), U.bias(i))
+    unbatched = random_weights(spec, Rng(4), Uniform(-1.0, 1.0))
+    with pytest.raises(ValidationError):
+        unbatched.rows(0, 1)
