@@ -3,15 +3,13 @@
 Exit codes: 0 success, 1 suite failure, 2 usage error, 3 I/O error.
 All reports are JSON with a ``format: "report/1"`` field; the seed and the
 per-trial derivation (seed, suite id, trial index) make every failure
-replayable from the report alone.  ``MAGEP_THREADS`` caps worker
-parallelism; the default build evaluates trials serially so results never
+replayable from the report alone.  Trials run serially, so results never
 depend on scheduling.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -26,17 +24,6 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("MAGEP_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise MagepError(f"MAGEP_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise MagepError(f"MAGEP_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -92,7 +79,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _threads_cap()
     grid = _grid_from_args(args)
     overrides = {}
     for item in args.tol or ():

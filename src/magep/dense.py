@@ -1,32 +1,25 @@
-"""Dense tensor substrate: float64 arrays, per-channel products, index
-contractions, and a seeded deterministic random stream.
+"""Dense tensor substrate: float64 arrays, serial BLAS products, residuals,
+and a seeded deterministic random stream.
 
 All numeric state in this package is a row-major ``numpy.ndarray`` of
-``float64``; the helpers here add the shape validation and error reporting
-the rest of the package relies on.  :func:`contract` evaluates with
-``numpy.einsum`` with path optimization disabled, so its reduction order is
-the fixed left-to-right order of the spec string; no layer uses it.  The
-featurizer, the invariant layer and the equivariant layer are BLAS matrix
-products (``numpy.matmul``), whose results repeat exactly for a fixed BLAS
-build and thread count, and can differ in the last digits across them.
-Their largest products go through :func:`serial_matmul`, which keeps each
-BLAS call small enough to run on the calling thread.
+``float64``.  The featurizer, the invariant layer and the equivariant layer
+are BLAS matrix products (``numpy.matmul``), whose results repeat exactly
+for a fixed BLAS build and thread count, and can differ in the last digits
+across them.  Their largest products go through :func:`serial_matmul`,
+which keeps each BLAS call small enough to run on the calling thread.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, SpecError
+from .errors import DimensionError
 
 __all__ = [
     "tensor",
-    "channel_matmul",
     "serial_matmul",
-    "contract",
     "rel_residual",
     "Rng",
 ]
@@ -35,25 +28,6 @@ __all__ = [
 def tensor(data) -> np.ndarray:
     """Coerce ``data`` to a float64 array."""
     return np.asarray(data, dtype=np.float64)
-
-
-def channel_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-channel matrix product: ``out[c] = a[c] @ b[c]``.
-
-    ``a`` has shape ``[..., m, k]`` and ``b`` shape ``[..., k, n]``; all
-    leading (channel/batch) extents must match exactly, no broadcasting.
-    """
-    a = tensor(a)
-    b = tensor(b)
-    if a.ndim < 3 or b.ndim < 3:
-        raise DimensionError(
-            f"channel_matmul needs rank >= 3 operands, got shapes {a.shape} and {b.shape}"
-        )
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
-            f"channel_matmul shape mismatch: {a.shape} x {b.shape}"
-        )
-    return np.matmul(a, b)
 
 
 # OpenBLAS runs a GEMM of up to this many multiply-adds on the calling thread.
@@ -83,55 +57,6 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for s in range(step, k, step):
         out += np.matmul(a[..., s:s + step], b[..., s:s + step, :])
     return out
-
-
-def _parse_spec(spec: str, n_operands: int) -> tuple[list[str], str]:
-    spec = spec.replace("→", "->").replace(" ", "")
-    if "->" not in spec:
-        raise SpecError(f"contraction spec {spec!r} lacks '->'")
-    lhs, out = spec.split("->", 1)
-    groups = lhs.split(",")
-    if len(groups) != n_operands:
-        raise SpecError(
-            f"contraction spec {spec!r} names {len(groups)} operands, got {n_operands}"
-        )
-    letters = set("".join(groups))
-    for ch in letters | set(out):
-        if not ch.isalpha():
-            raise SpecError(f"contraction spec {spec!r} has invalid index {ch!r}")
-    for ch in out:
-        if ch not in letters:
-            raise SpecError(
-                f"output index {ch!r} of spec {spec!r} is absent from the inputs"
-            )
-    if len(set(out)) != len(out):
-        raise SpecError(f"output indices of spec {spec!r} repeat")
-    return groups, out
-
-
-def contract(spec: str, operands: Sequence[np.ndarray]) -> np.ndarray:
-    """Generic index contraction, e.g. ``contract("ij,jk->ik", (a, b))``.
-
-    The output equals the sum over all non-output letters of the product of
-    operand entries.  Accepts ``->`` or a unicode arrow in ``spec``.
-    Evaluation order is the fixed order of the spec string (no path
-    optimization), so sums reassociate identically on every run.
-    """
-    arrays = [tensor(op) for op in operands]
-    groups, out = _parse_spec(spec, len(arrays))
-    extents: dict[str, int] = {}
-    for group, arr in zip(groups, arrays):
-        if len(group) != arr.ndim:
-            raise SpecError(
-                f"operand group {group!r} names {len(group)} axes, operand has shape {arr.shape}"
-            )
-        for ch, ext in zip(group, arr.shape):
-            if extents.setdefault(ch, ext) != ext:
-                raise DimensionError(
-                    f"index {ch!r} has extents {extents[ch]} and {ext} "
-                    f"in contraction over shapes {[a.shape for a in arrays]}"
-                )
-    return np.einsum(",".join(groups) + "->" + out, *arrays, optimize=False)
 
 
 def rel_residual(a: np.ndarray, b: np.ndarray) -> float:

@@ -9,10 +9,6 @@ class DimensionError(MagepError, ValueError):
     """Operand shapes or extents are inconsistent."""
 
 
-class SpecError(MagepError, ValueError):
-    """A contraction index specification is malformed."""
-
-
 class IndexRangeError(MagepError, ValueError):
     """A stable-term index pair lies outside its feasible range."""
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jsonio
-from .dense import Rng, tensor
+from .dense import Rng
 from .errors import ValidationError
 from .stableterms import FEATURE_ORDER_VERSION, PsiParams, feature_count, featurize
 from .weightspace import WeightObject, stack_blocks
@@ -187,35 +187,27 @@ _FIT_KEYS = (
 def load_fit(path) -> FitResult:
     """Read a ``.mgfit.json`` document; inverse of :func:`save_fit`.
 
-    Unknown or missing keys and non-finite values raise ``ValidationError``.
+    Unknown or missing keys, wrong-typed and non-finite values raise
+    ``ValidationError``.
     """
-    doc = jsonio.load_path(path)
-    unknown = set(doc) - set(_FIT_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
-    missing = set(_FIT_KEYS) - set(doc)
-    if missing:
-        raise ValidationError(f"missing top-level keys: {sorted(missing)}")
+    doc = jsonio.exact_keys("top-level", jsonio.load_path(path), _FIT_KEYS)
     if doc["format"] != FIT_FORMAT:
         raise ValidationError(f"unsupported format {doc['format']!r}")
     if doc["feature_order_version"] != FEATURE_ORDER_VERSION:
         raise ValidationError(
             f"unsupported feature order {doc['feature_order_version']!r}"
         )
-    phi = tensor(doc["phi"])
+    phi = jsonio.finite("phi", doc["phi"])
     if phi.ndim != 2 or phi.shape[1] != doc["width"]:
         raise ValidationError("phi payload does not match the declared width")
-    scalars = [doc["lambda"], doc["train_mse"]]
-    if doc["test_mse"] is not None:
-        scalars.append(doc["test_mse"])
-    if not (np.isfinite(phi).all() and np.isfinite(tensor(scalars)).all()):
-        raise ValidationError("fit payload holds a non-finite value")
     if not isinstance(doc["rank_deficient"], bool):
         raise ValidationError("rank_deficient must be true or false")
-    return FitResult(
-        phi,
-        float(doc["lambda"]),
-        float(doc["train_mse"]),
-        None if doc["test_mse"] is None else float(doc["test_mse"]),
-        doc["rank_deficient"],
-    )
+
+    def number(key):
+        value = jsonio.finite(key, doc[key])
+        if value.ndim != 0:
+            raise ValidationError(f"{key} must be a number")
+        return float(value)
+
+    test_mse = None if doc["test_mse"] is None else number("test_mse")
+    return FitResult(phi, number("lambda"), number("train_mse"), test_mse, doc["rank_deficient"])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 
-__all__ = ["dumps", "dump_path", "load_path", "loads"]
+__all__ = ["dumps", "dump_path", "load_path", "loads", "exact_keys", "finite"]
 
 
 def _fmt_float(x: float) -> str:
@@ -75,3 +75,31 @@ def loads(text: str) -> dict:
 
 def load_path(path) -> dict:
     return loads(Path(path).read_text(encoding="utf-8"))
+
+
+def exact_keys(where: str, value, keys) -> dict:
+    """``value`` if it is an object with exactly ``keys``; otherwise a
+    ``ValidationError`` naming ``where`` and the unknown or missing keys."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be an object with the keys {list(keys)}")
+    unknown = value.keys() - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = set(keys) - value.keys()
+    if missing:
+        raise ValidationError(f"missing {where} keys: {sorted(missing)}")
+    return value
+
+
+def finite(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array; non-numeric or non-finite payloads
+    raise a ``ValidationError`` naming ``name``."""
+    try:
+        if value is None or isinstance(value, (str, bool)):
+            raise TypeError
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} is not a numeric array") from exc
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} holds a non-finite value")
+    return arr

@@ -36,12 +36,22 @@ array through the eight-term combination of the boundary-pinned terms,
 the diagonal traces, and a constant.  It is linear in the invariant
 features of :func:`magep.stableterms.featurize`, so it is evaluated as the
 feature rows times the coefficient blocks packed in the same order.
+
+Each coefficient block is declared once, on its dataclass field: its shape
+and fan-in as size names, its table keys, and for interior blocks its slot
+in the file.  The shape and key checks, the random initialization (in
+field order), ``blocks()``, the parameter counts, the feature packing and
+the ``.mgp.json`` reader and writer are all derived from these
+declarations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Mapping, Sequence
+import math
+import operator
+from dataclasses import dataclass, field, fields
+from functools import cache, lru_cache
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +60,7 @@ from .activations import Activation
 from .dense import Rng, serial_matmul, tensor
 from .errors import ConfigurationError, ValidationError
 from .stableterms import PsiParams, _chains, _features, featurize, in_feature_order, psi_indices
-from .weightspace import WeightObject, WeightSpec
+from .weightspace import WeightObject, WeightSpec, _count
 
 __all__ = [
     "EquivariantParams",
@@ -60,7 +70,6 @@ __all__ = [
     "init_invariant",
     "equivariant_forward",
     "invariant_forward",
-    "activation",
     "stack_forward",
     "equivariant_parameter_count",
     "invariant_parameter_count",
@@ -82,141 +91,195 @@ PARAMS_FORMAT = "magep-params/1"
 ROW_BLOCK = 8
 
 
-def _expect(name: str, arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    arr = tensor(arr)
-    if arr.shape != shape:
-        raise ValidationError(f"{name} has shape {arr.shape}, expected {shape}")
-    return arr
+class _Decl(NamedTuple):
+    """A block field's declaration; its sizes are looked up in C by a layout."""
+
+    shape: tuple[str, ...]
+    keys: str | None
+    slot: tuple[str, str] | None
+    shape_of: Callable
+    fan_of: Callable | None
+
+
+def _block(shape: str, fan: str | None, keys: str | None = None, slot: str | None = None):
+    """Declare a coefficient block field.
+
+    ``shape`` names the block's axis sizes and ``fan`` the factors of its
+    fan-in, the input scalars summed into one output scalar (``None`` for a
+    pure bias).  The sizes are ``d``, ``e``, ``m`` (the output width: ``n_L``
+    or ``d_out``), ``n0``, ``nL``, ``nk`` (the width of the table key) and
+    ``1``.  ``keys`` makes the block a table over the ``hidden`` layers
+    ``0 < k < L`` or the layers ``below`` the interior layer ``i``,
+    ``0 < k < i``.  ``slot`` is the ``group.key`` an interior block is
+    saved under.
+    """
+    names = tuple(shape.split())
+    decl = _Decl(
+        names,
+        keys,
+        None if slot is None else tuple(slot.split(".")),
+        operator.itemgetter(*names),
+        None if fan is None else operator.itemgetter(*fan.split(), "1"),
+    )
+    return field(metadata={"block": decl})
+
+
+@cache
+def _declared(cls) -> tuple[tuple[str, _Decl], ...]:
+    """``(name, declaration)`` of every block field of ``cls``, in field order."""
+    return tuple((f.name, f.metadata["block"]) for f in fields(cls) if "block" in f.metadata)
+
+
+@lru_cache(maxsize=64)
+def _layout(cls, spec: WeightSpec, e: int, m: int, i: int | None = None) -> tuple:
+    """The blocks of ``cls`` resolved at one architecture, in field order.
+
+    Each entry is ``(name, keys, cells)``: ``keys`` lists a table's keys
+    (``None`` for a single block) and each cell is ``(key, shape, root)``
+    with ``root = sqrt(d * fan)``, or ``None`` for a pure bias.  ``i`` is
+    the interior layer of :class:`MiddleBlocks`.
+    """
+    n, d = spec.n, spec.d
+    sizes = {"1": 1, "d": d, "e": e, "m": m, "n0": n[0], "nL": n[-1]}
+    keysets = {None: None, "hidden": tuple(range(1, spec.L)), "below": tuple(range(1, i or 0))}
+    out = []
+    for name, decl in _declared(cls):
+        keys = keysets[decl.keys]
+        cells = []
+        for k in keys or (None,):
+            if k is not None:
+                sizes["nk"] = n[k]
+            root = None if decl.fan_of is None else math.sqrt(d * math.prod(decl.fan_of(sizes)))
+            cells.append((k, decl.shape_of(sizes), root))
+        out.append((name, keys, tuple(cells)))
+    return tuple(out)
+
+
+def _checked(obj, layout, where: str = "") -> dict:
+    """The blocks of ``obj`` as float64 arrays, checked against ``layout``."""
+    out = {}
+    for name, keys, cells in layout:
+        table = {None: getattr(obj, name)} if keys is None else dict(getattr(obj, name))
+        if keys is not None and table.keys() != set(keys):
+            raise ValidationError(f"{where}{name} must be keyed by layers {keys}")
+        for k, shape, _ in cells:
+            arr = table[k] = tensor(table[k])
+            if arr.shape != shape:
+                label = where + name + ("" if k is None else f"[{k}]")
+                raise ValidationError(f"{label} has shape {arr.shape}, expected {shape}")
+        out[name] = table[None] if keys is None else table
+    return out
+
+
+def _draw(rng: Rng, layout, scale: float) -> dict:
+    """Every block of ``layout``, uniform(-a, a) with ``a = scale / root``."""
+    out = {}
+    for name, keys, cells in layout:
+        table = {}
+        for k, shape, root in cells:
+            a = scale if root is None else scale / root
+            table[k] = rng.uniform(-a, a, shape)
+        out[name] = table[None] if keys is None else table
+    return out
+
+
+def _size(layout) -> int:
+    return sum(math.prod(shape) for _, _, cells in layout for _, shape, _ in cells)
+
+
+def _assign(obj, values: dict) -> None:
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
+class _Layer:
+    """What both layer kinds derive from their declared blocks."""
+
+    @property
+    def d(self) -> int:
+        return self.spec.d
+
+    def _check_psi(self) -> None:
+        if self.psi.spec.n != self.spec.n or self.psi.spec.L != self.spec.L:
+            raise ValidationError("psi was built for a different architecture")
+
+    def blocks(self) -> dict[str, np.ndarray]:
+        """Flat view of every stored coefficient block, keyed by name.
+
+        Single blocks come first, then the table entries ``name[k]``, then
+        the interior blocks ``group[i].key`` in field order.
+        """
+        decls = _declared(type(self))
+        out = {name: getattr(self, name) for name, decl in decls if decl.keys is None}
+        for name, decl in decls:
+            if decl.keys is not None:
+                out.update((f"{name}[{k}]", v) for k, v in getattr(self, name).items())
+        for i, blk in getattr(self, "mid", {}).items():
+            for name, decl in _declared(MiddleBlocks):
+                label, value = f"{decl.slot[0]}[{i}].{decl.slot[1]}", getattr(blk, name)
+                if decl.keys is None:
+                    out[label] = value
+                else:
+                    out.update((f"{label}[{t}]", v) for t, v in value.items())
+        return out
 
 
 @dataclass(frozen=True)
 class MiddleBlocks:
     """Coefficient blocks of one interior layer ``1 < i < L``."""
 
-    w: np.ndarray        # [d, e]     for [W]^(i,i-1)
-    ww: np.ndarray       # [d, e]     for [WW]^(i,0)(L,i-1)
-    bw: np.ndarray       # [d, e]     for [bW]^(i)(L,i-1)
-    b_w: np.ndarray      # [d, e, n0] for [W]^(i,0)
-    b_ww: np.ndarray     # [d, e, n0] for [WW]^(i,0)(L,0)
-    b_bw: np.ndarray     # [d, e, n0] for [bW]^(i)(L,0)
-    b_wb: Mapping[int, np.ndarray]  # t -> [d, e] for [Wb]^(i,t)(t), 0 < t < i
-    b_b: np.ndarray      # [d, e]     for [b]^(i)
+    w: np.ndarray = _block("d e", "1", slot="scalarsW.W")  # [W]^(i,i-1)
+    ww: np.ndarray = _block("d e", "1", slot="scalarsW.WW")  # [WW]^(i,0)(L,i-1)
+    bw: np.ndarray = _block("d e", "1", slot="scalarsW.bW")  # [bW]^(i)(L,i-1)
+    b_w: np.ndarray = _block("d e n0", "n0", slot="vecsb.W")  # [W]^(i,0)
+    b_ww: np.ndarray = _block("d e n0", "n0", slot="vecsb.WW")  # [WW]^(i,0)(L,0)
+    b_bw: np.ndarray = _block("d e n0", "n0", slot="vecsb.bW")  # [bW]^(i)(L,0)
+    b_wb: Mapping[int, np.ndarray] = _block("d e", "1", "below", "vecsb.Wb")  # [Wb]^(i,t)(t)
+    b_b: np.ndarray = _block("d e", "1", slot="vecsb.b")  # [b]^(i)
 
 
 @dataclass(frozen=True)
-class EquivariantParams:
+class EquivariantParams(_Layer):
     spec: WeightSpec  # input architecture; spec.d is the input channel count
     e: int            # output channel count
-    phiW_L_W: np.ndarray       # [e, d, nL, nL]
-    phiW_L_WW: np.ndarray      # [e, d, nL, nL]
-    phiW_L_bW: np.ndarray      # [e, d, nL, nL]
-    phib_L_WWLL: np.ndarray    # [e, d, nL, n0, nL]
-    phib_L_WL0: np.ndarray     # [e, d, nL, n0, nL]
-    phib_L_bWLL0: np.ndarray   # [e, d, nL, n0, nL]
-    phib_L_trWW: Mapping[int, np.ndarray]   # s -> [e, d, nL], 0 < s < L
-    phib_L_Wb: Mapping[int, np.ndarray]     # t -> [e, d, nL, nL], 0 < t < L
-    phib_L_trbW: Mapping[int, np.ndarray]   # t -> [e, d, nL], 0 < t < L
-    phib_L_b: np.ndarray       # [e, d, nL, nL]
-    phib_L_1: np.ndarray       # [e, nL]
-    phiW_1_W: np.ndarray       # [d, e, n0, n0]
-    phiW_1_WW: np.ndarray      # [d, e, n0, n0]
-    phiW_1_bW: np.ndarray      # [d, e, n0, n0]
-    phiW_1_b: np.ndarray       # [d, e, n0]
-    phib_1_W: np.ndarray       # [d, e, n0]
-    phib_1_WW: np.ndarray      # [d, e, n0]
-    phib_1_bW: np.ndarray      # [d, e, n0]
-    phib_1_b: np.ndarray       # [d, e]
+    phiW_L_W: np.ndarray = _block("e d nL nL", "nL")
+    phiW_L_WW: np.ndarray = _block("e d nL nL", "nL")
+    phiW_L_bW: np.ndarray = _block("e d nL nL", "nL")
+    phib_L_WWLL: np.ndarray = _block("e d nL n0 m", "nL n0")
+    phib_L_WL0: np.ndarray = _block("e d nL n0 m", "nL n0")
+    phib_L_bWLL0: np.ndarray = _block("e d nL n0 m", "nL n0")
+    phib_L_trWW: Mapping[int, np.ndarray] = _block("e d m", "nk", "hidden")
+    phib_L_Wb: Mapping[int, np.ndarray] = _block("e d nL m", "nL", "hidden")
+    phib_L_trbW: Mapping[int, np.ndarray] = _block("e d m", "nk", "hidden")
+    phib_L_b: np.ndarray = _block("e d nL m", "nL")
+    phib_L_1: np.ndarray = _block("e m", None)
+    phiW_1_W: np.ndarray = _block("d e n0 n0", "n0")
+    phiW_1_WW: np.ndarray = _block("d e n0 n0", "n0")
+    phiW_1_bW: np.ndarray = _block("d e n0 n0", "n0")
+    phiW_1_b: np.ndarray = _block("d e n0", "1")
+    phib_1_W: np.ndarray = _block("d e n0", "n0")
+    phib_1_WW: np.ndarray = _block("d e n0", "n0")
+    phib_1_bW: np.ndarray = _block("d e n0", "n0")
+    phib_1_b: np.ndarray = _block("d e", "1")
     mid: Mapping[int, MiddleBlocks]  # i -> blocks, 1 < i < L
     psi: PsiParams
 
     def __post_init__(self):
-        spec, e = self.spec, self.e
-        d, n0, nL, L = spec.d, spec.n[0], spec.n[spec.L], spec.L
-        if e < 1:
-            raise ValidationError(f"output channel count must be >= 1, got {e}")
-        for name in ("phiW_L_W", "phiW_L_WW", "phiW_L_bW"):
-            object.__setattr__(self, name, _expect(name, getattr(self, name), (e, d, nL, nL)))
-        for name in ("phib_L_WWLL", "phib_L_WL0", "phib_L_bWLL0"):
-            object.__setattr__(self, name, _expect(name, getattr(self, name), (e, d, nL, n0, nL)))
-        hidden = tuple(range(1, L))
-        for attr, shape_of in (
-            ("phib_L_trWW", lambda s: (e, d, nL)),
-            ("phib_L_Wb", lambda t: (e, d, nL, nL)),
-            ("phib_L_trbW", lambda t: (e, d, nL)),
-        ):
-            table = dict(getattr(self, attr))
-            if tuple(sorted(table)) != hidden:
-                raise ValidationError(f"{attr} must be keyed by hidden layers {hidden}")
-            object.__setattr__(
-                self,
-                attr,
-                {k: _expect(f"{attr}[{k}]", v, shape_of(k)) for k, v in table.items()},
-            )
-        object.__setattr__(self, "phib_L_b", _expect("phib_L_b", self.phib_L_b, (e, d, nL, nL)))
-        object.__setattr__(self, "phib_L_1", _expect("phib_L_1", self.phib_L_1, (e, nL)))
-        for name in ("phiW_1_W", "phiW_1_WW", "phiW_1_bW"):
-            object.__setattr__(self, name, _expect(name, getattr(self, name), (d, e, n0, n0)))
-        for name in ("phiW_1_b", "phib_1_W", "phib_1_WW", "phib_1_bW"):
-            object.__setattr__(self, name, _expect(name, getattr(self, name), (d, e, n0)))
-        object.__setattr__(self, "phib_1_b", _expect("phib_1_b", self.phib_1_b, (d, e)))
+        spec, e = self.spec, _count("output channel count e", self.e)
+        nL, interior = spec.n[-1], range(2, spec.L)
+        _assign(self, {"e": e, **_checked(self, _layout(EquivariantParams, spec, e, nL))})
         mid = dict(self.mid)
-        if tuple(sorted(mid)) != tuple(range(2, L)):
-            raise ValidationError(f"mid must be keyed by layers {tuple(range(2, L))}")
-        checked = {}
-        for i, blk in mid.items():
-            checked[i] = MiddleBlocks(
-                w=_expect(f"mid[{i}].w", blk.w, (d, e)),
-                ww=_expect(f"mid[{i}].ww", blk.ww, (d, e)),
-                bw=_expect(f"mid[{i}].bw", blk.bw, (d, e)),
-                b_w=_expect(f"mid[{i}].b_w", blk.b_w, (d, e, n0)),
-                b_ww=_expect(f"mid[{i}].b_ww", blk.b_ww, (d, e, n0)),
-                b_bw=_expect(f"mid[{i}].b_bw", blk.b_bw, (d, e, n0)),
-                b_wb={
-                    t: _expect(f"mid[{i}].b_wb[{t}]", v, (d, e))
-                    for t, v in dict(blk.b_wb).items()
-                },
-                b_b=_expect(f"mid[{i}].b_b", blk.b_b, (d, e)),
-            )
-            if tuple(sorted(checked[i].b_wb)) != tuple(range(1, i)):
-                raise ValidationError(
-                    f"mid[{i}].b_wb must be keyed by t in 1..{i - 1}"
-                )
+        if mid.keys() != set(interior):
+            raise ValidationError(f"mid must be keyed by layers {tuple(interior)}")
+        checked = {
+            i: MiddleBlocks(**_checked(mid[i], _layout(MiddleBlocks, spec, e, nL, i), f"mid[{i}]."))
+            for i in interior
+        }
         object.__setattr__(self, "mid", checked)
-        if self.psi.spec.n != spec.n or self.psi.spec.L != spec.L:
-            raise ValidationError("psi was built for a different architecture")
-
-    @property
-    def d(self) -> int:
-        return self.spec.d
+        self._check_psi()
 
     def out_spec(self) -> WeightSpec:
         return WeightSpec(self.spec.L, self.spec.n, self.e)
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        """Flat view of every stored coefficient block, keyed by name."""
-        out: dict[str, np.ndarray] = {}
-        for name in (
-            "phiW_L_W", "phiW_L_WW", "phiW_L_bW",
-            "phib_L_WWLL", "phib_L_WL0", "phib_L_bWLL0",
-            "phib_L_b", "phib_L_1",
-            "phiW_1_W", "phiW_1_WW", "phiW_1_bW", "phiW_1_b",
-            "phib_1_W", "phib_1_WW", "phib_1_bW", "phib_1_b",
-        ):
-            out[name] = getattr(self, name)
-        for attr in ("phib_L_trWW", "phib_L_Wb", "phib_L_trbW"):
-            for k, v in getattr(self, attr).items():
-                out[f"{attr}[{k}]"] = v
-        for i, blk in self.mid.items():
-            out[f"scalarsW[{i}].W"] = blk.w
-            out[f"scalarsW[{i}].WW"] = blk.ww
-            out[f"scalarsW[{i}].bW"] = blk.bw
-            out[f"vecsb[{i}].W"] = blk.b_w
-            out[f"vecsb[{i}].WW"] = blk.b_ww
-            out[f"vecsb[{i}].bW"] = blk.b_bw
-            for t, v in blk.b_wb.items():
-                out[f"vecsb[{i}].Wb[{t}]"] = v
-            out[f"vecsb[{i}].b"] = blk.b_b
-        return out
 
     def last_bias_packed(self) -> np.ndarray:
         """The ``phib_L_*`` blocks as one ``[e, F, n_L]`` tensor in feature order.
@@ -225,76 +288,30 @@ class EquivariantParams:
         ``d_out = n_L``: ``b^(L)[i, j]`` is ``featurize(U) @ P[i, :, j]``.
         Built on every call, so in-place edits of the blocks take effect.
         """
-        return _pack_features(
-            self.spec.L,
-            self.phib_L_WWLL,
-            self.phib_L_WL0,
-            self.phib_L_trWW,
-            self.phib_L_bWLL0,
-            self.phib_L_Wb,
-            self.phib_L_trbW,
-            self.phib_L_b,
-            self.phib_L_1,
-        )
+        return _pack_features(self, "phib_L_")
 
 
 @dataclass(frozen=True)
-class InvariantParams:
+class InvariantParams(_Layer):
     spec: WeightSpec
     e: int        # output channel count
     d_out: int    # embedding width of the output
-    phi_WWLL: np.ndarray    # [d, e, nL, n0, d']
-    phi_WL0: np.ndarray     # [d, e, nL, n0, d']
-    phi_trWW: Mapping[int, np.ndarray]   # s -> [d, e, d']
-    phi_bWLL0: np.ndarray   # [d, e, nL, n0, d']
-    phi_Wb: Mapping[int, np.ndarray]     # t -> [d, e, nL, d']
-    phi_trbW: Mapping[int, np.ndarray]   # t -> [d, e, d']
-    phi_b: np.ndarray       # [d, e, nL, d']
-    phi_1: np.ndarray       # [e, d']
+    phi_WWLL: np.ndarray = _block("d e nL n0 m", "nL n0")
+    phi_WL0: np.ndarray = _block("d e nL n0 m", "nL n0")
+    phi_trWW: Mapping[int, np.ndarray] = _block("d e m", "nk", "hidden")
+    phi_bWLL0: np.ndarray = _block("d e nL n0 m", "nL n0")
+    phi_Wb: Mapping[int, np.ndarray] = _block("d e nL m", "nL", "hidden")
+    phi_trbW: Mapping[int, np.ndarray] = _block("d e m", "nk", "hidden")
+    phi_b: np.ndarray = _block("d e nL m", "nL")
+    phi_1: np.ndarray = _block("e m", None)
     psi: PsiParams
 
     def __post_init__(self):
-        spec, e, dp = self.spec, self.e, self.d_out
-        d, n0, nL, L = spec.d, spec.n[0], spec.n[spec.L], spec.L
-        if e < 1 or dp < 1:
-            raise ValidationError(f"output dims must be >= 1, got e={e}, d_out={dp}")
-        for name in ("phi_WWLL", "phi_WL0", "phi_bWLL0"):
-            object.__setattr__(self, name, _expect(name, getattr(self, name), (d, e, nL, n0, dp)))
-        hidden = tuple(range(1, L))
-        for attr, shape_of in (
-            ("phi_trWW", lambda s: (d, e, dp)),
-            ("phi_Wb", lambda t: (d, e, nL, dp)),
-            ("phi_trbW", lambda t: (d, e, dp)),
-        ):
-            table = dict(getattr(self, attr))
-            if tuple(sorted(table)) != hidden:
-                raise ValidationError(f"{attr} must be keyed by hidden layers {hidden}")
-            object.__setattr__(
-                self,
-                attr,
-                {k: _expect(f"{attr}[{k}]", v, shape_of(k)) for k, v in table.items()},
-            )
-        object.__setattr__(self, "phi_b", _expect("phi_b", self.phi_b, (d, e, nL, dp)))
-        object.__setattr__(self, "phi_1", _expect("phi_1", self.phi_1, (e, dp)))
-        if self.psi.spec.n != spec.n or self.psi.spec.L != spec.L:
-            raise ValidationError("psi was built for a different architecture")
-
-    @property
-    def d(self) -> int:
-        return self.spec.d
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        out = {
-            "phi_WWLL": self.phi_WWLL,
-            "phi_WL0": self.phi_WL0,
-            "phi_bWLL0": self.phi_bWLL0,
-            "phi_b": self.phi_b,
-            "phi_1": self.phi_1,
-        }
-        for attr in ("phi_trWW", "phi_Wb", "phi_trbW"):
-            for k, v in getattr(self, attr).items():
-                out[f"{attr}[{k}]"] = v
-        return out
+        e = _count("output channel count e", self.e)
+        d_out = _count("output width d_out", self.d_out)
+        blocks = _checked(self, _layout(InvariantParams, self.spec, e, d_out))
+        _assign(self, {"e": e, "d_out": d_out, **blocks})
+        self._check_psi()
 
     def packed(self) -> np.ndarray:
         """All blocks as one ``[e, F, d_out]`` tensor in feature order.
@@ -303,49 +320,56 @@ class InvariantParams:
         :func:`magep.stableterms.featurize` in output ``[i, k]``.  Built on
         every call, so in-place edits of the blocks take effect.
         """
-        ed = lambda a: a.swapaxes(0, 1)  # [d, e, ...] -> [e, d, ...]
-        eds = lambda table: {k: ed(v) for k, v in table.items()}
-        return _pack_features(
-            self.spec.L,
-            ed(self.phi_WWLL),
-            ed(self.phi_WL0),
-            eds(self.phi_trWW),
-            ed(self.phi_bWLL0),
-            eds(self.phi_Wb),
-            eds(self.phi_trbW),
-            ed(self.phi_b),
-            self.phi_1,
-        )
+        return _pack_features(self, "phi_")
 
 
-def _pack_features(L, ww, w, tr_ww, bw, wb, tr_bw, b, const) -> np.ndarray:
-    """Coefficient blocks of an invariant map as one ``[e, F, m]`` tensor.
+# Name suffixes of an invariant map's blocks, in the order of
+# :func:`magep.stableterms.in_feature_order`; the last is the constant row.
+_FEATURE_SLOTS = ("WWLL", "WL0", "trWW", "bWLL0", "Wb", "trbW", "b", "1")
 
-    The blocks are laid out ``[e, d, ..., m]`` (``const`` is ``[e, m]``; the
-    three tables are keyed by hidden layer) and the feature axis follows
-    :func:`magep.stableterms.in_feature_order`.  The full blocks enter as
-    ``[e, d, k, m]`` views, so they are copied once.
-    """
-    e, d, m = b.shape[0], b.shape[1], b.shape[-1]
-    part = lambda a: a.reshape(e, d, -1, m)
-    hidden = range(L - 1, 0, -1)
-    traces = lambda table: np.concatenate([table[k][:, :, None] for k in hidden], axis=2)
-    return in_feature_order(
-        part(ww),
-        part(w),
-        traces(tr_ww),
-        part(bw),
-        np.concatenate([wb[k] for k in hidden], axis=2),
-        traces(tr_bw),
-        b,
-        const[:, None],
-        axis=-2,
+
+@cache
+def _feature_fields(cls, prefix: str) -> tuple[tuple[str, bool, bool], ...]:
+    """``(name, channel-major, table)`` of the blocks ``prefix + slot``."""
+    decls = dict(_declared(cls))
+    return tuple(
+        (name, decls[name].shape[0] == "d", decls[name].keys is not None)
+        for name in (prefix + slot for slot in _FEATURE_SLOTS)
     )
 
 
-def _block(rng: Rng, shape: tuple[int, ...], d: int, fan: int, scale: float) -> np.ndarray:
-    a = scale / np.sqrt(d * fan)
-    return rng.uniform(-a, a, shape)
+def _pack_features(params, prefix: str) -> np.ndarray:
+    """The blocks ``prefix + slot`` of an invariant map as one ``[e, F, m]`` tensor.
+
+    Each block enters as an ``[e, d, k, m]`` view (``[d, e, ...]`` blocks
+    swap their first two axes; a table is stacked in descending key order)
+    and the constant row ``[e, m]`` last, so they are copied once.
+    """
+    *parts, (const, _, _) = _feature_fields(type(params), prefix)
+    const = getattr(params, const)
+    L, m = params.spec.L, const.shape[-1]
+    blocks = []
+    for name, swap, table in parts:
+        value = getattr(params, name)
+        if table:  # entries [.., .., m] are traces, one feature each
+            value = [value[k] for k in range(L - 1, 0, -1)]
+            value = np.concatenate([v[:, :, None] if v.ndim == 3 else v for v in value], axis=2)
+        if value.ndim == 5:
+            value = value.reshape(value.shape[0], value.shape[1], -1, m)
+        blocks.append(value.swapaxes(0, 1) if swap else value)
+    return in_feature_order(*blocks, const[:, None], axis=-2)
+
+
+def _drawn(cls, **values):
+    """A ``cls`` of blocks drawn from its layout.
+
+    They have their declared shapes by construction, so only the ``psi``
+    check of ``__post_init__`` is left to run.
+    """
+    obj = object.__new__(cls)
+    _assign(obj, values)
+    obj._check_psi()
+    return obj
 
 
 def init_equivariant(
@@ -359,50 +383,19 @@ def init_equivariant(
 
     ``fan`` counts the input scalars summed into one output scalar of the
     block (the channel factor ``d`` enters separately); pure bias blocks
-    use ``a = scale``.  The connection matrices default to the frozen
-    uniform(-1, 1) initialization.
+    use ``a = scale``.  The blocks are drawn in field order.  The connection
+    matrices default to the frozen uniform(-1, 1) initialization.
     """
-    d, n0, nL, L = spec.d, spec.n[0], spec.n[spec.L], spec.L
+    e = _count("output channel count e", e)
     if psi is None:
         psi = PsiParams.random(spec, rng.child("psi"))
-    mk = lambda shape, fan: _block(rng, shape, d, fan, scale)
-    return EquivariantParams(
-        spec=spec,
-        e=e,
-        phiW_L_W=mk((e, d, nL, nL), nL),
-        phiW_L_WW=mk((e, d, nL, nL), nL),
-        phiW_L_bW=mk((e, d, nL, nL), nL),
-        phib_L_WWLL=mk((e, d, nL, n0, nL), nL * n0),
-        phib_L_WL0=mk((e, d, nL, n0, nL), nL * n0),
-        phib_L_bWLL0=mk((e, d, nL, n0, nL), nL * n0),
-        phib_L_trWW={s: mk((e, d, nL), spec.n[s]) for s in range(1, L)},
-        phib_L_Wb={t: mk((e, d, nL, nL), nL) for t in range(1, L)},
-        phib_L_trbW={t: mk((e, d, nL), spec.n[t]) for t in range(1, L)},
-        phib_L_b=mk((e, d, nL, nL), nL),
-        phib_L_1=rng.uniform(-scale, scale, (e, nL)),
-        phiW_1_W=mk((d, e, n0, n0), n0),
-        phiW_1_WW=mk((d, e, n0, n0), n0),
-        phiW_1_bW=mk((d, e, n0, n0), n0),
-        phiW_1_b=mk((d, e, n0), 1),
-        phib_1_W=mk((d, e, n0), n0),
-        phib_1_WW=mk((d, e, n0), n0),
-        phib_1_bW=mk((d, e, n0), n0),
-        phib_1_b=mk((d, e), 1),
-        mid={
-            i: MiddleBlocks(
-                w=mk((d, e), 1),
-                ww=mk((d, e), 1),
-                bw=mk((d, e), 1),
-                b_w=mk((d, e, n0), n0),
-                b_ww=mk((d, e, n0), n0),
-                b_bw=mk((d, e, n0), n0),
-                b_wb={t: mk((d, e), 1) for t in range(1, i)},
-                b_b=mk((d, e), 1),
-            )
-            for i in range(2, L)
-        },
-        psi=psi,
-    )
+    nL = spec.n[-1]
+    blocks = _draw(rng, _layout(EquivariantParams, spec, e, nL), scale)
+    mid = {
+        i: MiddleBlocks(**_draw(rng, _layout(MiddleBlocks, spec, e, nL, i), scale))
+        for i in range(2, spec.L)
+    }
+    return _drawn(EquivariantParams, spec=spec, e=e, mid=mid, psi=psi, **blocks)
 
 
 def init_invariant(
@@ -414,24 +407,12 @@ def init_invariant(
     psi: PsiParams | None = None,
 ) -> InvariantParams:
     """Random invariant-layer blocks; same initialization rule as above."""
-    d, n0, nL, L = spec.d, spec.n[0], spec.n[spec.L], spec.L
+    e = _count("output channel count e", e)
+    d_out = _count("output width d_out", d_out)
     if psi is None:
         psi = PsiParams.random(spec, rng.child("psi"))
-    mk = lambda shape, fan: _block(rng, shape, d, fan, scale)
-    return InvariantParams(
-        spec=spec,
-        e=e,
-        d_out=d_out,
-        phi_WWLL=mk((d, e, nL, n0, d_out), nL * n0),
-        phi_WL0=mk((d, e, nL, n0, d_out), nL * n0),
-        phi_trWW={s: mk((d, e, d_out), spec.n[s]) for s in range(1, L)},
-        phi_bWLL0=mk((d, e, nL, n0, d_out), nL * n0),
-        phi_Wb={t: mk((d, e, nL, d_out), nL) for t in range(1, L)},
-        phi_trbW={t: mk((d, e, d_out), spec.n[t]) for t in range(1, L)},
-        phi_b=mk((d, e, nL, d_out), nL),
-        phi_1=rng.uniform(-scale, scale, (e, d_out)),
-        psi=psi,
-    )
+    blocks = _draw(rng, _layout(InvariantParams, spec, e, d_out), scale)
+    return _drawn(InvariantParams, spec=spec, e=e, d_out=d_out, psi=psi, **blocks)
 
 
 def _batched(U: WeightObject) -> tuple[WeightObject, bool]:
@@ -546,11 +527,6 @@ def invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndarray:
     return np.moveaxis(serial_matmul(featurize(U, params.psi), params.packed()), 0, -2)
 
 
-def activation(act: Activation, U: WeightObject) -> WeightObject:
-    """Apply ``act`` pointwise to every weight and bias entry."""
-    return U.map(act)
-
-
 def stack_forward(
     stack: Sequence[tuple[EquivariantParams, Activation]],
     head: InvariantParams,
@@ -591,54 +567,48 @@ def stack_forward(
 
 def _stack_rows(stack, head, U: WeightObject) -> np.ndarray:
     for params, act in stack:
-        U = activation(act, equivariant_forward(params, U))
+        U = equivariant_forward(params, U).map(act)
     return invariant_forward(head, U)
 
 
 def equivariant_parameter_count(spec: WeightSpec, e: int) -> int:
-    """Closed-form count of stored phi scalars of the equivariant layer."""
-    d, n0, nL, L = spec.d, spec.n[0], spec.n[spec.L], spec.L
-    count = 3 * e * d * nL * nL            # last-layer weight row
-    count += 3 * e * d * nL * n0 * nL      # bias row, full boundary terms
-    count += sum(e * d * nL for _ in range(1, L))          # trWW per s
-    count += sum(e * d * nL * nL for _ in range(1, L))     # Wb per t
-    count += sum(e * d * nL for _ in range(1, L))          # trbW per t
-    count += e * d * nL * nL + e * nL      # bias-of-bias and constant row
-    count += 3 * d * e * n0 * n0 + d * e * n0              # first-layer weight row
-    count += 3 * d * e * n0 + d * e        # first-layer bias row
-    for i in range(2, L):
-        count += 3 * d * e                 # scalar weight-row coefficients
-        count += 3 * d * e * n0            # bias-row vectors
-        count += (i - 1) * d * e           # Wb terms
-        count += d * e                     # bias coefficient
-    return count
+    """Count of stored phi scalars of the equivariant layer."""
+    nL = spec.n[-1]
+    return _size(_layout(EquivariantParams, spec, e, nL)) + sum(
+        _size(_layout(MiddleBlocks, spec, e, nL, i)) for i in range(2, spec.L)
+    )
 
 
 def invariant_parameter_count(spec: WeightSpec, e: int, d_out: int) -> int:
-    """Closed-form count of stored phi scalars of the invariant layer."""
-    d, n0, nL, L = spec.d, spec.n[0], spec.n[spec.L], spec.L
-    count = 3 * d * e * nL * n0 * d_out
-    count += sum(d * e * d_out for _ in range(1, L))       # trWW
-    count += sum(d * e * nL * d_out for _ in range(1, L))  # Wb
-    count += sum(d * e * d_out for _ in range(1, L))       # trbW
-    count += d * e * nL * d_out + e * d_out
-    return count
+    """Count of stored phi scalars of the invariant layer."""
+    return _size(_layout(InvariantParams, spec, e, d_out))
 
 
-def _phi_fields(cls) -> list[tuple[str, bool]]:
-    """``(name, is_table)`` of every coefficient block field, in file order."""
-    return [(f.name, f.type.startswith("Mapping")) for f in fields(cls) if f.name.startswith("phi")]
+_KINDS = {"equivariant": EquivariantParams, "invariant": InvariantParams}
 
 
-# Top-level keys of a .mgp.json document, per layer kind.
+
+def _groups() -> dict[str, list[tuple[str, str, _Decl]]]:
+    """The file groups of the interior blocks: group -> ``(key, field name, declaration)``."""
+    groups: dict = {}
+    for name, decl in _declared(MiddleBlocks):
+        groups.setdefault(decl.slot[0], []).append((decl.slot[1], name, decl))
+    return groups
+
+
+_GROUPS = _groups()
+
+# Top-level keys of a .mgp.json document, per layer kind: the fields in
+# order, with ``mid`` saved as its groups.
 _PARAMS_KEYS = {
-    "equivariant": ("format", "kind", "spec", "e")
-    + tuple(name for name, _ in _phi_fields(EquivariantParams))
-    + ("scalarsW", "vecsb", "psi"),
-    "invariant": ("format", "kind", "spec", "e", "d_out")
-    + tuple(name for name, _ in _phi_fields(InvariantParams))
-    + ("psi",),
+    kind: ("format", "kind")
+    + tuple(key for f in fields(cls) for key in (_GROUPS if f.name == "mid" else (f.name,)))
+    for kind, cls in _KINDS.items()
 }
+
+
+def _to_json(value, decl: _Decl):
+    return value if decl.keys is None else {str(k): v for k, v in value.items()}
 
 
 def _psi_to_json(psi: PsiParams) -> dict:
@@ -648,108 +618,101 @@ def _psi_to_json(psi: PsiParams) -> dict:
     }
 
 
-def _finite(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array; non-numeric or non-finite payloads are rejected."""
-    try:
-        arr = tensor(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} is not a numeric array") from exc
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} holds a non-finite value")
-    return arr
+def save_params(params: EquivariantParams | InvariantParams, path) -> None:
+    """Write layer parameters as a ``.mgp.json`` document, keys in field order."""
+    kind = "equivariant" if isinstance(params, EquivariantParams) else "invariant"
+    decls = dict(_declared(type(params)))
+    doc: dict = {"format": PARAMS_FORMAT, "kind": kind}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.name == "spec":
+            doc["spec"] = {"L": value.L, "n": list(value.n), "d": value.d}
+        elif f.name == "psi":
+            doc["psi"] = _psi_to_json(value)
+        elif f.name == "mid":
+            for group, slots in _GROUPS.items():
+                doc[group] = {
+                    str(i): {key: _to_json(getattr(blk, name), decl) for key, name, decl in slots}
+                    for i, blk in value.items()
+                }
+        else:
+            doc[f.name] = _to_json(value, decls[f.name]) if f.name in decls else value
+    jsonio.dump_path(doc, path)
 
 
-def _table(name: str, doc: dict) -> dict[int, np.ndarray]:
-    if not isinstance(doc, dict) or not all(k.isdigit() for k in doc):
-        raise ValidationError(f"{name} must map layer indices to arrays")
-    return {int(k): _finite(f"{name}[{k}]", v) for k, v in doc.items()}
+def _by_layer(name: str, doc) -> dict:
+    if not isinstance(doc, dict) or not all(k.isdecimal() for k in doc):
+        raise ValidationError(f"{name} must map layer indices to values")
+    return doc
 
 
-def _psi_from_json(spec: WeightSpec, doc: dict) -> PsiParams:
+def _from_json(name: str, value, decl: _Decl):
+    if decl.keys is None:
+        return jsonio.finite(name, value)
+    return {int(k): jsonio.finite(f"{name}[{k}]", v) for k, v in _by_layer(name, value).items()}
+
+
+def _mid_from_json(doc: dict) -> dict[int, MiddleBlocks]:
+    groups = {group: _by_layer(group, doc[group]) for group in _GROUPS}
+    first, *rest = groups.values()
+    if any(g.keys() != first.keys() for g in rest):
+        raise ValidationError(f"{' and '.join(groups)} must cover the same layers")
+    mid = {}
+    for i in first:
+        values = {}
+        for group, slots in _GROUPS.items():
+            entry = jsonio.exact_keys(f"{group}[{i}]", groups[group][i], [key for key, _, _ in slots])
+            for key, name, decl in slots:
+                values[name] = _from_json(f"{group}[{i}].{key}", entry[key], decl)
+        mid[int(i)] = MiddleBlocks(**values)
+    return mid
+
+
+def _psi_from_json(spec: WeightSpec, doc) -> PsiParams:
+    doc = jsonio.exact_keys("psi", doc, ("bw", "ww"))
+
     def parse(family):
+        table = doc[family]
+        if not isinstance(table, dict):
+            raise ValidationError(f"psi.{family} must map 's,t' pairs to arrays")
         out = {}
-        for key, val in doc[family].items():
-            s, t = key.split(",")
-            out[(int(s), int(t))] = _finite(f"psi.{family}[{key}]", val)
+        for key, val in table.items():
+            s, comma, t = key.partition(",")
+            if not (comma and s.isdecimal() and t.isdecimal()):
+                raise ValidationError(f"psi.{family} key {key!r} is not an 's,t' pair")
+            out[(int(s), int(t))] = jsonio.finite(f"psi.{family}[{key}]", val)
         return out
 
     return PsiParams(spec, parse("bw"), parse("ww"))
 
 
-def save_params(params: EquivariantParams | InvariantParams, path) -> None:
-    """Write layer parameters as a ``.mgp.json`` document."""
-    spec = params.spec
-    equivariant = isinstance(params, EquivariantParams)
-    doc: dict = {
-        "format": PARAMS_FORMAT,
-        "kind": "equivariant" if equivariant else "invariant",
-        "spec": {"L": spec.L, "n": list(spec.n), "d": spec.d},
-        "e": params.e,
-    }
-    if not equivariant:
-        doc["d_out"] = params.d_out
-    for name, is_table in _phi_fields(type(params)):
-        value = getattr(params, name)
-        doc[name] = {str(k): v for k, v in value.items()} if is_table else value
-    if equivariant:
-        doc["scalarsW"] = {
-            str(i): {"W": blk.w, "WW": blk.ww, "bW": blk.bw}
-            for i, blk in params.mid.items()
-        }
-        doc["vecsb"] = {
-            str(i): {
-                "W": blk.b_w,
-                "WW": blk.b_ww,
-                "bW": blk.b_bw,
-                "Wb": {str(t): v for t, v in blk.b_wb.items()},
-                "b": blk.b_b,
-            }
-            for i, blk in params.mid.items()
-        }
-    doc["psi"] = _psi_to_json(params.psi)
-    jsonio.dump_path(doc, path)
-
-
 def load_params(path) -> EquivariantParams | InvariantParams:
     """Read a ``.mgp.json`` document; inverse of :func:`save_params` bit-exactly.
 
-    Unknown or missing keys and non-finite values raise ``ValidationError``.
+    Unknown or missing keys, wrong types and non-finite values raise
+    ``ValidationError`` naming where they sit.
     """
     doc = jsonio.load_path(path)
     if doc.get("format") != PARAMS_FORMAT:
         raise ValidationError(f"unsupported format {doc.get('format')!r}")
     kind = doc.get("kind")
-    if kind not in _PARAMS_KEYS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(f"unknown params kind {kind!r}")
-    unknown = set(doc) - set(_PARAMS_KEYS[kind])
-    if unknown:
-        raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
-    missing = set(_PARAMS_KEYS[kind]) - set(doc)
-    if missing:
-        raise ValidationError(f"missing top-level keys: {sorted(missing)}")
-    cls = EquivariantParams if kind == "equivariant" else InvariantParams
-    try:
-        spec = WeightSpec(doc["spec"]["L"], tuple(doc["spec"]["n"]), doc["spec"]["d"])
-        blocks = {
-            name: _table(name, doc[name]) if is_table else _finite(name, doc[name])
-            for name, is_table in _phi_fields(cls)
-        }
-        psi = _psi_from_json(spec, doc["psi"])
-        if kind == "invariant":
-            return InvariantParams(spec=spec, e=doc["e"], d_out=doc["d_out"], psi=psi, **blocks)
-        mid = {}
-        for i, row in doc["scalarsW"].items():
-            vecs = doc["vecsb"][i]
-            mid[int(i)] = MiddleBlocks(
-                w=_finite(f"scalarsW[{i}].W", row["W"]),
-                ww=_finite(f"scalarsW[{i}].WW", row["WW"]),
-                bw=_finite(f"scalarsW[{i}].bW", row["bW"]),
-                b_w=_finite(f"vecsb[{i}].W", vecs["W"]),
-                b_ww=_finite(f"vecsb[{i}].WW", vecs["WW"]),
-                b_bw=_finite(f"vecsb[{i}].bW", vecs["bW"]),
-                b_wb=_table(f"vecsb[{i}].Wb", vecs["Wb"]),
-                b_b=_finite(f"vecsb[{i}].b", vecs["b"]),
-            )
-        return EquivariantParams(spec=spec, e=doc["e"], mid=mid, psi=psi, **blocks)
-    except KeyError as exc:
-        raise ValidationError(f"missing key {exc.args[0]!r}") from exc
+    cls = _KINDS[kind]
+    jsonio.exact_keys("top-level", doc, _PARAMS_KEYS[kind])
+    raw = jsonio.exact_keys("spec", doc["spec"], ("L", "n", "d"))
+    spec = WeightSpec(raw["L"], raw["n"], raw["d"])
+    decls = dict(_declared(cls))
+    values = {}
+    for f in fields(cls):
+        if f.name == "spec":
+            values["spec"] = spec
+        elif f.name == "psi":
+            values["psi"] = _psi_from_json(spec, doc["psi"])
+        elif f.name == "mid":
+            values["mid"] = _mid_from_json(doc)
+        elif f.name in decls:
+            values[f.name] = _from_json(f.name, doc[f.name], decls[f.name])
+        else:
+            values[f.name] = doc[f.name]
+    return cls(**values)

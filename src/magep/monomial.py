@@ -41,7 +41,6 @@ __all__ = [
     "invert",
     "act",
     "act_layers",
-    "act_vector",
 ]
 
 VARIANT_POSITIVE = "positive"
@@ -99,13 +98,6 @@ class MonomialElement:
 
     def invert(self) -> "MonomialElement":
         return MonomialElement(1.0 / self.scales[self.perm], self.inv_perm)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``(D @ P) x`` for a vector ``x``."""
-        x = tensor(x)
-        if x.shape != (self.n,):
-            raise DimensionError(f"vector length {x.shape} does not match n={self.n}")
-        return self.scales * x[self.inv_perm]
 
     def apply_rows(self, mat: np.ndarray) -> np.ndarray:
         """Left action ``(D @ P) @ mat`` on the second-to-last axis."""
@@ -279,8 +271,3 @@ def act(g: GroupElement, U: WeightObject) -> WeightObject:
     if not (g.layers[0].is_identity() and g.layers[-1].is_identity()):
         raise ValidationError("boundary factors must be identities")
     return act_layers(g.layers, U)
-
-
-def act_vector(m: MonomialElement, x: np.ndarray) -> np.ndarray:
-    """``(D @ P) x``: permute then scale."""
-    return m.apply(x)

@@ -9,6 +9,7 @@ weights).  An element holds one weight tensor per layer, shaped
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -39,6 +40,16 @@ WEIGHT_FORMAT = "magep-weights/1"
 STACK_BLOCK = 256
 
 
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an ``int >= least``; anything else raises ``ValidationError``."""
+    integer = type(value) is int or (
+        not isinstance(value, bool) and hasattr(type(value), "__index__")
+    )
+    if not integer or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Layer count, widths ``n_0..n_L`` and channel dimension ``d``.
@@ -53,17 +64,17 @@ class WeightSpec:
     d: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        if self.L < 2:
-            raise ValidationError(f"layer count must be >= 2, got L={self.L}")
+        try:
+            widths = tuple(self.n)
+        except TypeError:
+            raise ValidationError(f"widths must be a sequence, got n={self.n!r}") from None
+        object.__setattr__(self, "L", _count("layer count L", self.L, least=2))
+        object.__setattr__(self, "n", tuple(_count("each of the widths", v) for v in widths))
+        object.__setattr__(self, "d", _count("channel dimension d", self.d))
         if len(self.n) != self.L + 1:
             raise ValidationError(
                 f"width list must have L+1={self.L + 1} entries, got {len(self.n)}"
             )
-        if any(v < 1 for v in self.n):
-            raise ValidationError(f"all widths must be >= 1, got n={self.n}")
-        if self.d < 1:
-            raise ValidationError(f"channel dimension must be >= 1, got d={self.d}")
 
     def weight_shape(self, i: int) -> tuple[int, int, int]:
         """Unbatched shape of the layer-``i`` weight, ``i`` in ``1..L``."""
@@ -260,16 +271,10 @@ def _nested_shape_ok(value, shape) -> bool:
 
 def load(path) -> tuple[WeightSpec, WeightObject]:
     """Read a ``.mgw.json`` document; inverse of :func:`save` bit-exactly."""
-    doc = jsonio.load_path(path)
-    unknown = set(doc.keys()) - set(_WEIGHT_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown top-level keys: {sorted(unknown)}")
-    missing = set(_WEIGHT_KEYS) - set(doc.keys())
-    if missing:
-        raise ValidationError(f"missing top-level keys: {sorted(missing)}")
+    doc = jsonio.exact_keys("top-level", jsonio.load_path(path), _WEIGHT_KEYS)
     if doc["format"] != WEIGHT_FORMAT:
         raise ValidationError(f"unsupported format {doc['format']!r}")
-    spec = WeightSpec(L=doc["L"], n=tuple(doc["n"]), d=doc["d"])
+    spec = WeightSpec(L=doc["L"], n=doc["n"], d=doc["d"])
     batch = doc["batch"]
     if batch is not None and (not isinstance(batch, int) or batch < 1):
         raise ValidationError(f"batch must be null or a positive int, got {batch!r}")
@@ -283,9 +288,6 @@ def load(path) -> tuple[WeightSpec, WeightObject]:
             raise ValidationError(f"layer {i} weight payload has a wrong shape")
         if not _nested_shape_ok(doc["b"][i - 1], prefix + spec.bias_shape(i)):
             raise ValidationError(f"layer {i} bias payload has a wrong shape")
-    W = tuple(tensor(w) for w in doc["W"])
-    b = tuple(tensor(v) for v in doc["b"])
-    for i in range(1, spec.L + 1):
-        if not (np.isfinite(W[i - 1]).all() and np.isfinite(b[i - 1]).all()):
-            raise ValidationError(f"layer {i} payload holds a non-finite value")
+    W = tuple(jsonio.finite(f"layer {i} weight", w) for i, w in enumerate(doc["W"], 1))
+    b = tuple(jsonio.finite(f"layer {i} bias", v) for i, v in enumerate(doc["b"], 1))
     return spec, WeightObject(spec, W, b, batch)

@@ -156,15 +156,6 @@ def test_main_callable_inprocess(tmp_path, capsys):
     assert rc == 0
 
 
-def test_magep_threads_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGEP_THREADS", "zero")
-    rc = main(["check", "--suite", "group", "--trials", "2", "--seed", "1"])
-    assert rc == 2
-    monkeypatch.setenv("MAGEP_THREADS", "2")
-    rc = main(["check", "--suite", "group", "--trials", "2", "--seed", "1"])
-    assert rc == 0
-
-
 def test_validate_report_rejects_bad_documents():
     with pytest.raises(Exception):
         validate_report({"format": "report/2"})

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -197,12 +199,12 @@ def test_invariant_linearity_in_phi():
 def test_activation_examples():
     spec = WeightSpec(2, (1, 2, 1), 1)
     negative = random_weights(spec, Rng(0), Uniform(-2.0, -1.0))
-    zeroed = layers.activation(relu, negative)
+    zeroed = negative.map(relu)
     assert all(np.all(w == 0.0) for w in zeroed.W + zeroed.b)
     U = random_weights(spec, Rng(1), Uniform(-1.0, 1.0))
     minus = U.map(lambda x: -x)
-    a = layers.activation(tanh, minus)
-    b = layers.activation(tanh, U).map(lambda x: -x)
+    a = minus.map(tanh)
+    b = U.map(tanh).map(lambda x: -x)
     assert a.allclose(b, atol=1e-15)
 
 
@@ -212,8 +214,8 @@ def test_relu_commutes_with_positive_action_entrywise():
         r = Rng(5000 + k)
         U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
         g = monomial.sample(spec, r.child("g"), "positive")
-        a = layers.activation(relu, monomial.act(g, U))
-        b = monomial.act(g, layers.activation(relu, U))
+        a = monomial.act(g, U).map(relu)
+        b = monomial.act(g, U.map(relu))
         worst = max(rel_residual(x, y) for x, y in zip(a.W + a.b, b.W + b.b))
         assert worst <= 1e-14
 
@@ -265,18 +267,66 @@ def test_stack_rejects_channel_mismatch():
         layers.stack_forward([(p1, relu)], head, U)
 
 
+def _equivariant_closed_form(spec, e):
+    d, n0, nL, L = spec.d, spec.n[0], spec.n[spec.L], spec.L
+    count = 3 * e * d * nL * nL            # last-layer weight row
+    count += 3 * e * d * nL * n0 * nL      # bias row, full boundary terms
+    count += sum(e * d * nL for _ in range(1, L))          # trWW per s
+    count += sum(e * d * nL * nL for _ in range(1, L))     # Wb per t
+    count += sum(e * d * nL for _ in range(1, L))          # trbW per t
+    count += e * d * nL * nL + e * nL      # bias-of-bias and constant row
+    count += 3 * d * e * n0 * n0 + d * e * n0              # first-layer weight row
+    count += 3 * d * e * n0 + d * e        # first-layer bias row
+    for i in range(2, L):
+        count += 3 * d * e                 # scalar weight-row coefficients
+        count += 3 * d * e * n0            # bias-row vectors
+        count += (i - 1) * d * e           # Wb terms
+        count += d * e                     # bias coefficient
+    return count
+
+
+def _invariant_closed_form(spec, e, d_out):
+    d, n0, nL, L = spec.d, spec.n[0], spec.n[spec.L], spec.L
+    count = 3 * d * e * nL * n0 * d_out
+    count += sum(d * e * d_out for _ in range(1, L))       # trWW
+    count += sum(d * e * nL * d_out for _ in range(1, L))  # Wb
+    count += sum(d * e * d_out for _ in range(1, L))       # trbW
+    count += d * e * nL * d_out + e * d_out
+    return count
+
+
 def test_parameter_count_matches_closed_form():
     for spec, e in [
         (WeightSpec(2, (1, 2, 1), 1), 1),
         (WeightSpec(3, (2, 3, 2, 2), 2), 3),
         (WeightSpec(4, (1, 2, 3, 2, 1), 1), 2),
+        (WeightSpec(5, (3, 1, 4, 2, 5, 2), 2), 3),
     ]:
         params = layers.init_equivariant(spec, e, Rng(0))
         stored = sum(v.size for v in params.blocks().values())
         assert stored == layers.equivariant_parameter_count(spec, e)
+        assert stored == _equivariant_closed_form(spec, e)
         inv = layers.init_invariant(spec, e, 3, Rng(1))
         stored = sum(v.size for v in inv.blocks().values())
         assert stored == layers.invariant_parameter_count(spec, e, 3)
+        assert stored == _invariant_closed_form(spec, e, 3)
+
+
+def test_init_output_passes_the_constructor_checks():
+    for spec, e in [(WeightSpec(2, (1, 2, 1), 1), 1), (WeightSpec(4, (3, 1, 4, 2, 5), 2), 3)]:
+        for params in (layers.init_equivariant(spec, e, Rng(0)), layers.init_invariant(spec, e, 2, Rng(1))):
+            rebuilt = type(params)(**{f.name: getattr(params, f.name) for f in fields(params)})
+            assert rebuilt.blocks().keys() == params.blocks().keys()
+
+
+def test_channel_counts_are_coerced_and_checked():
+    spec = WeightSpec(2, (1, 2, 1), 1)
+    assert type(layers.init_equivariant(spec, np.int64(2), Rng(0)).e) is int
+    for bad in ["2", 2.0, 0, True]:
+        with pytest.raises(ValidationError):
+            layers.init_equivariant(spec, bad, Rng(0))
+        with pytest.raises(ValidationError):
+            layers.init_invariant(spec, 2, bad, Rng(0))
 
 
 def test_no_dead_parameters_equivariant():

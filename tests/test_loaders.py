@@ -158,3 +158,68 @@ def test_rank_deficient_fit_round_trip(tmp_path):
     assert loaded.rank_deficient is True
     assert np.array_equal(loaded.phi, fit.phi)
     assert (loaded.lam, loaded.train_mse, loaded.test_mse) == (fit.lam, fit.train_mse, None)
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for p in path:
+            doc = doc[p]
+        doc[key] = value
+
+    return edit
+
+
+def _rename_psi_key(doc):
+    bw = doc["psi"]["bw"]
+    bw["1"] = bw.pop("1,0")
+
+
+BAD_PARAMS = [
+    (_invariant_file, _rename_psi_key, "psi.bw key '1'"),
+    (_invariant_file, _set("psi", "bw", [1.0]), "psi.bw must map"),
+    (_invariant_file, _set("psi", "extra", {}), "unknown psi keys"),
+    (_invariant_file, _set("spec", [3, [2, 3, 2, 2], 2]), "spec must be an object"),
+    (_invariant_file, _set("spec", "extra", 1), "unknown spec keys"),
+    (_invariant_file, _set("e", "x"), "e must be an integer"),
+    (_invariant_file, _set("d_out", 2.5), "d_out must be an integer"),
+    (_invariant_file, _set("phi_trWW", [1.0]), "phi_trWW must map"),
+    (_invariant_file, _set("phi_trWW", "x", [1.0]), "phi_trWW must map"),
+    (_equivariant_file, _set("e", True), "e must be an integer"),
+    (_equivariant_file, _set("scalarsW", "2", [1.0]), "scalarsW[2] must be an object"),
+    (_equivariant_file, _set("scalarsW", "2", "extra", [1.0]), "unknown scalarsW[2] keys"),
+    (_equivariant_file, _set("vecsb", "2", "extra", [1.0]), "unknown vecsb[2] keys"),
+    (_equivariant_file, _set("vecsb", "9", {}), "same layers"),
+    (_equivariant_file, _set("vecsb", "2", "Wb", "1", "x"), "vecsb[2].Wb[1] is not a numeric"),
+    (_equivariant_file, _set("mid", {}), "unknown top-level keys"),
+]
+
+
+@pytest.mark.parametrize("make, edit, where", BAD_PARAMS)
+def test_load_params_rejects_wrong_types_and_nested_keys(tmp_path, make, edit, where):
+    path = make(tmp_path)
+    _edit(path, edit)
+    with pytest.raises(ValidationError, match=re.escape(where)):
+        layers.load_params(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("L", "x"), ("L", 2.0), ("n", "ab"), ("n", 3), ("n", [2, None, 2, 2]), ("d", None), ("d", True),
+])
+def test_weights_load_rejects_non_integer_spec(tmp_path, key, value):
+    path = _weights_file(tmp_path)
+    _edit(path, _set(key, value))
+    with pytest.raises(ValidationError, match="integer|sequence"):
+        weightspace.load(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lambda", "x"), ("lambda", [1.0]), ("train_mse", None), ("test_mse", "0.5"), ("phi", "x"),
+    ("lambda", True),
+])
+def test_load_fit_rejects_wrong_typed_scalars(tmp_path, key, value):
+    path = _fit_file(tmp_path)
+    _edit(path, _set(key, value))
+    with pytest.raises(ValidationError, match=key):
+        fitting.load_fit(path)

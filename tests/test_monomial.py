@@ -8,7 +8,6 @@ from magep.monomial import (
     MonomialElement,
     act,
     act_layers,
-    act_vector,
     compose,
     identity,
     identity_monomial,
@@ -79,16 +78,6 @@ def test_permutation_only_action_swaps_rows_and_columns():
     assert np.array_equal(out.weight(1), [[[2.0], [1.0]]])
     assert np.array_equal(out.weight(2), [[[4.0, 3.0]]])
     assert np.array_equal(out.bias(1), [[6.0, 5.0]])
-
-
-def test_act_vector_examples():
-    swap = MonomialElement(np.ones(3), np.array([1, 0, 2]))
-    assert np.array_equal(act_vector(swap, [5.0, 7.0, 9.0]), [7.0, 5.0, 9.0])
-    ident = identity_monomial(3)
-    x = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(act_vector(ident, x), x)
-    twice = MonomialElement(np.full(3, 2.0), np.arange(3))
-    assert np.array_equal(act_vector(twice, np.ones(3)), np.full(3, 2.0))
 
 
 def test_permutation_composition_by_hand():

@@ -164,3 +164,12 @@ def test_rows_are_views_of_a_batched_object():
     unbatched = random_weights(spec, Rng(4), Uniform(-1.0, 1.0))
     with pytest.raises(ValidationError):
         unbatched.rows(0, 1)
+
+
+def test_spec_coerces_integer_fields():
+    spec = WeightSpec(np.int64(2), np.array([1, 2, 1]), np.int32(1))
+    assert spec == WeightSpec(2, (1, 2, 1), 1)
+    assert all(type(v) is int for v in (spec.L, spec.d, *spec.n))
+    for bad in [{"L": 2.0}, {"n": (1, 2.5, 1)}, {"n": 3}, {"d": "1"}, {"d": True}]:
+        with pytest.raises(ValidationError, match="integer|sequence"):
+            WeightSpec(**{"L": 2, "n": (1, 2, 1), "d": 1, **bad})
