@@ -119,7 +119,7 @@ def _block(shape: str, fan: str | None, keys: str | None = None, slot: str | Non
         keys,
         None if slot is None else tuple(slot.split(".")),
         operator.itemgetter(*names),
-        None if fan is None else operator.itemgetter(*fan.split(), "1"),
+        None if fan is None else operator.itemgetter(*fan.split(), "1"),  # always a tuple
     )
     return field(metadata={"block": decl})
 
@@ -588,11 +588,11 @@ _KINDS = {"equivariant": EquivariantParams, "invariant": InvariantParams}
 
 
 
-def _groups() -> dict[str, list[tuple[str, str, _Decl]]]:
-    """The file groups of the interior blocks: group -> ``(key, field name, declaration)``."""
+def _groups() -> dict[str, dict[str, tuple[str, _Decl]]]:
+    """The file groups of the interior blocks: group -> key -> ``(field name, declaration)``."""
     groups: dict = {}
     for name, decl in _declared(MiddleBlocks):
-        groups.setdefault(decl.slot[0], []).append((decl.slot[1], name, decl))
+        groups.setdefault(decl.slot[0], {})[decl.slot[1]] = (name, decl)
     return groups
 
 
@@ -632,7 +632,7 @@ def save_params(params: EquivariantParams | InvariantParams, path) -> None:
         elif f.name == "mid":
             for group, slots in _GROUPS.items():
                 doc[group] = {
-                    str(i): {key: _to_json(getattr(blk, name), decl) for key, name, decl in slots}
+                    str(i): {k: _to_json(getattr(blk, n), decl) for k, (n, decl) in slots.items()}
                     for i, blk in value.items()
                 }
         else:
@@ -661,8 +661,8 @@ def _mid_from_json(doc: dict) -> dict[int, MiddleBlocks]:
     for i in first:
         values = {}
         for group, slots in _GROUPS.items():
-            entry = jsonio.exact_keys(f"{group}[{i}]", groups[group][i], [key for key, _, _ in slots])
-            for key, name, decl in slots:
+            entry = jsonio.exact_keys(f"{group}[{i}]", groups[group][i], slots)
+            for key, (name, decl) in slots.items():
                 values[name] = _from_json(f"{group}[{i}].{key}", entry[key], decl)
         mid[int(i)] = MiddleBlocks(**values)
     return mid

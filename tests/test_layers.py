@@ -314,7 +314,8 @@ def test_parameter_count_matches_closed_form():
 
 def test_init_output_passes_the_constructor_checks():
     for spec, e in [(WeightSpec(2, (1, 2, 1), 1), 1), (WeightSpec(4, (3, 1, 4, 2, 5), 2), 3)]:
-        for params in (layers.init_equivariant(spec, e, Rng(0)), layers.init_invariant(spec, e, 2, Rng(1))):
+        eq = layers.init_equivariant(spec, e, Rng(0))
+        for params in (eq, layers.init_invariant(spec, e, 2, Rng(1))):
             rebuilt = type(params)(**{f.name: getattr(params, f.name) for f in fields(params)})
             assert rebuilt.blocks().keys() == params.blocks().keys()
 
