@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, fields
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -92,7 +92,8 @@ ROW_BLOCK = 8
 
 
 class _Decl(NamedTuple):
-    """A block field's declaration; its sizes are looked up in C by a layout."""
+    """A block field's declaration: its axis names, table keys and file slot,
+    with the axis and fan-in lookups a layout applies to the sizes."""
 
     shape: tuple[str, ...]
     keys: str | None
@@ -119,7 +120,7 @@ def _block(shape: str, fan: str | None, keys: str | None = None, slot: str | Non
         keys,
         None if slot is None else tuple(slot.split(".")),
         operator.itemgetter(*names),
-        None if fan is None else operator.itemgetter(*fan.split(), "1"),  # always a tuple
+        None if fan is None else operator.itemgetter("d", *fan.split()),
     )
     return field(metadata={"block": decl})
 
@@ -130,27 +131,27 @@ def _declared(cls) -> tuple[tuple[str, _Decl], ...]:
     return tuple((f.name, f.metadata["block"]) for f in fields(cls) if "block" in f.metadata)
 
 
-@lru_cache(maxsize=64)
 def _layout(cls, spec: WeightSpec, e: int, m: int, i: int | None = None) -> tuple:
     """The blocks of ``cls`` resolved at one architecture, in field order.
 
     Each entry is ``(name, keys, cells)``: ``keys`` lists a table's keys
-    (``None`` for a single block) and each cell is ``(key, shape, root)``
-    with ``root = sqrt(d * fan)``, or ``None`` for a pure bias.  ``i`` is
-    the interior layer of :class:`MiddleBlocks`.
+    (``None`` for a single block) and each cell is ``(key, shape, fan)``
+    with ``fan`` the factors ``d, ...`` of the fan-in, or ``None`` for a
+    pure bias.  ``i`` is the interior layer of :class:`MiddleBlocks`.
     """
-    n, d = spec.n, spec.d
-    sizes = {"1": 1, "d": d, "e": e, "m": m, "n0": n[0], "nL": n[-1]}
-    keysets = {None: None, "hidden": tuple(range(1, spec.L)), "below": tuple(range(1, i or 0))}
+    n = spec.n
+    sizes = {"1": 1, "d": spec.d, "e": e, "m": m, "n0": n[0], "nL": n[-1]}
+    keysets = {"hidden": tuple(range(1, spec.L)), "below": tuple(range(1, i or 0))}
     out = []
     for name, decl in _declared(cls):
-        keys = keysets[decl.keys]
-        cells = []
-        for k in keys or (None,):
-            if k is not None:
-                sizes["nk"] = n[k]
-            root = None if decl.fan_of is None else math.sqrt(d * math.prod(decl.fan_of(sizes)))
-            cells.append((k, decl.shape_of(sizes), root))
+        if decl.keys is None:
+            fan = decl.fan_of and decl.fan_of(sizes)
+            out.append((name, None, ((None, decl.shape_of(sizes), fan),)))
+            continue
+        keys, cells = keysets[decl.keys], []
+        for k in keys:
+            sizes["nk"] = n[k]
+            cells.append((k, decl.shape_of(sizes), decl.fan_of(sizes)))
         out.append((name, keys, tuple(cells)))
     return tuple(out)
 
@@ -172,12 +173,12 @@ def _checked(obj, layout, where: str = "") -> dict:
 
 
 def _draw(rng: Rng, layout, scale: float) -> dict:
-    """Every block of ``layout``, uniform(-a, a) with ``a = scale / root``."""
+    """Every block of ``layout``, uniform(-a, a) with ``a = scale / sqrt(d * fan)``."""
     out = {}
     for name, keys, cells in layout:
         table = {}
-        for k, shape, root in cells:
-            a = scale if root is None else scale / root
+        for k, shape, fan in cells:
+            a = scale if fan is None else scale / math.sqrt(math.prod(fan))
             table[k] = rng.uniform(-a, a, shape)
         out[name] = table[None] if keys is None else table
     return out
@@ -341,35 +342,27 @@ def _feature_fields(cls, prefix: str) -> tuple[tuple[str, bool, bool], ...]:
 def _pack_features(params, prefix: str) -> np.ndarray:
     """The blocks ``prefix + slot`` of an invariant map as one ``[e, F, m]`` tensor.
 
-    Each block enters as an ``[e, d, k, m]`` view (``[d, e, ...]`` blocks
-    swap their first two axes; a table is stacked in descending key order)
-    and the constant row ``[e, m]`` last, so they are copied once.
+    Each block enters as an ``[e, d, k, m]`` view, its feature axes (none
+    for a trace) flattened to ``k``; ``[d, e, ...]`` blocks swap their
+    first two axes, and a table is stacked in descending key order.  The
+    constant row ``[e, m]`` comes last, so the blocks are copied once.
     """
     *parts, (const, _, _) = _feature_fields(type(params), prefix)
     const = getattr(params, const)
     L, m = params.spec.L, const.shape[-1]
+
+    def features(v):
+        return v.reshape(v.shape[0], v.shape[1], -1, m)
+
     blocks = []
     for name, swap, table in parts:
         value = getattr(params, name)
-        if table:  # entries [.., .., m] are traces, one feature each
-            value = [value[k] for k in range(L - 1, 0, -1)]
-            value = np.concatenate([v[:, :, None] if v.ndim == 3 else v for v in value], axis=2)
-        if value.ndim == 5:
-            value = value.reshape(value.shape[0], value.shape[1], -1, m)
+        if table:
+            value = np.concatenate([features(value[k]) for k in range(L - 1, 0, -1)], axis=2)
+        else:
+            value = features(value)
         blocks.append(value.swapaxes(0, 1) if swap else value)
     return in_feature_order(*blocks, const[:, None], axis=-2)
-
-
-def _drawn(cls, **values):
-    """A ``cls`` of blocks drawn from its layout.
-
-    They have their declared shapes by construction, so only the ``psi``
-    check of ``__post_init__`` is left to run.
-    """
-    obj = object.__new__(cls)
-    _assign(obj, values)
-    obj._check_psi()
-    return obj
 
 
 def init_equivariant(
@@ -395,7 +388,7 @@ def init_equivariant(
         i: MiddleBlocks(**_draw(rng, _layout(MiddleBlocks, spec, e, nL, i), scale))
         for i in range(2, spec.L)
     }
-    return _drawn(EquivariantParams, spec=spec, e=e, mid=mid, psi=psi, **blocks)
+    return EquivariantParams(spec=spec, e=e, mid=mid, psi=psi, **blocks)
 
 
 def init_invariant(
@@ -412,7 +405,7 @@ def init_invariant(
     if psi is None:
         psi = PsiParams.random(spec, rng.child("psi"))
     blocks = _draw(rng, _layout(InvariantParams, spec, e, d_out), scale)
-    return _drawn(InvariantParams, spec=spec, e=e, d_out=d_out, psi=psi, **blocks)
+    return InvariantParams(spec=spec, e=e, d_out=d_out, psi=psi, **blocks)
 
 
 def _batched(U: WeightObject) -> tuple[WeightObject, bool]:
@@ -640,8 +633,14 @@ def save_params(params: EquivariantParams | InvariantParams, path) -> None:
     jsonio.dump_path(doc, path)
 
 
+def _is_layer(key: str) -> bool:
+    """Whether ``key`` is a layer index as :func:`save_params` writes it: no
+    sign, no leading zero, so two keys never name one layer."""
+    return key.isdecimal() and str(int(key)) == key
+
+
 def _by_layer(name: str, doc) -> dict:
-    if not isinstance(doc, dict) or not all(k.isdecimal() for k in doc):
+    if not isinstance(doc, dict) or not all(_is_layer(k) for k in doc):
         raise ValidationError(f"{name} must map layer indices to values")
     return doc
 
@@ -678,7 +677,7 @@ def _psi_from_json(spec: WeightSpec, doc) -> PsiParams:
         out = {}
         for key, val in table.items():
             s, comma, t = key.partition(",")
-            if not (comma and s.isdecimal() and t.isdecimal()):
+            if not (comma and _is_layer(s) and _is_layer(t)):
                 raise ValidationError(f"psi.{family} key {key!r} is not an 's,t' pair")
             out[(int(s), int(t))] = jsonio.finite(f"psi.{family}[{key}]", val)
         return out

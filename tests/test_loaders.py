@@ -176,6 +176,18 @@ def _rename_psi_key(doc):
     bw["1"] = bw.pop("1,0")
 
 
+def _alias(*path_and_keys):
+    """Add a second key naming the same layer, e.g. ``"01"`` next to ``"1"``."""
+    *path, key, alias = path_and_keys
+
+    def edit(doc):
+        for p in path:
+            doc = doc[p]
+        doc[alias] = doc[key]
+
+    return edit
+
+
 BAD_PARAMS = [
     (_invariant_file, _rename_psi_key, "psi.bw key '1'"),
     (_invariant_file, _set("psi", "bw", [1.0]), "psi.bw must map"),
@@ -193,6 +205,11 @@ BAD_PARAMS = [
     (_equivariant_file, _set("vecsb", "9", {}), "same layers"),
     (_equivariant_file, _set("vecsb", "2", "Wb", "1", "x"), "vecsb[2].Wb[1] is not a numeric"),
     (_equivariant_file, _set("mid", {}), "unknown top-level keys"),
+    (_invariant_file, _alias("phi_trWW", "1", "01"), "phi_trWW must map"),
+    (_invariant_file, _alias("psi", "bw", "1,0", "01,0"), "psi.bw key '01,0'"),
+    (_invariant_file, _alias("psi", "ww", "1,0", "1,00"), "psi.ww key '1,00'"),
+    (_equivariant_file, _alias("scalarsW", "2", "02"), "scalarsW must map"),
+    (_equivariant_file, _alias("vecsb", "2", "Wb", "1", "+1"), "vecsb[2].Wb must map"),
 ]
 
 
