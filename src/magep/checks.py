@@ -3,8 +3,9 @@
 Each suite draws random instances from an architecture grid, measures the
 worst relative residual of one identity, and reports it against a pinned
 tolerance.  All randomness flows from one seed: trial k of suite ``name``
-uses the stream ``Rng(seed).child(name, k)``, so any failure is replayable
-from the report alone.
+uses the stream ``Rng(seed).child(name, k)``.  A record reports the worst
+residual but not yet the trial that gave it, so a failure is located by
+rerunning that suite's trials.
 """
 
 from __future__ import annotations
@@ -81,19 +82,31 @@ def _variant_for(trial: int) -> str:
     return VARIANT_POSITIVE if trial % 2 == 0 else VARIANT_SIGN
 
 
-def _left(m, arr):
-    """g^(s) acting on the second-to-last axis of a term."""
-    return m.apply_rows(arr)
+def _record(name, trials, worst, tol, ok, **details) -> dict:
+    """One suite's report record, in the key order of ``report/1``."""
+    return {
+        "suite": name,
+        "trials": trials,
+        "max_residual": worst,
+        "tolerance": tol,
+        "pass": bool(ok),
+        "details": details,
+    }
 
 
-def _left_vec(m, arr):
-    """g^(s) acting on the last axis of a bias-like term."""
-    return m.apply_rows(arr[..., None])[..., 0]
+def _draw(r: Rng, grid: Grid, variant=None, d=None, n_min=1, batch=None):
+    """A trial's spec, uniform(-1, 1) weights ``U`` and group element ``g``
+    (``None`` without a variant), from the streams ``r.child("spec"|"U"|"g")``."""
+    spec = grid.sample_spec(r.child("spec"), d=d, n_min=n_min)
+    U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0), batch=batch)
+    if variant is None:
+        return spec, U, None
+    return spec, U, monomial.sample(spec, r.child("g"), variant, grid.scale_range)
 
 
-def _right_inv(m, arr):
-    """(g^(t))^{-1} acting on the last axis of a term."""
-    return m.apply_cols_inverse(arr)
+def _block_residual(A: WeightObject, B: WeightObject) -> float:
+    """Worst relative residual over the paired weight and bias blocks."""
+    return max(rel_residual(a, b) for a, b in zip(A.W + A.b, B.W + B.b))
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +120,7 @@ def _suite_group(trials, rng, grid, tol):
     for k in range(trials):
         r = rng.child("group", k)
         variant = _variant_for(k)
-        spec = grid.sample_spec(r.child("spec"))
-        U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
-        g = monomial.sample(spec, r.child("g"), variant, grid.scale_range)
+        spec, U, g = _draw(r, grid, variant)
         h = monomial.sample(spec, r.child("h"), variant, grid.scale_range)
 
         gid = monomial.identity(spec, variant)
@@ -120,67 +131,41 @@ def _suite_group(trials, rng, grid, tol):
             if not np.array_equal(m.perm, np.arange(m.n)):
                 perm_exact = False
             worst_scale = max(worst_scale, float(np.max(np.abs(m.scales - 1.0))))
-        gh = monomial.compose(g, h)
-        lhs = monomial.act(gh, U)
+        lhs = monomial.act(monomial.compose(g, h), U)
         rhs = monomial.act(g, monomial.act(h, U))
-        for a, b in zip(lhs.W + lhs.b, rhs.W + rhs.b):
-            worst_action = max(worst_action, rel_residual(a, b))
-        round_trip = monomial.act(unit, U)
-        for a, b in zip(round_trip.W + round_trip.b, U.W + U.b):
-            worst_action = max(worst_action, rel_residual(a, b))
+        worst_action = max(worst_action, _block_residual(lhs, rhs))
+        worst_action = max(worst_action, _block_residual(monomial.act(unit, U), U))
     ok = perm_exact and worst_scale <= GROUP_SCALE_TOL and worst_action <= tol
-    return {
-        "suite": "group",
-        "trials": trials,
-        "max_residual": worst_action,
-        "tolerance": tol,
-        "pass": bool(ok),
-        "details": {
-            "perm_parts_exact": perm_exact,
-            "max_scale_residual": worst_scale,
-            "scale_tolerance": GROUP_SCALE_TOL,
-        },
-    }
+    return _record(
+        "group", trials, worst_action, tol, ok,
+        perm_parts_exact=perm_exact,
+        max_scale_residual=worst_scale,
+        scale_tolerance=GROUP_SCALE_TOL,
+    )
 
 
 def _suite_stability(trials, rng, grid, tol):
     worst = 0.0
     for k in range(trials):
         r = rng.child("stability", k)
-        variant = _variant_for(k)
-        spec = grid.sample_spec(r.child("spec"))
-        U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
+        spec, U, g = _draw(r, grid, _variant_for(k))
         psi = PsiParams.random(spec, r.child("psi"))
-        g = monomial.sample(spec, r.child("g"), variant, grid.scale_range)
         gU = monomial.act(g, U)
         L = spec.L
         for s, t in w_indices(L):
-            got = w_chain(gU, s, t)
-            want = _right_inv(g.layer(t), _left(g.layer(s), w_chain(U, s, t)))
-            worst = max(worst, rel_residual(got, want))
+            want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(w_chain(U, s, t)))
+            worst = max(worst, rel_residual(w_chain(gU, s, t), want))
         for s in range(1, L + 1):
-            worst = max(
-                worst, rel_residual(gU.bias(s), _left_vec(g.layer(s), U.bias(s)))
-            )
+            want = g.layer(s).apply_rows(U.bias(s)[..., None])[..., 0]
+            worst = max(worst, rel_residual(gU.bias(s), want))
         for s, t in wb_indices(L):
-            got = wb_term(gU, s, t)
-            want = _left_vec(g.layer(s), wb_term(U, s, t))
-            worst = max(worst, rel_residual(got, want))
+            want = g.layer(s).apply_rows(wb_term(U, s, t)[..., None])[..., 0]
+            worst = max(worst, rel_residual(wb_term(gU, s, t), want))
         for s, t in psi_indices(L):
-            got = bw_term(gU, s, t, psi)
-            want = _right_inv(g.layer(t), _left(g.layer(s), bw_term(U, s, t, psi)))
-            worst = max(worst, rel_residual(got, want))
-            got = ww_term(gU, s, t, psi)
-            want = _right_inv(g.layer(t), _left(g.layer(s), ww_term(U, s, t, psi)))
-            worst = max(worst, rel_residual(got, want))
-    return {
-        "suite": "stability",
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(worst <= tol),
-        "details": {},
-    }
+            for term in (bw_term, ww_term):
+                want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(term(U, s, t, psi)))
+                worst = max(worst, rel_residual(term(gU, s, t, psi), want))
+    return _record("stability", trials, worst, tol, worst <= tol)
 
 
 def _chain_identities(V, s, t, rr, row):
@@ -199,8 +184,7 @@ def _suite_chains(trials, rng, grid, tol):
     exact_specialization = True
     for k in range(trials):
         r = rng.child("chains", k)
-        spec = grid.sample_spec(r.child("spec"))
-        U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
+        spec, U, _ = _draw(r, grid)
         absU = U.map(np.abs)
         L = spec.L
         for s in range(1, L + 1):
@@ -218,14 +202,10 @@ def _suite_chains(trials, rng, grid, tol):
                     bounds = _chain_identities(absU, s, t, rr, np.abs(row))
                     for (got, want), (bound, _) in zip(exact, bounds):
                         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(bound)))
-    return {
-        "suite": "chains",
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(worst <= tol and exact_specialization),
-        "details": {"one_step_chain_exact": exact_specialization},
-    }
+    return _record(
+        "chains", trials, worst, tol, worst <= tol and exact_specialization,
+        one_step_chain_exact=exact_specialization,
+    )
 
 
 _NETINV_PAIRS = (
@@ -236,60 +216,38 @@ _NETINV_PAIRS = (
 )
 
 
+def _mlp_residual(U, g, x, act):
+    """Relative residual between the networks ``U`` and ``g U`` at input ``x``."""
+    return rel_residual(
+        netfunc.mlp_forward(U, x, act), netfunc.mlp_forward(monomial.act(g, U), x, act)
+    )
+
+
 def _suite_netinv(trials, rng, grid, tol):
     worst = 0.0
     for k in range(trials):
         r = rng.child("netinv", k)
         act, variant = _NETINV_PAIRS[k % len(_NETINV_PAIRS)]
-        spec = grid.sample_spec(r.child("spec"), d=1)
-        U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
-        g = monomial.sample(spec, r.child("g"), variant, grid.scale_range)
+        spec, U, g = _draw(r, grid, variant, d=1)
         x = r.child("x").uniform(-1.0, 1.0, spec.n[0])
-        worst = max(
-            worst,
-            rel_residual(
-                netfunc.mlp_forward(U, x, act),
-                netfunc.mlp_forward(monomial.act(g, U), x, act),
-            ),
-        )
+        worst = max(worst, _mlp_residual(U, g, x, act))
     # Vacuity guard: a mismatched activation/variant pair must visibly break
     # the invariance on at least one instance.
     witness = 0.0
     for k in range(50):
         r = rng.child("netinv-witness", k)
-        spec = grid.sample_spec(r.child("spec"), d=1, n_min=2)
-        U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
-        g = monomial.sample(spec, r.child("g"), VARIANT_SIGN, grid.scale_range)
+        spec, U, g = _draw(r, grid, VARIANT_SIGN, d=1, n_min=2)
         if all(np.all(m.scales == 1.0) for m in g.layers):
             continue
         x = r.child("x").uniform(-1.0, 1.0, spec.n[0])
-        witness = max(
-            witness,
-            rel_residual(
-                netfunc.mlp_forward(U, x, relu),
-                netfunc.mlp_forward(monomial.act(g, U), x, relu),
-            ),
-        )
+        witness = max(witness, _mlp_residual(U, g, x, relu))
         if witness > NETINV_WITNESS_FLOOR:
             break
-    ok = worst <= tol and witness > NETINV_WITNESS_FLOOR
-    return {
-        "suite": "netinv",
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(ok),
-        "details": {
-            "mismatch_witness_residual": witness,
-            "witness_floor": NETINV_WITNESS_FLOOR,
-        },
-    }
-
-
-def _act_on_output(g, out):
-    """Apply a group element to an e-channel weight object (the action is
-    channel-independent, so the same element works on any channel count)."""
-    return monomial.act_layers(g.layers, out)
+    return _record(
+        "netinv", trials, worst, tol, worst <= tol and witness > NETINV_WITNESS_FLOOR,
+        mismatch_witness_residual=witness,
+        witness_floor=NETINV_WITNESS_FLOOR,
+    )
 
 
 def _force_hidden_swap(g, variant):
@@ -319,44 +277,31 @@ def _suite_equiv(trials, rng, grid, tol, mutate_sharing=False):
     for k in range(trials):
         r = rng.child("equiv", k)
         variant = _variant_for(k)
-        n_min = 2 if mutate_sharing else 1
-        spec = grid.sample_spec(r.child("spec"), n_min=n_min)
+        batch = 2 if k % 3 == 0 else None
+        spec, U, g = _draw(r, grid, variant, n_min=2 if mutate_sharing else 1, batch=batch)
         e = r.child("e").choice(grid.e_values)
         params = layers.init_equivariant(spec, e, r.child("params"))
-        batch = 2 if k % 3 == 0 else None
-        U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0), batch=batch)
-        g = monomial.sample(spec, r.child("g"), variant, grid.scale_range)
         if mutate_sharing:
             g = _force_hidden_swap(g, variant)
+        gU = monomial.act(g, U)
         out_U = layers.equivariant_forward(params, U)
-        out_gU = layers.equivariant_forward(params, monomial.act(g, U))
+        out_gU = layers.equivariant_forward(params, gU)
         if mutate_sharing:
             out_U = _corrupt_equivariant(params, U, out_U)
-            out_gU = _corrupt_equivariant(params, monomial.act(g, U), out_gU)
-        want = _act_on_output(g, out_U)
-        for a, b in zip(out_gU.W + out_gU.b, want.W + want.b):
-            worst = max(worst, rel_residual(a, b))
-    return {
-        "suite": "equiv",
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(worst <= tol),
-        "details": {"sharing_mutation": bool(mutate_sharing)},
-    }
+            out_gU = _corrupt_equivariant(params, gU, out_gU)
+        # The action is channel-independent, so g acts on the e-channel output.
+        worst = max(worst, _block_residual(out_gU, monomial.act(g, out_U)))
+    return _record("equiv", trials, worst, tol, worst <= tol, sharing_mutation=bool(mutate_sharing))
 
 
 def _suite_inv(trials, rng, grid, tol):
     worst = 0.0
     for k in range(trials):
         r = rng.child("inv", k)
-        variant = _variant_for(k)
-        spec = grid.sample_spec(r.child("spec"))
+        batch = 2 if k % 3 == 0 else None
+        spec, U, g = _draw(r, grid, _variant_for(k), batch=batch)
         e = r.child("e").choice(grid.e_values)
         params = layers.init_invariant(spec, e, 3, r.child("params"))
-        batch = 2 if k % 3 == 0 else None
-        U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0), batch=batch)
-        g = monomial.sample(spec, r.child("g"), variant, grid.scale_range)
         worst = max(
             worst,
             rel_residual(
@@ -364,14 +309,7 @@ def _suite_inv(trials, rng, grid, tol):
                 layers.invariant_forward(params, U),
             ),
         )
-    return {
-        "suite": "inv",
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(worst <= tol),
-        "details": {},
-    }
+    return _record("inv", trials, worst, tol, worst <= tol)
 
 
 _STACK_PAIRS = (
@@ -387,7 +325,7 @@ def _suite_stack(trials, rng, grid, tol):
     for k in range(trials):
         r = rng.child("stack", k)
         act, variant = _STACK_PAIRS[k % len(_STACK_PAIRS)]
-        spec = grid.sample_spec(r.child("spec"))
+        spec, U, g = _draw(r, grid, variant)
         re = r.child("e")
         e1 = re.choice(grid.e_values)
         e2 = re.choice(grid.e_values)
@@ -396,8 +334,6 @@ def _suite_stack(trials, rng, grid, tol):
         p2 = layers.init_equivariant(spec2, e2, r.child("p2"))
         head = layers.init_invariant(WeightSpec(spec.L, spec.n, e2), 2, 3, r.child("head"))
         stack = [(p1, act), (p2, act)]
-        U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
-        g = monomial.sample(spec, r.child("g"), variant, grid.scale_range)
         worst = max(
             worst,
             rel_residual(
@@ -405,43 +341,26 @@ def _suite_stack(trials, rng, grid, tol):
                 layers.stack_forward(stack, head, U, variant),
             ),
         )
-    return {
-        "suite": "stack",
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(worst <= tol),
-        "details": {},
-    }
+    return _record("stack", trials, worst, tol, worst <= tol)
 
 
 def _suite_oracle(trials, rng, grid, tol):
     worst = 0.0
     for k in range(trials):
         r = rng.child("oracle", k)
-        spec = grid.sample_spec(r.child("spec"))
+        spec, U, _ = _draw(r, grid)
         e = r.child("e").choice(grid.e_values)
         eq = layers.init_equivariant(spec, e, r.child("eq"))
         inv = layers.init_invariant(spec, e, 2, r.child("inv"))
-        U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
         fast = layers.equivariant_forward(eq, U)
-        slow = oracle.naive_equivariant_forward(eq, U)
-        for a, b in zip(fast.W + fast.b, slow.W + slow.b):
-            worst = max(worst, rel_residual(a, b))
+        worst = max(worst, _block_residual(fast, oracle.naive_equivariant_forward(eq, U)))
         worst = max(
             worst,
             rel_residual(
                 layers.invariant_forward(inv, U), oracle.naive_invariant_forward(inv, U)
             ),
         )
-    return {
-        "suite": "oracle",
-        "trials": trials,
-        "max_residual": worst,
-        "tolerance": tol,
-        "pass": bool(worst <= tol),
-        "details": {},
-    }
+    return _record("oracle", trials, worst, tol, worst <= tol)
 
 
 def _suite_rank(trials, rng, grid, tol, collapse_psi=False):
@@ -481,19 +400,14 @@ def _suite_rank(trials, rng, grid, tol, collapse_psi=False):
         ok = all_full and detected
     else:
         ok = all_full and witness_deficient
-    return {
-        "suite": "rank",
-        "trials": specs,
-        "max_residual": worst_ratio,  # smallest sigma ratio seen
-        "tolerance": tol,
-        "pass": bool(ok),
-        "details": {
-            "asserted_full_rank": all_full,
-            "witness_deficient": witness_deficient,
-            "collapse_psi": bool(collapse_psi),
-            "reports": reports + [witness],
-        },
-    }
+    # max_residual carries the smallest sigma ratio seen.
+    return _record(
+        "rank", specs, worst_ratio, tol, ok,
+        asserted_full_rank=all_full,
+        witness_deficient=witness_deficient,
+        collapse_psi=bool(collapse_psi),
+        reports=reports + [witness],
+    )
 
 
 _SUITE_FNS = {
@@ -548,7 +462,10 @@ def run_suites(
     collapse_psi: bool = False,
 ) -> dict:
     """Run one suite or all of them; returns the full JSON-ready report."""
-    _require_trials(trials)  # before the per-suite error records can swallow it
+    # Both checks come before the per-suite error records can swallow them.
+    _require_trials(trials)
+    if selector != "all" and selector not in _SUITE_FNS:
+        raise ValidationError(f"unknown suite {selector!r}")
     names = SUITE_NAMES if selector == "all" else (selector,)
     overrides = tolerance_overrides or {}
     records = []
@@ -566,15 +483,9 @@ def run_suites(
                 )
             )
         except Exception as exc:  # partial report still emitted
+            tol = overrides.get(name, DEFAULT_TOLERANCES[name])
             records.append(
-                {
-                    "suite": name,
-                    "trials": trials,
-                    "max_residual": None,
-                    "tolerance": overrides.get(name, DEFAULT_TOLERANCES[name]),
-                    "pass": False,
-                    "details": {"error": f"{type(exc).__name__}: {exc}"},
-                }
+                _record(name, trials, None, tol, False, error=f"{type(exc).__name__}: {exc}")
             )
     return {
         "format": "report/1",

@@ -1,10 +1,10 @@
 """Command-line entry point: generation, verification, fitting, benchmarks.
 
 Exit codes: 0 success, 1 suite failure, 2 usage error, 3 I/O error.
-All reports are JSON with a ``format: "report/1"`` field; the seed and the
-per-trial derivation (seed, suite id, trial index) make every failure
-replayable from the report alone.  Trials run serially, so results never
-depend on scheduling.
+All reports are JSON with a ``format: "report/1"`` field.  Trial ``k`` of
+suite ``name`` draws from ``Rng(seed).child(name, k)``; a check report does
+not yet name the trial behind a suite's worst residual.  Trials run
+serially, so results never depend on scheduling.
 """
 
 from __future__ import annotations

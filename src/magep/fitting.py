@@ -22,7 +22,7 @@ from . import jsonio
 from .dense import Rng
 from .errors import ValidationError
 from .stableterms import FEATURE_ORDER_VERSION, PsiParams, feature_count, featurize
-from .weightspace import WeightObject, stack_blocks
+from .weightspace import WeightObject, _count, stack_blocks
 
 __all__ = [
     "FEATURE_ORDER_VERSION",
@@ -197,8 +197,9 @@ def load_fit(path) -> FitResult:
         raise ValidationError(
             f"unsupported feature order {doc['feature_order_version']!r}"
         )
+    width = _count("width", doc["width"])
     phi = jsonio.finite("phi", doc["phi"])
-    if phi.ndim != 2 or phi.shape[1] != doc["width"]:
+    if phi.ndim != 2 or phi.shape[1] != width:
         raise ValidationError("phi payload does not match the declared width")
     if not isinstance(doc["rank_deficient"], bool):
         raise ValidationError("rank_deficient must be true or false")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -91,15 +92,26 @@ def exact_keys(where: str, value, keys) -> dict:
     return value
 
 
-def finite(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array; non-numeric or non-finite payloads
-    raise a ``ValidationError`` naming ``name``."""
+def _leaf_types(value, depth: int) -> set:
+    """The types of the leaves of nested lists ``depth`` levels deep."""
+    leaves = [value]
+    for _ in range(depth):
+        leaves = chain.from_iterable(leaves)
+    return set(map(type, leaves))
+
+
+def finite(name: str, value, shape=None) -> np.ndarray:
+    """``value`` as a float64 array.  Anything but nested lists of finite
+    JSON numbers, of ``shape`` when given, raises a ``ValidationError``
+    naming ``name``."""
     try:
-        if value is None or isinstance(value, (str, bool)):
-            raise TypeError
         arr = np.asarray(value, dtype=np.float64)
+        # JSON true/false and numeric strings would convert silently.
+        if shape not in (None, arr.shape) or not _leaf_types(value, arr.ndim) <= {int, float}:
+            raise TypeError
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} is not a numeric array") from exc
+        what = "a numeric array" if shape is None else f"a numeric array of shape {shape}"
+        raise ValidationError(f"{name} is not {what}") from exc
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} holds a non-finite value")
     return arr

@@ -26,7 +26,6 @@ __all__ = [
     "naive_equivariant_forward",
     "naive_invariant_forward",
     "FAMILY_TOKENS",
-    "feature_labels",
     "feature_design_matrix",
     "independence_report",
     "RANK_THRESHOLD",
@@ -313,115 +312,59 @@ def naive_invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndar
 # ---------------------------------------------------------------------------
 # Design matrices and rank checks
 
-FAMILY_TOKENS = (
-    "w",        # every [W]^(s,t)
-    "w_noL0",   # [W]^(s,t) with (s,t) != (L,0)
-    "w_L0",     # [W]^(L,0) only
-    "b",        # every [b]^(s)
-    "wb",       # every [Wb]^(s,t)(t)
-    "wb_noL",   # [Wb]^(s,t)(t) with s < L
-    "wb_L",     # [Wb]^(L,t)(t)
-    "bw",       # every [bW]^(s)(L,t)
-    "bw_diag",  # [bW]^(t)(L,t) entries, 0 < t < L
-    "ww",       # every [WW]^(s,0)(L,t)
-    "ww_diag",  # [WW]^(s,0)(L,s) entries, 0 < s < L
-    "eq17",     # the canonical invariant feature vector (includes the constant)
-    "const",    # the constant-1 column
-)
+# Each family token names a StableTermSet table, its column label and its
+# keys at depth L, in column order.  "eq17" (the canonical invariant feature
+# vector, constant included) and "const" (the constant 1) are no such table.
+_FAMILIES = {
+    "w": ("w", "W(%d,%d)", w_indices),
+    "w_noL0": ("w", "W(%d,%d)", lambda L: [p for p in w_indices(L) if p != (L, 0)]),
+    "w_L0": ("w", "W(%d,%d)", lambda L: [(L, 0)]),
+    "b": ("b", "b(%d)", lambda L: range(1, L + 1)),
+    "wb": ("wb", "Wb(%d,%d)", wb_indices),
+    "wb_noL": ("wb", "Wb(%d,%d)", lambda L: [(s, t) for s, t in wb_indices(L) if s < L]),
+    "wb_L": ("wb", "Wb(%d,%d)", lambda L: [(L, t) for t in range(1, L)]),
+    "bw": ("bw", "bW(%d)(L,%d)", psi_indices),
+    "bw_diag": ("bw", "bW(%d)(L,%d)", lambda L: [(t, t) for t in range(1, L)]),
+    "ww": ("ww", "WW(%d,0)(L,%d)", psi_indices),
+    "ww_diag": ("ww", "WW(%d,0)(L,%d)", lambda L: [(s, s) for s in range(1, L)]),
+    "eq17": (None, "eq17", None),
+    "const": (None, "1", None),
+}
+FAMILY_TOKENS = tuple(_FAMILIES)
 
 
-def _family_columns(spec: WeightSpec, families: Sequence[str]):
-    """Per-family (label, extractor) pairs; extractors map a StableTermSet
-    plus weight object to a flat list of floats."""
-    L, d = spec.L, spec.d
-    cols = []
-    for fam in families:
-        if fam not in FAMILY_TOKENS:
-            raise ValidationError(f"unknown feature family {fam!r}")
-        if fam in ("w", "w_noL0", "w_L0"):
-            pairs = w_indices(L)
-            if fam == "w_noL0":
-                pairs = [p for p in pairs if p != (L, 0)]
-            if fam == "w_L0":
-                pairs = [(L, 0)]
-            for s, t in pairs:
-                cols.append(
-                    (f"W({s},{t})", lambda T, U, s=s, t=t: T.w[(s, t)].ravel())
-                )
-        elif fam == "b":
-            for s in range(1, L + 1):
-                cols.append((f"b({s})", lambda T, U, s=s: T.b[s].ravel()))
-        elif fam in ("wb", "wb_noL", "wb_L"):
-            pairs = wb_indices(L)
-            if fam == "wb_noL":
-                pairs = [(s, t) for s, t in pairs if s < L]
-            if fam == "wb_L":
-                pairs = [(s, t) for s, t in pairs if s == L]
-            for s, t in pairs:
-                cols.append(
-                    (f"Wb({s},{t})", lambda T, U, s=s, t=t: T.wb[(s, t)].ravel())
-                )
-        elif fam == "bw":
-            for s, t in psi_indices(L):
-                cols.append(
-                    (f"bW({s})(L,{t})", lambda T, U, s=s, t=t: T.bw[(s, t)].ravel())
-                )
-        elif fam == "bw_diag":
-            for t in range(1, L):
-                cols.append(
-                    (
-                        f"bW({t})(L,{t})",
-                        lambda T, U, t=t: T.bw[(t, t)].ravel(),
-                    )
-                )
-        elif fam == "ww":
-            for s, t in psi_indices(L):
-                cols.append(
-                    (f"WW({s},0)(L,{t})", lambda T, U, s=s, t=t: T.ww[(s, t)].ravel())
-                )
-        elif fam == "ww_diag":
-            for s in range(1, L):
-                cols.append(
-                    (
-                        f"WW({s},0)(L,{s})",
-                        lambda T, U, s=s: T.ww[(s, s)].ravel(),
-                    )
-                )
-        elif fam == "eq17":
-            cols.append(("eq17", None))
-        elif fam == "const":
-            cols.append(("1", lambda T, U: np.ones(1)))
-    return cols
-
-
-def feature_labels(spec: WeightSpec, families: Sequence[str], psi: PsiParams) -> list[str]:
-    """Column labels of the design matrix, one per scalar feature."""
-    U = WeightObject.zeros(spec)
-    row, labels = _feature_row(spec, U, psi, families, want_labels=True)
-    return labels
-
-
-def _feature_row(spec, U, psi, families, want_labels=False):
-    cols = _family_columns(spec, families)
+def _columns(U: WeightObject, psi: PsiParams, families: Sequence[str]):
+    """(label, flat values) of each selected column group of ``U``, in order."""
     terms = all_terms(U, psi)
-    values = []
-    labels = []
-    for label, fn in cols:
-        if fn is None:
-            vec = featurize(U, psi)
-            values.append(vec)
-            if want_labels:
-                labels.extend(f"eq17[{i}]" for i in range(vec.size))
-            continue
-        vec = np.asarray(fn(terms, U), dtype=np.float64)
-        values.append(vec)
-        if want_labels:
-            if vec.size == 1:
-                labels.append(label)
-            else:
-                labels.extend(f"{label}[{i}]" for i in range(vec.size))
-    row = np.concatenate(values) if values else np.zeros(0)
-    return row, labels
+    for fam in families:
+        table, label, keys = _FAMILIES[fam]
+        if fam == "eq17":
+            yield label, featurize(U, psi)
+        elif fam == "const":
+            yield label, np.ones(1)
+        else:
+            for key in keys(U.spec.L):
+                yield label % key, getattr(terms, table)[key].ravel()
+
+
+def _feature_row(U, psi, families) -> np.ndarray:
+    return np.concatenate([vec for _, vec in _columns(U, psi, families)] or [np.zeros(0)])
+
+
+def _design(spec, psi, families, rng, samples_for) -> np.ndarray:
+    """Feature rows of ``samples_for(F)`` i.i.d. uniform(-1, 1) weight
+    objects ``rng.child("design", k)``, F being the feature count."""
+    unknown = [fam for fam in families if fam not in _FAMILIES]
+    if unknown:
+        raise ValidationError(f"unknown feature family {unknown[0]!r}")
+    draw = lambda k: random_weights(spec, rng.child("design", k), Uniform(-1.0, 1.0))
+    rows = [_feature_row(draw(0), psi, families)]
+    F = rows[0].size
+    samples = samples_for(F)
+    if samples < F:
+        raise ValidationError(f"need samples >= F={F}, got {samples}")
+    rows += [_feature_row(draw(k), psi, families) for k in range(1, samples)]
+    return np.stack(rows)
 
 
 def feature_design_matrix(
@@ -433,15 +376,7 @@ def feature_design_matrix(
 ) -> np.ndarray:
     """Rows are the selected stable-term features of i.i.d. uniform(-1, 1)
     weight objects; needs at least as many samples as features."""
-    probe = _feature_row(spec, WeightObject.zeros(spec), psi, families)[0]
-    F = probe.size
-    if samples < F:
-        raise ValidationError(f"need samples >= F={F}, got {samples}")
-    rows = []
-    for k in range(samples):
-        U = random_weights(spec, rng.child("design", k), Uniform(-1.0, 1.0))
-        rows.append(_feature_row(spec, U, psi, families)[0])
-    return np.stack(rows)
+    return _design(spec, psi, families, rng, lambda F: samples)
 
 
 def _sigma_ratio(X: np.ndarray) -> float:
@@ -476,10 +411,8 @@ def independence_report(
     """
 
     def check(families):
-        F = _feature_row(spec, WeightObject.zeros(spec), psi, families)[0].size
-        X = feature_design_matrix(spec, psi, families, oversample * F, rng)
-        ratio = _sigma_ratio(X)
-        return F, ratio
+        X = _design(spec, psi, families, rng, lambda F: oversample * F)
+        return X.shape[1], _sigma_ratio(X)
 
     report: dict = {
         "spec": {"L": spec.L, "n": list(spec.n), "d": spec.d},
@@ -514,16 +447,18 @@ def independence_report(
             degeneracies.append(f"rank-deficient coupled family {tag}")
     report["coupled"] = coupled
 
-    zero_labels = []
     sample = random_weights(spec, rng.child("zero-check"), Uniform(-1.0, 1.0))
-    row, labels = _feature_row(spec, sample, psi, ["bw", "ww"], want_labels=True)
-    rows = [row]
+    columns = list(_columns(sample, psi, ["bw", "ww"]))
+    labels = [
+        label if vec.size == 1 else f"{label}[{i}]"
+        for label, vec in columns
+        for i in range(vec.size)
+    ]
+    rows = [np.concatenate([vec for _, vec in columns])]
     for k in range(2):
         U = random_weights(spec, rng.child("zero-check", k), Uniform(-1.0, 1.0))
-        rows.append(_feature_row(spec, U, psi, ["bw", "ww"])[0])
-    stacked = np.stack(rows)
-    for idx in np.nonzero(~stacked.any(axis=0))[0]:
-        zero_labels.append(labels[int(idx)])
+        rows.append(_feature_row(U, psi, ["bw", "ww"]))
+    zero_labels = [labels[int(i)] for i in np.nonzero(~np.stack(rows).any(axis=0))[0]]
     report["zero_columns"] = zero_labels
     if zero_labels:
         degeneracies.append("exactly-zero bW/WW columns (vanishing connection matrix)")

@@ -261,33 +261,24 @@ def save(obj: WeightObject, path) -> None:
     jsonio.dump_path(doc, path)
 
 
-def _nested_shape_ok(value, shape) -> bool:
-    if not shape:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not isinstance(value, list) or len(value) != shape[0]:
-        return False
-    return all(_nested_shape_ok(v, shape[1:]) for v in value)
-
-
 def load(path) -> tuple[WeightSpec, WeightObject]:
     """Read a ``.mgw.json`` document; inverse of :func:`save` bit-exactly."""
     doc = jsonio.exact_keys("top-level", jsonio.load_path(path), _WEIGHT_KEYS)
     if doc["format"] != WEIGHT_FORMAT:
         raise ValidationError(f"unsupported format {doc['format']!r}")
     spec = WeightSpec(L=doc["L"], n=doc["n"], d=doc["d"])
-    batch = doc["batch"]
-    if batch is not None and (not isinstance(batch, int) or batch < 1):
-        raise ValidationError(f"batch must be null or a positive int, got {batch!r}")
+    batch = None if doc["batch"] is None else _count("batch", doc["batch"])
     prefix = (batch,) if batch is not None else ()
     if not isinstance(doc["W"], list) or len(doc["W"]) != spec.L:
         raise ValidationError("W must list one tensor per layer")
     if not isinstance(doc["b"], list) or len(doc["b"]) != spec.L:
         raise ValidationError("b must list one tensor per layer")
-    for i in range(1, spec.L + 1):
-        if not _nested_shape_ok(doc["W"][i - 1], prefix + spec.weight_shape(i)):
-            raise ValidationError(f"layer {i} weight payload has a wrong shape")
-        if not _nested_shape_ok(doc["b"][i - 1], prefix + spec.bias_shape(i)):
-            raise ValidationError(f"layer {i} bias payload has a wrong shape")
-    W = tuple(jsonio.finite(f"layer {i} weight", w) for i, w in enumerate(doc["W"], 1))
-    b = tuple(jsonio.finite(f"layer {i} bias", v) for i, v in enumerate(doc["b"], 1))
+    W = tuple(
+        jsonio.finite(f"layer {i} weight", w, prefix + spec.weight_shape(i))
+        for i, w in enumerate(doc["W"], 1)
+    )
+    b = tuple(
+        jsonio.finite(f"layer {i} bias", v, prefix + spec.bias_shape(i))
+        for i, v in enumerate(doc["b"], 1)
+    )
     return spec, WeightObject(spec, W, b, batch)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from magep import checks
+from magep.errors import ValidationError
 
 
 def test_chains_suite_passes_where_cancellation_shrank_the_chain():
@@ -25,3 +27,45 @@ def test_chains_suite_fails_on_a_perturbed_chain(monkeypatch):
     assert not rec["pass"]
     # The (2, 1, 0) identity sees exactly the 1e-9 on its right-hand side.
     assert 0.9e-9 <= rec["max_residual"] <= 1e-8
+
+
+RECORD_KEYS = ["suite", "trials", "max_residual", "tolerance", "pass", "details"]
+
+DETAIL_KEYS = {
+    "group": ["perm_parts_exact", "max_scale_residual", "scale_tolerance"],
+    "stability": [],
+    "chains": ["one_step_chain_exact"],
+    "netinv": ["mismatch_witness_residual", "witness_floor"],
+    "equiv": ["sharing_mutation"],
+    "inv": [],
+    "stack": [],
+    "oracle": [],
+    "rank": ["asserted_full_rank", "witness_deficient", "collapse_psi", "reports"],
+}
+
+
+def test_suite_records_keep_their_keys_and_order():
+    report = checks.run_suites("all", 2, 0)
+    assert [rec["suite"] for rec in report["suites"]] == list(checks.SUITE_NAMES)
+    for rec in report["suites"]:
+        assert list(rec) == RECORD_KEYS
+        assert list(rec["details"]) == DETAIL_KEYS[rec["suite"]]
+
+
+def test_a_raising_suite_yields_an_error_record(monkeypatch):
+    def broken(trials, rng, grid, tol):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(checks._SUITE_FNS, "inv", broken)
+    report = checks.run_suites("all", 2, 0)
+    rec = report["suites"][checks.SUITE_NAMES.index("inv")]
+    assert list(rec) == RECORD_KEYS
+    assert rec["max_residual"] is None and rec["pass"] is False
+    assert rec["tolerance"] == checks.DEFAULT_TOLERANCES["inv"]
+    assert rec["details"] == {"error": "RuntimeError: boom"}
+    assert report["pass"] is False
+
+
+def test_run_suites_rejects_an_unknown_selector():
+    with pytest.raises(ValidationError, match="unknown suite 'nope'"):
+        checks.run_suites("nope", 2, 0)

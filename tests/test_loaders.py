@@ -210,6 +210,10 @@ BAD_PARAMS = [
     (_invariant_file, _alias("psi", "ww", "1,0", "1,00"), "psi.ww key '1,00'"),
     (_equivariant_file, _alias("scalarsW", "2", "02"), "scalarsW must map"),
     (_equivariant_file, _alias("vecsb", "2", "Wb", "1", "+1"), "vecsb[2].Wb must map"),
+    (_invariant_file, _set("phi_1", [[True]]), "phi_1 is not a numeric"),
+    (_invariant_file, _set("phi_1", [[0.5, 0.25, 0.0], [0.5, False, 0.0]]), "phi_1 is not a numeric"),
+    (_invariant_file, _set("phi_1", [["1.5"]]), "phi_1 is not a numeric"),
+    (_equivariant_file, _set("vecsb", "2", "Wb", "1", [[True]]), "vecsb[2].Wb[1] is not a numeric"),
 ]
 
 
@@ -223,6 +227,7 @@ def test_load_params_rejects_wrong_types_and_nested_keys(tmp_path, make, edit, w
 
 @pytest.mark.parametrize("key, value", [
     ("L", "x"), ("L", 2.0), ("n", "ab"), ("n", 3), ("n", [2, None, 2, 2]), ("d", None), ("d", True),
+    ("batch", True), ("batch", 2.0), ("batch", 0),
 ])
 def test_weights_load_rejects_non_integer_spec(tmp_path, key, value):
     path = _weights_file(tmp_path)
@@ -233,10 +238,34 @@ def test_weights_load_rejects_non_integer_spec(tmp_path, key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("lambda", "x"), ("lambda", [1.0]), ("train_mse", None), ("test_mse", "0.5"), ("phi", "x"),
-    ("lambda", True),
+    ("lambda", True), ("width", True), ("width", 2.0), ("width", "2"),
 ])
 def test_load_fit_rejects_wrong_typed_scalars(tmp_path, key, value):
     path = _fit_file(tmp_path)
     _edit(path, _set(key, value))
     with pytest.raises(ValidationError, match=key):
         fitting.load_fit(path)
+
+
+def _one_row_weights(tmp_path):
+    path = tmp_path / "u1.mgw.json"
+    weightspace.save(random_weights(SPEC, Rng(1), batch=1), path)
+    return path
+
+
+def _one_column_fit(tmp_path):
+    path = tmp_path / "f1.mgfit.json"
+    fitting.save_fit(fitting.FitResult(np.ones((3, 1)), 1e-3, 0.5, 0.25), path)
+    return path
+
+
+@pytest.mark.parametrize("make, load, key", [
+    (_one_row_weights, weightspace.load, "batch"),
+    (_one_column_fit, fitting.load_fit, "width"),
+])
+def test_loaders_reject_boolean_counts(tmp_path, make, load, key):
+    # The payload has one row (one column), which a count of true would match.
+    path = make(tmp_path)
+    _edit(path, _set(key, True))
+    with pytest.raises(ValidationError, match=key):
+        load(path)
