@@ -3,7 +3,13 @@ formats.
 
 Documents are emitted with keys in exactly the order they appear in the
 source mapping, and every float is printed with 17 significant digits so
-that a write/read cycle reproduces each 64-bit value bit-exactly.
+that a write/read cycle reproduces each 64-bit value bit-exactly.  Each
+float array is formatted by one ``%`` call with a ``%.17g`` template nested
+to its shape; ``"%.17g" % x`` and ``format(x, ".17g")`` are one CPython
+conversion, so the bytes equal those of formatting one float at a time.
+
+Reading rejects ``NaN``/``Infinity`` tokens and an object that repeats a
+key, which JSON itself would resolve silently to the last value.
 """
 
 from __future__ import annotations
@@ -20,10 +26,30 @@ from .errors import ParseError, ValidationError
 __all__ = ["dumps", "dump_path", "load_path", "loads", "exact_keys", "finite"]
 
 
+def _non_finite(x: float) -> ValidationError:
+    return ValidationError(f"non-finite value {x!r} cannot be serialized")
+
+
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValidationError(f"non-finite value {x!r} cannot be serialized")
+        raise _non_finite(x)
     return format(x, ".17g")
+
+
+def _array_template(shape) -> str:
+    """``"[%.17g,...]"`` nested to ``shape``, one ``%.17g`` per entry."""
+    fmt = "%.17g"
+    for size in reversed(shape):
+        fmt = "[" + ",".join([fmt] * size) + "]"
+    return fmt
+
+
+def _emit_floats(a: np.ndarray) -> str:
+    flat = a.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise _non_finite(float(flat[finite.argmin()]))
+    return _array_template(a.shape) % tuple(flat.tolist())
 
 
 def _emit(value) -> str:
@@ -38,6 +64,9 @@ def _emit(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
+        # float16/32/64 widen to a Python float exactly; longdouble would round.
+        if value.dtype.kind == "f" and value.itemsize <= 8:
+            return _emit_floats(value)
         return _emit(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in value) + "]"
@@ -59,14 +88,26 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token} is not valid JSON")
 
 
+def _unique_keys(pairs: list) -> dict:
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ParseError(f"duplicate key {key!r} in a JSON object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def loads(text: str) -> dict:
-    """Parse one JSON object; ``NaN`` and ``Infinity`` tokens are rejected.
+    """Parse one JSON object; ``NaN`` and ``Infinity`` tokens and repeated
+    keys in one object are rejected.
 
     Numbers too large for a float (``1e999``) still parse, to ``inf``; the
     loaders reject them with one ``isfinite`` check per array.
     """
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(
+            text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", offset=exc.pos) from exc
     if not isinstance(doc, dict):

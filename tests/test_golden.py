@@ -2,14 +2,17 @@
 
 A refactor of how coefficient blocks are declared, drawn, validated or
 saved must leave the ``.mgp.json``/``.mgw.json`` bytes and the ``blocks()``
-key order exactly as they were; these digests pin them.
+key order exactly as they were; these digests pin them.  The
+``.mgfit.json`` digest is of a fixed ``phi``, not of a fit, so it pins the
+writer alone: a fit's ``phi`` may move whenever the feature arithmetic is
+reassociated.
 """
 
 import hashlib
 
 import pytest
 
-from magep import layers, weightspace
+from magep import fitting, layers, weightspace
 from magep.dense import Rng
 from magep.weightspace import WeightSpec, random_weights
 
@@ -23,6 +26,7 @@ PARAMS = {
     ("equivariant", DEEP, 4): "3995e0dfe2bae2328b4a0efafb11a92d27c3ff3e63bb66b4f6b9a6ad6e06e001",
     ("invariant", DEEP, 4): "8bece8ee7c52f8d5ea821dd5a9297e35a08f91aa5f09496bfc1170eeb93ef69c",
 }
+FIT = "de7090484f972cfce7784f96fa901bce619a4dfce30bd4dda5da232b5bcf43f6"
 WEIGHTS = "b2b62f3a163f2b82bdc543b8928c3e39f081f2f054987170088772d23d25b71a"
 KEYS = {
     "equivariant": "423abd54dc27533c39848df8d97d10d9311b3b5af15718c8b02f4551ad3f63df",
@@ -58,3 +62,10 @@ def test_weights_bytes(tmp_path):
 def test_block_key_order(kind):
     keys = "\n".join(_params(kind, DEEP, 4).blocks())
     assert hashlib.sha256(keys.encode()).hexdigest() == KEYS[kind]
+
+
+def test_fit_bytes(tmp_path):
+    path = tmp_path / "f.mgfit.json"
+    phi = Rng(13).uniform(-1.0, 1.0, (9, 3))
+    fitting.save_fit(fitting.FitResult(phi, 1e-3, 0.125, 1 / 3, True), path)
+    assert _sha(path) == FIT

@@ -104,6 +104,37 @@ def test_cli_maps_loader_errors_to_exit_2(tmp_path, monkeypatch, capsys, make, l
     assert "non-finite" in err and "Traceback" not in err
 
 
+def test_loads_rejects_duplicate_keys():
+    with pytest.raises(ParseError, match="duplicate key 'batch'"):
+        jsonio.loads('{"batch": 2, "batch": 3}')
+
+
+DUPLICATES = [
+    (_weights_file, weightspace.load, "{", "batch"),
+    (_invariant_file, layers.load_params, "{", "phi_1"),
+    (_invariant_file, layers.load_params, '"bw":{', "1,0"),
+    (_equivariant_file, layers.load_params, '"scalarsW":{', "2"),
+    (_fit_file, fitting.load_fit, "{", "width"),
+]
+
+
+@pytest.mark.parametrize("make, load, anchor, key", DUPLICATES)
+def test_loaders_reject_duplicate_keys(tmp_path, monkeypatch, capsys, make, load, anchor, key):
+    # A first ``key`` in the object that opens at ``anchor``; unchecked, the
+    # saved one after it would win.
+    path = make(tmp_path)
+    text = path.read_text()
+    assert anchor in text
+    path.write_text(text.replace(anchor, f'{anchor}"{key}":0,', 1))
+    with pytest.raises(ParseError, match=re.escape(f"duplicate key {key!r}")):
+        load(path)
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: load(path))
+    code = cli.main(["gen", "--L", "2", "--n", "1,1,1", "--count", "0"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert "duplicate key" in err and "Traceback" not in err
+
+
 def _edit(path, fn):
     doc = json.loads(path.read_text())
     fn(doc)
