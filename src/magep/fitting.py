@@ -62,7 +62,7 @@ class FitDataset:
         if objects:
             spec = objects[0].spec
             for u in objects:
-                if u.spec != spec:
+                if u.spec is not spec and u.spec != spec:
                     raise ValidationError("fit dataset must be spec-homogeneous")
                 if u.batch is not None:
                     raise ValidationError("fit dataset rows must be unbatched")
@@ -106,8 +106,9 @@ class FitResult:
 def design_matrix(objects: Sequence[WeightObject], psi: PsiParams) -> np.ndarray:
     """Feature rows ``[N, F]`` of unbatched, spec-homogeneous objects.
 
-    The objects are featurized in stacked blocks (see
-    :func:`magep.weightspace.stack_blocks`), one batched call per block.
+    The objects are featurized in stacked blocks of up to ``STACK_BLOCK``
+    rows, each one concatenation of the objects' flat vectors (see
+    :func:`magep.weightspace.stack_blocks`), with one batched call per block.
     """
     return np.concatenate([featurize(block, psi) for block in stack_blocks(objects)])
 

@@ -9,7 +9,9 @@ to its shape; ``"%.17g" % x`` and ``format(x, ".17g")`` are one CPython
 conversion, so the bytes equal those of formatting one float at a time.
 
 Reading rejects ``NaN``/``Infinity`` tokens and an object that repeats a
-key, which JSON itself would resolve silently to the last value.
+key, which JSON itself would resolve silently to the last value.  It reads
+the token ``-0``, which ``%.17g`` writes for ``-0.0``, as the float
+``-0.0``, so the sign of zero survives a write/read cycle too.
 """
 
 from __future__ import annotations
@@ -88,6 +90,11 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token} is not valid JSON")
 
 
+def _parse_int(token: str):
+    # JSON reads "-0" as the integer 0, which would drop the sign of -0.0.
+    return -0.0 if token == "-0" else int(token)
+
+
 def _unique_keys(pairs: list) -> dict:
     seen = set()
     for key, _ in pairs:
@@ -99,14 +106,17 @@ def _unique_keys(pairs: list) -> dict:
 
 def loads(text: str) -> dict:
     """Parse one JSON object; ``NaN`` and ``Infinity`` tokens and repeated
-    keys in one object are rejected.
+    keys in one object are rejected, and ``-0`` reads as ``-0.0``.
 
     Numbers too large for a float (``1e999``) still parse, to ``inf``; the
     loaders reject them with one ``isfinite`` check per array.
     """
     try:
         doc = json.loads(
-            text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys
+            text,
+            parse_int=_parse_int,
+            parse_constant=_reject_constant,
+            object_pairs_hook=_unique_keys,
         )
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc.msg}", offset=exc.pos) from exc

@@ -412,11 +412,8 @@ def _batched(U: WeightObject) -> tuple[WeightObject, bool]:
     if U.batch is not None:
         return U, True
     return (
-        WeightObject(
-            U.spec,
-            tuple(w[None] for w in U.W),
-            tuple(v[None] for v in U.b),
-            batch=1,
+        WeightObject._derived(
+            U.spec, tuple(w[None] for w in U.W), tuple(v[None] for v in U.b), 1
         ),
         False,
     )

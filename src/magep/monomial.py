@@ -258,7 +258,7 @@ def act_layers(layers: tuple[MonomialElement, ...], U: WeightObject) -> WeightOb
         w = U.weight(i)[..., rows.inv_perm[:, None], cols.inv_perm[None, :]] * ratio
         W.append(w)
         b.append(U.bias(i)[..., rows.inv_perm] * rows.scales)
-    return WeightObject(spec, tuple(W), tuple(b), U.batch)
+    return WeightObject._derived(spec, tuple(W), tuple(b), U.batch)
 
 
 def act(g: GroupElement, U: WeightObject) -> WeightObject:

@@ -55,8 +55,10 @@ def probe_targets(
     Row ``u`` concatenates ``mlp_forward(dataset[u], p, act)`` over the
     probes, giving a ``[len(dataset), len(probes) * n_L]`` matrix.  All
     objects must be unbatched and share one architecture.  The networks are
-    evaluated in stacked blocks (see :func:`magep.weightspace.stack_blocks`),
-    one batched forward per probe and block.
+    evaluated in stacked blocks of up to ``STACK_BLOCK`` rows, each one
+    concatenation of the objects' flat vectors (see
+    :func:`magep.weightspace.stack_blocks`), with one batched forward per
+    probe and block.
     """
     if not dataset:
         return np.zeros((0, 0))

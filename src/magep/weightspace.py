@@ -5,12 +5,18 @@ A weight space is fixed by the layer count ``L``, the per-layer widths
 biases (``d = 1`` for plain MLPs, ``d = kernel size`` for convolutional
 weights).  An element holds one weight tensor per layer, shaped
 ``[batch?, d, n_i, n_{i-1}]``, and one bias tensor ``[batch?, d, n_i]``.
+
+An unbatched element stores all of its entries in one contiguous vector,
+so a dataset of them is stacked with one concatenation per block (see
+:func:`stack_blocks`).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -83,13 +89,23 @@ class WeightSpec:
     def bias_shape(self, i: int) -> tuple[int, int]:
         return (self.d, self.n[i])
 
+    @cached_property
+    def _layout(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """``(start, stop, shape)`` of W^1..W^L, then b^1..b^L, in the flat
+        vector of an unbatched :class:`WeightObject`."""
+        shapes = [self.weight_shape(i) for i in range(1, self.L + 1)]
+        shapes += [self.bias_shape(i) for i in range(1, self.L + 1)]
+        layout, start = [], 0
+        for shape in shapes:
+            stop = start + prod(shape)
+            layout.append((start, stop, shape))
+            start = stop
+        return tuple(layout)
+
 
 def dim(spec: WeightSpec) -> int:
     """Total scalar entry count: sum of d*n_i*n_{i-1} + d*n_i over layers."""
-    return sum(
-        spec.d * spec.n[i] * spec.n[i - 1] + spec.d * spec.n[i]
-        for i in range(1, spec.L + 1)
-    )
+    return spec._layout[-1][1]
 
 
 @dataclass(frozen=True)
@@ -99,35 +115,52 @@ class WeightObject:
     ``W[i-1]`` and ``b[i-1]`` hold layer ``i``; prefer the 1-based accessors
     :meth:`weight` and :meth:`bias`, which match the layer indexing used
     throughout the numerics.
+
+    An unbatched object keeps every entry in ``flat``, one contiguous
+    float64 vector of length ``dim(spec)``: W^1..W^L, then b^1..b^L, each
+    row-major.  Its ``W`` and ``b`` are views of ``flat``, so a write to one
+    shows in the other.  Construction copies the given tensors into a fresh
+    vector: changing them afterwards leaves the object as it was.  A batched
+    object keeps the per-layer arrays it is given, without a copy, and its
+    ``flat`` is ``None``.
     """
 
     spec: WeightSpec
     W: tuple[np.ndarray, ...]
     b: tuple[np.ndarray, ...]
     batch: int | None = field(default=None)
+    flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = tuple(tensor(w) for w in self.W)
         b = tuple(tensor(v) for v in self.b)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
         spec = self.spec
         if len(W) != spec.L or len(b) != spec.L:
             raise ValidationError(
                 f"expected {spec.L} weight and bias tensors, got {len(W)} and {len(b)}"
             )
         prefix = (self.batch,) if self.batch is not None else ()
-        for i in range(1, spec.L + 1):
-            want_w = prefix + spec.weight_shape(i)
-            want_b = prefix + spec.bias_shape(i)
-            if W[i - 1].shape != want_w:
-                raise ValidationError(
-                    f"layer {i} weight has shape {W[i - 1].shape}, expected {want_w}"
-                )
-            if b[i - 1].shape != want_b:
-                raise ValidationError(
-                    f"layer {i} bias has shape {b[i - 1].shape}, expected {want_b}"
-                )
+        for k, (a, (_, _, shape)) in enumerate(zip(W + b, spec._layout)):
+            if a.shape != prefix + shape:
+                what = f"layer {k + 1} weight" if k < spec.L else f"layer {k + 1 - spec.L} bias"
+                raise ValidationError(f"{what} has shape {a.shape}, expected {prefix + shape}")
+        _assign(self, spec, W, b, self.batch)
+
+    @classmethod
+    def _derived(
+        cls, spec: WeightSpec, W=(), b=(), batch: int | None = None, flat=None
+    ) -> "WeightObject":
+        """Package-internal constructor for float64 tensors whose shapes the
+        caller derived from ``spec``: they are not checked again.  An
+        unbatched object may be given its fresh vector ``flat`` instead."""
+        obj = object.__new__(cls)
+        _assign(obj, spec, W, b, batch, flat)
+        return obj
+
+    def __reduce__(self):
+        # Copies and unpickled objects are rebuilt by the constructor, so
+        # their W and b are again views of their own vector.
+        return (type(self), (self.spec, self.W, self.b, self.batch))
 
     def weight(self, i: int) -> np.ndarray:
         return self.W[i - 1]
@@ -140,16 +173,19 @@ class WeightObject:
         if self.batch is None:
             raise ValidationError("rows() needs a batched weight object")
         W = tuple(w[lo:hi] for w in self.W)
-        return WeightObject(self.spec, W, tuple(v[lo:hi] for v in self.b), W[0].shape[0])
+        return WeightObject._derived(
+            self.spec, W, tuple(v[lo:hi] for v in self.b), W[0].shape[0]
+        )
 
     def map(self, fn) -> "WeightObject":
-        """Apply ``fn`` to every weight and bias tensor."""
-        return WeightObject(
-            self.spec,
-            tuple(fn(w) for w in self.W),
-            tuple(fn(v) for v in self.b),
-            self.batch,
-        )
+        """Apply ``fn`` to every weight and bias tensor; each result must
+        keep its tensor's shape."""
+        old = self.W + self.b
+        new = tuple(tensor(fn(a)) for a in old)
+        if any(a.shape != c.shape for a, c in zip(old, new)):
+            raise ValidationError("map() must keep the shape of every tensor")
+        L = self.spec.L
+        return WeightObject._derived(self.spec, new[:L], new[L:], self.batch)
 
     def allclose(self, other: "WeightObject", atol: float = 0.0, rtol: float = 0.0) -> bool:
         if self.spec != other.spec or self.batch != other.batch:
@@ -169,13 +205,21 @@ class WeightObject:
 
     @classmethod
     def zeros(cls, spec: WeightSpec, batch: int | None = None) -> "WeightObject":
-        prefix = (batch,) if batch is not None else ()
-        return cls(
-            spec,
-            tuple(np.zeros(prefix + spec.weight_shape(i)) for i in range(1, spec.L + 1)),
-            tuple(np.zeros(prefix + spec.bias_shape(i)) for i in range(1, spec.L + 1)),
-            batch,
-        )
+        if batch is None:
+            return cls._derived(spec, flat=np.zeros(dim(spec)))
+        parts = [np.zeros((batch,) + shape) for _, _, shape in spec._layout]
+        return cls._derived(spec, tuple(parts[: spec.L]), tuple(parts[spec.L :]), batch)
+
+
+def _assign(obj: WeightObject, spec: WeightSpec, W, b, batch, flat=None) -> None:
+    """Set the fields of ``obj``.  Unbatched, ``W`` and ``b`` become views of
+    ``flat``, by default a fresh vector holding a copy of them."""
+    if batch is None:
+        if flat is None:
+            flat = np.concatenate(W + b, axis=None)
+        parts = [flat[start:stop].reshape(shape) for start, stop, shape in spec._layout]
+        W, b = tuple(parts[: spec.L]), tuple(parts[spec.L :])
+    obj.__dict__.update(spec=spec, W=W, b=b, batch=batch, flat=flat)
 
 
 @dataclass(frozen=True)
@@ -210,37 +254,42 @@ def random_weights(
     dist: Uniform | Gaussian = Uniform(-1.0, 1.0),
     batch: int | None = None,
 ) -> WeightObject:
-    """Draw every entry i.i.d. from ``dist``; deterministic given the seed."""
-    prefix = (batch,) if batch is not None else ()
-    W = tuple(
-        dist.sample(rng, prefix + spec.weight_shape(i)) for i in range(1, spec.L + 1)
-    )
-    b = tuple(
-        dist.sample(rng, prefix + spec.bias_shape(i)) for i in range(1, spec.L + 1)
-    )
-    return WeightObject(spec, W, b, batch)
+    """Draw every entry i.i.d. from ``dist``; deterministic given the seed.
+
+    The stream fills W^1..W^L, then b^1..b^L, each row-major; an unbatched
+    object draws its whole vector in that order with one call.
+    """
+    if batch is None:
+        return WeightObject._derived(spec, flat=dist.sample(rng, (dim(spec),)))
+    parts = [dist.sample(rng, (batch,) + shape) for _, _, shape in spec._layout]
+    return WeightObject._derived(spec, tuple(parts[: spec.L]), tuple(parts[spec.L :]), batch)
 
 
 def stack_blocks(objects: Sequence[WeightObject]) -> Iterator[WeightObject]:
     """Batched objects of up to :data:`STACK_BLOCK` consecutive rows each.
 
     The inputs must be unbatched and share one spec; row ``k`` of the
-    ``j``-th block is ``objects[j * STACK_BLOCK + k]``.
+    ``j``-th block is ``objects[j * STACK_BLOCK + k]``.  A block is one
+    concatenation of the rows' flat vectors, viewed as ``[B, dim(spec)]``,
+    then one C-contiguous copy per weight and bias tensor; no copy of the
+    whole dataset is held at once.
     """
     if not objects:
         return
     spec = objects[0].spec
     for u in objects:
-        if u.spec != spec or u.batch is not None:
+        if u.batch is not None or (u.spec is not spec and u.spec != spec):
             raise ValidationError("stacking needs unbatched weight objects of one spec")
     for lo in range(0, len(objects), STACK_BLOCK):
         rows = objects[lo : lo + STACK_BLOCK]
-        yield WeightObject(
-            spec,
-            tuple(np.stack(layer) for layer in zip(*(u.W for u in rows))),
-            tuple(np.stack(layer) for layer in zip(*(u.b for u in rows))),
-            batch=len(rows),
+        B = len(rows)
+        flat = np.concatenate([u.flat for u in rows]).reshape(B, -1)
+        parts = tuple(
+            np.ascontiguousarray(flat[:, start:stop]).reshape((B,) + shape)
+            for start, stop, shape in spec._layout
         )
+        del flat  # not held while the caller works on the block
+        yield WeightObject._derived(spec, parts[: spec.L], parts[spec.L :], B)
 
 
 _WEIGHT_KEYS = ("format", "L", "n", "d", "batch", "W", "b")
@@ -281,4 +330,4 @@ def load(path) -> tuple[WeightSpec, WeightObject]:
         jsonio.finite(f"layer {i} bias", v, prefix + spec.bias_shape(i))
         for i, v in enumerate(doc["b"], 1)
     )
-    return spec, WeightObject(spec, W, b, batch)
+    return spec, WeightObject._derived(spec, W, b, batch)

@@ -14,11 +14,13 @@ import pytest
 
 from magep import fitting, layers, weightspace
 from magep.dense import Rng
-from magep.weightspace import WeightSpec, random_weights
+from magep.weightspace import Gaussian, Uniform, WeightSpec, random_weights
 
 SMALL = WeightSpec(2, (1, 2, 1), 1)
 # mid[2] and mid[3], and b_wb for t = 1, 2.
 DEEP = WeightSpec(4, (3, 16, 5, 16, 2), 2)
+# The spec of the probe-fit benchmark workload.
+PROBE = WeightSpec(4, (4, 16, 16, 16, 4), 1)
 
 PARAMS = {
     ("equivariant", SMALL, 1): "23c6184f7c490f587000339aacc53475c0edde78ee9236b909b7782e13d304bd",
@@ -28,6 +30,11 @@ PARAMS = {
 }
 FIT = "de7090484f972cfce7784f96fa901bce619a4dfce30bd4dda5da232b5bcf43f6"
 WEIGHTS = "b2b62f3a163f2b82bdc543b8928c3e39f081f2f054987170088772d23d25b71a"
+# Unbatched draws: the stream order of every layer's weights, then biases.
+UNBATCHED = {
+    "uniform-d2": "471aa709933691a41b64d84d1e216a38580a261099f43e1e2f621c7b6229a4eb",
+    "gaussian-probe": "ee10bc8178c67f03ba51a18ef54306d3a2227b62a737d6d4fd2627f684de9bec",
+}
 KEYS = {
     "equivariant": "423abd54dc27533c39848df8d97d10d9311b3b5af15718c8b02f4551ad3f63df",
     "invariant": "52416040c049a3fcb7fc3550cdc32f3d445a179d73736765fa7f7793ac970ff3",
@@ -56,6 +63,19 @@ def test_weights_bytes(tmp_path):
     path = tmp_path / "u.mgw.json"
     weightspace.save(random_weights(DEEP, Rng(12), batch=2), path)
     assert _sha(path) == WEIGHTS
+
+
+def _unbatched(name):
+    if name == "uniform-d2":
+        return random_weights(DEEP, Rng(14), Uniform(-1.0, 1.0))
+    return random_weights(PROBE, Rng(15), Gaussian(0.0, 2.0))
+
+
+@pytest.mark.parametrize("name", list(UNBATCHED))
+def test_unbatched_weights_bytes(tmp_path, name):
+    path = tmp_path / "u.mgw.json"
+    weightspace.save(_unbatched(name), path)
+    assert _sha(path) == UNBATCHED[name]
 
 
 @pytest.mark.parametrize("kind", list(KEYS))

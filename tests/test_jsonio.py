@@ -1,5 +1,6 @@
 """The array emitter writes the same bytes as formatting one float at a time,
-and the writers refuse non-finite values before touching the file system."""
+the reader gives back every bit, the sign of zero included, and the writers
+refuse non-finite values before touching the file system."""
 
 import json
 import math
@@ -95,10 +96,10 @@ def test_dumps_matches_reference_and_round_trips(a):
     doc = {"a": a, "b": [a, 1, None]}
     text = jsonio.dumps(doc)
     assert text == _reference_emit(doc)
-    back = np.asarray(json.loads(text)["a"], dtype=np.float64)
-    # "%.17g" writes -0.0 as "-0", which JSON reads as the integer 0, so a
-    # reload gives +0.0: the one value whose bits do not survive.
-    want = a.astype(np.float64) + 0.0
+    # Every bit survives, the sign of zero included: "%.17g" writes -0.0 as
+    # "-0", which the reader takes back as -0.0.
+    back = np.asarray(jsonio.loads(text)["a"], dtype=np.float64)
+    want = a.astype(np.float64)
     if 0 in want.shape:  # JSON keeps no axis after a zero-length one: "[]"
         want = want.reshape(want.shape[: want.shape.index(0) + 1])
     assert back.shape == want.shape
@@ -110,6 +111,39 @@ def test_row_views_match_reference(lo, hi):
     U = random_weights(SPEC, Rng(8), batch=4).rows(lo, hi)
     doc = {"W": list(U.W), "b": list(U.b)}
     assert jsonio.dumps(doc) == _reference_emit(doc)
+
+
+def test_loads_reads_negative_zero_as_a_float():
+    doc = jsonio.loads('{"a": [-0, 0, -0.0, 3, -7]}')
+    assert doc["a"] == [0.0, 0, 0.0, 3, -7]
+    assert [type(x) for x in doc["a"]] == [float, int, float, int, int]
+    assert np.signbit(doc["a"]).tolist() == [True, False, True, False, True]
+
+
+def _signed_zeros(a):
+    return np.where(a > 0, 0.0, -0.0)
+
+
+def test_loaders_keep_the_sign_of_zero(tmp_path):
+    U = random_weights(SPEC, Rng(5)).map(_signed_zeros)
+    assert any(np.signbit(w).any() and not np.signbit(w).all() for w in U.W)
+    weightspace.save(U, tmp_path / "u.mgw.json")
+    _, back = weightspace.load(tmp_path / "u.mgw.json")
+    assert np.array_equal(np.signbit(back.flat), np.signbit(U.flat))
+
+    for params in (
+        layers.init_equivariant(SPEC, 2, Rng(6), scale=0.0),
+        layers.init_invariant(SPEC, 2, 3, Rng(7), scale=0.0),
+    ):
+        layers.save_params(params, tmp_path / "p.mgp.json")
+        blocks = layers.load_params(tmp_path / "p.mgp.json").blocks()
+        assert blocks.keys() == params.blocks().keys()
+        assert all(np.signbit(v).all() for v in blocks.values())
+
+    phi = _signed_zeros(Rng(8).uniform(-1.0, 1.0, (5, 2)))
+    fitting.save_fit(fitting.FitResult(phi, 1e-3, 0.5, 0.25), tmp_path / "f.mgfit.json")
+    back_phi = fitting.load_fit(tmp_path / "f.mgfit.json").phi
+    assert np.array_equal(np.signbit(back_phi), np.signbit(phi))
 
 
 def _save_weights(bad, path):

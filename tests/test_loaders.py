@@ -278,6 +278,21 @@ def test_load_fit_rejects_wrong_typed_scalars(tmp_path, key, value):
         fitting.load_fit(path)
 
 
+@pytest.mark.parametrize("make, load, key", [
+    (_weights_file, weightspace.load, "L"),
+    (_weights_file, weightspace.load, "batch"),
+    (_fit_file, fitting.load_fit, "width"),
+])
+def test_negative_zero_count_is_rejected(tmp_path, make, load, key):
+    # The token -0 reads as the float -0.0, which no count accepts.
+    path = make(tmp_path)
+    text, count = re.subn(f'"{key}":[0-9]+', f'"{key}":-0', path.read_text(), count=1)
+    assert count == 1
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="integer"):
+        load(path)
+
+
 def _one_row_weights(tmp_path):
     path = tmp_path / "u1.mgw.json"
     weightspace.save(random_weights(SPEC, Rng(1), batch=1), path)

@@ -1,8 +1,11 @@
-"""The package's public surface and its coefficient block declarations."""
+"""The package's public surface, the functions the benchmark traces, and the
+coefficient block declarations."""
 
 import importlib
 import pkgutil
+import runpy
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +31,17 @@ def test_declared_blocks_are_the_coefficient_fields():
         declared = [f.name for f in fields(cls) if "block" in f.metadata]
         assert declared == [f.name for f in fields(cls) if f.name.startswith("phi")]
     assert all("block" in f.metadata for f in fields(MiddleBlocks))
+
+
+def test_traced_functions_resolve():
+    # perfbench/tracing.py wraps these by name; a renamed function would
+    # drop out of a traced run without an error.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    traced = runpy.run_path(str(tracing))["TRACED"]
+    assert traced
+    missing = [
+        f"{module}.{name}"
+        for module, name in traced
+        if not callable(getattr(importlib.import_module(f"magep.{module}"), name, None))
+    ]
+    assert not missing, f"traced names {missing} do not exist"

@@ -1,9 +1,14 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from magep.dense import Rng
 from magep.errors import ParseError, ValidationError
+from magep.fitting import FitDataset
 from magep.weightspace import (
+    STACK_BLOCK,
     Gaussian,
     Uniform,
     WeightObject,
@@ -12,7 +17,12 @@ from magep.weightspace import (
     load,
     random_weights,
     save,
+    stack_blocks,
 )
+
+# The probe-fit spec, and a d=2 spec with unequal widths.
+PROBE = WeightSpec(4, (4, 16, 16, 16, 4), 1)
+CHANNELS = WeightSpec(3, (2, 3, 1, 2), 2)
 
 
 def test_dim_hand_values():
@@ -173,3 +183,83 @@ def test_spec_coerces_integer_fields():
     for bad in [{"L": 2.0}, {"n": (1, 2.5, 1)}, {"n": 3}, {"d": "1"}, {"d": True}]:
         with pytest.raises(ValidationError, match="integer|sequence"):
             WeightSpec(**{"L": 2, "n": (1, 2, 1), "d": 1, **bad})
+
+
+def test_unbatched_tensors_are_views_of_one_vector():
+    U = random_weights(CHANNELS, Rng(6))
+    assert U.flat.shape == (dim(CHANNELS),) and U.flat.flags.c_contiguous
+    parts = U.W + U.b
+    assert all(np.shares_memory(a, U.flat) for a in parts)
+    assert np.array_equal(np.concatenate([a.ravel() for a in parts]), U.flat)
+    U.flat[-1] = 7.5  # the last entry of b^L
+    assert U.bias(CHANNELS.L)[-1, -1] == 7.5
+    U.weight(2)[1, 0, 2] = -3.0
+    start = np.prod(CHANNELS.weight_shape(1))
+    assert U.flat[start + np.ravel_multi_index((1, 0, 2), CHANNELS.weight_shape(2))] == -3.0
+    assert random_weights(CHANNELS, Rng(6), batch=2).flat is None
+
+
+def test_construction_copies_the_given_tensors():
+    W = [np.ones(CHANNELS.weight_shape(i)) for i in range(1, CHANNELS.L + 1)]
+    b = [np.ones(CHANNELS.bias_shape(i)) for i in range(1, CHANNELS.L + 1)]
+    U = WeightObject(CHANNELS, W, b)
+    W[0][...] = 5.0
+    b[2][...] = 5.0
+    assert np.all(U.flat == 1.0)
+    assert not any(np.shares_memory(a, c) for a, c in zip(U.W + U.b, W + b))
+    # Derived objects own fresh vectors too.
+    for V in (U.map(lambda a: a), WeightObject.zeros(CHANNELS)):
+        assert not np.shares_memory(V.flat, U.flat)
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+def test_copies_keep_their_own_vector(batch):
+    U = random_weights(CHANNELS, Rng(3), batch=batch)
+    for V in (copy.copy(U), copy.deepcopy(U), pickle.loads(pickle.dumps(U))):
+        assert V.equal(U)
+        if batch is None:
+            assert all(np.shares_memory(a, V.flat) for a in V.W + V.b)
+            assert not np.shares_memory(V.flat, U.flat)
+
+
+def test_map_keeps_shapes():
+    U = random_weights(CHANNELS, Rng(2))
+    assert U.map(np.negative).equal(WeightObject(CHANNELS, [-w for w in U.W], [-v for v in U.b]))
+    with pytest.raises(ValidationError, match="shape"):
+        U.map(lambda a: a.ravel())
+
+
+def _reference_stack(rows):
+    """Per-layer ``np.stack``, the way blocks were built before flat vectors."""
+    return [np.stack(layer) for layer in zip(*(u.W + u.b for u in rows))]
+
+
+@pytest.mark.parametrize("spec", [PROBE, CHANNELS], ids=["probe", "d2"])
+def test_stack_blocks_equals_per_layer_stack(spec):
+    objects = [random_weights(spec, Rng(9).child(k)) for k in range(2 * STACK_BLOCK + 1)]
+    blocks = list(stack_blocks(objects))
+    assert [blk.batch for blk in blocks] == [STACK_BLOCK, STACK_BLOCK, 1]
+    for j, blk in enumerate(blocks):
+        want = _reference_stack(objects[j * STACK_BLOCK : (j + 1) * STACK_BLOCK])
+        for got, ref in zip(blk.W + blk.b, want):
+            assert got.flags.c_contiguous and got.dtype == np.float64
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_equal_specs_need_not_be_identical():
+    twin = WeightSpec(CHANNELS.L, list(CHANNELS.n), CHANNELS.d)
+    assert twin == CHANNELS and twin is not CHANNELS
+    objects = [random_weights(CHANNELS, Rng(1)), random_weights(twin, Rng(2))]
+    (block,) = stack_blocks(objects)
+    assert block.batch == 2
+    assert len(FitDataset(objects, np.zeros(2))) == 2
+
+    other = random_weights(WeightSpec(3, (2, 3, 2, 2), 2), Rng(3))
+    with pytest.raises(ValidationError, match="one spec"):
+        list(stack_blocks(objects + [other]))
+    with pytest.raises(ValidationError, match="spec-homogeneous"):
+        FitDataset(objects + [other], np.zeros(3))
+    batched = random_weights(CHANNELS, Rng(4), batch=1)
+    with pytest.raises(ValidationError, match="unbatched"):
+        list(stack_blocks(objects + [batched]))
