@@ -40,9 +40,15 @@ feature rows times the coefficient blocks packed in the same order.
 Each coefficient block is declared once, on its dataclass field: its shape
 and fan-in as size names, its table keys, and for interior blocks its slot
 in the file.  The shape and key checks, the random initialization (in
-field order), ``blocks()``, the parameter counts, the feature packing and
-the ``.mgp.json`` reader and writer are all derived from these
-declarations.
+field order), ``blocks()``, the parameter counts and the ``.mgp.json``
+reader and writer are all derived from these declarations.
+
+A params object packs its blocks once, at construction, into the buffers
+its forward's GEMMs read: an invariant map's ``[e, F, m]`` tensor in
+feature order (also the last-layer bias row's), the last weight row's
+``[e n_L, 3 d n_L]`` matrix, and the boundary rows' ``[d, 3 n0 + c, e k]``
+matrices.  Every block is a view of its place in a buffer, so a write to
+a block reaches the next forward and nothing packed can go stale.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from . import jsonio
 from .activations import Activation
 from .dense import Rng, serial_matmul, tensor
 from .errors import ConfigurationError, ValidationError
-from .stableterms import PsiParams, _chains, _features, featurize, in_feature_order, psi_indices
+from .stableterms import PsiParams, _chains, _features, featurize, psi_indices
 from .weightspace import WeightObject, WeightSpec, _count
 
 __all__ = [
@@ -204,6 +210,11 @@ class _Layer:
         if self.psi.spec.n != self.spec.n or self.psi.spec.L != self.spec.L:
             raise ValidationError("psi was built for a different architecture")
 
+    def __reduce__(self):
+        # Copies and unpickled objects are rebuilt by the constructor, so
+        # their blocks are again views of their own buffers.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
     def blocks(self) -> dict[str, np.ndarray]:
         """Flat view of every stored coefficient block, keyed by name.
 
@@ -225,7 +236,7 @@ class _Layer:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MiddleBlocks:
     """Coefficient blocks of one interior layer ``1 < i < L``."""
 
@@ -239,7 +250,7 @@ class MiddleBlocks:
     b_b: np.ndarray = _block("d e", "1", slot="vecsb.b")  # [b]^(i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivariantParams(_Layer):
     spec: WeightSpec  # input architecture; spec.d is the input channel count
     e: int            # output channel count
@@ -267,32 +278,44 @@ class EquivariantParams(_Layer):
 
     def __post_init__(self):
         spec, e = self.spec, _count("output channel count e", self.e)
-        nL, interior = spec.n[-1], range(2, spec.L)
-        _assign(self, {"e": e, **_checked(self, _layout(EquivariantParams, spec, e, nL))})
+        d, n0, nL, interior = spec.d, spec.n[0], spec.n[-1], range(2, spec.L)
+        layout = _layout(EquivariantParams, spec, e, nL)
+        blocks = _checked(self, layout)
         mid = dict(self.mid)
         if mid.keys() != set(interior):
             raise ValidationError(f"mid must be keyed by layers {tuple(interior)}")
-        checked = {
-            i: MiddleBlocks(**_checked(mid[i], _layout(MiddleBlocks, spec, e, nL, i), f"mid[{i}]."))
+        mid = {
+            i: _checked(mid[i], _layout(MiddleBlocks, spec, e, nL, i), f"mid[{i}].")
             for i in interior
         }
-        object.__setattr__(self, "mid", checked)
         self._check_psi()
+        packed = {
+            "_last_bias": _pack(blocks, *_feature_buffer(self, "phib_L_", layout)),
+            "_last_weight": _pack(blocks, *_last_weight_buffer(d, e, nL)),
+            "_first_rows": _pack(blocks, *_first_rows_buffer(d, e, n0)),
+            "_interior": {
+                i: (_pack(m, *_scalars_buffer(d, e)), _pack(m, *_interior_rows_buffer(d, e, n0, i)))
+                for i, m in mid.items()
+            },
+            "_out_spec": WeightSpec(spec.L, spec.n, e),
+        }
+        mid = {i: MiddleBlocks(**m) for i, m in mid.items()}
+        _assign(self, {"e": e, **blocks, "mid": mid, **packed})
 
     def out_spec(self) -> WeightSpec:
-        return WeightSpec(self.spec.L, self.spec.n, self.e)
+        return self._out_spec
 
     def last_bias_packed(self) -> np.ndarray:
         """The ``phib_L_*`` blocks as one ``[e, F, n_L]`` tensor in feature order.
 
         The last-layer bias row is the invariant map of the features with
         ``d_out = n_L``: ``b^(L)[i, j]`` is ``featurize(U) @ P[i, :, j]``.
-        Built on every call, so in-place edits of the blocks take effect.
+        This is the buffer the ``phib_L_*`` blocks are views of, not a copy.
         """
-        return _pack_features(self, "phib_L_")
+        return self._last_bias
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantParams(_Layer):
     spec: WeightSpec
     e: int        # output channel count
@@ -310,18 +333,20 @@ class InvariantParams(_Layer):
     def __post_init__(self):
         e = _count("output channel count e", self.e)
         d_out = _count("output width d_out", self.d_out)
-        blocks = _checked(self, _layout(InvariantParams, self.spec, e, d_out))
-        _assign(self, {"e": e, "d_out": d_out, **blocks})
+        layout = _layout(InvariantParams, self.spec, e, d_out)
+        blocks = _checked(self, layout)
         self._check_psi()
+        packed = _pack(blocks, *_feature_buffer(self, "phi_", layout))
+        _assign(self, {"e": e, "d_out": d_out, **blocks, "_packed": packed})
 
     def packed(self) -> np.ndarray:
         """All blocks as one ``[e, F, d_out]`` tensor in feature order.
 
         ``P[i, f, k]`` is the coefficient of feature ``f`` of
-        :func:`magep.stableterms.featurize` in output ``[i, k]``.  Built on
-        every call, so in-place edits of the blocks take effect.
+        :func:`magep.stableterms.featurize` in output ``[i, k]``.  This is
+        the buffer the blocks are views of, not a copy.
         """
-        return _pack_features(self, "phi_")
+        return self._packed
 
 
 # Name suffixes of an invariant map's blocks, in the order of
@@ -329,40 +354,89 @@ class InvariantParams(_Layer):
 _FEATURE_SLOTS = ("WWLL", "WL0", "trWW", "bWLL0", "Wb", "trbW", "b", "1")
 
 
-@cache
-def _feature_fields(cls, prefix: str) -> tuple[tuple[str, bool, bool], ...]:
-    """``(name, channel-major, table)`` of the blocks ``prefix + slot``."""
-    decls = dict(_declared(cls))
-    return tuple(
-        (name, decls[name].shape[0] == "d", decls[name].keys is not None)
-        for name in (prefix + slot for slot in _FEATURE_SLOTS)
-    )
-
-
-def _pack_features(params, prefix: str) -> np.ndarray:
-    """The blocks ``prefix + slot`` of an invariant map as one ``[e, F, m]`` tensor.
-
-    Each block enters as an ``[e, d, k, m]`` view, its feature axes (none
-    for a trace) flattened to ``k``; ``[d, e, ...]`` blocks swap their
-    first two axes, and a table is stacked in descending key order.  The
-    constant row ``[e, m]`` comes last, so the blocks are copied once.
-    """
-    *parts, (const, _, _) = _feature_fields(type(params), prefix)
-    const = getattr(params, const)
-    L, m = params.spec.L, const.shape[-1]
-
-    def features(v):
-        return v.reshape(v.shape[0], v.shape[1], -1, m)
-
-    blocks = []
-    for name, swap, table in parts:
-        value = getattr(params, name)
-        if table:
-            value = np.concatenate([features(value[k]) for k in range(L - 1, 0, -1)], axis=2)
+def _pack(blocks: dict, buf: np.ndarray, views: dict) -> np.ndarray:
+    """Copy each of ``blocks`` into its view of ``buf`` (a table entry by
+    entry), then make the views the blocks; returns ``buf``."""
+    for name, view in views.items():
+        if isinstance(view, dict):
+            for k, v in view.items():
+                v[...] = blocks[name][k]
         else:
-            value = features(value)
-        blocks.append(value.swapaxes(0, 1) if swap else value)
-    return in_feature_order(*blocks, const[:, None], axis=-2)
+            view[...] = blocks[name]
+    blocks.update(views)
+    return buf
+
+
+# Each function below allocates one GEMM buffer of the forward and returns
+# it with the views of the blocks it holds: it reshapes the buffer back into
+# the tensor the blocks concatenate to, then undoes the axis swaps.
+
+
+def _feature_buffer(params, prefix: str, layout) -> tuple[np.ndarray, dict]:
+    """``[e, F, m]``: the blocks ``prefix + slot`` of an invariant map in
+    feature order.  For each channel, the blocks in slot order, each
+    flattened to its feature entries (none for a trace), a table in
+    descending key order; then the constant row ``[e, m]``.  ``[d, e, ...]``
+    blocks view it with their first two axes swapped."""
+    decls, d = dict(_declared(type(params))), params.spec.d
+    cells = {name: c for name, _, c in layout}
+    *parts, const = (prefix + slot for slot in _FEATURE_SLOTS)
+    e, m = cells[const][0][1]
+    width = sum(math.prod(shape[2:-1]) for name in parts for _, shape, _ in cells[name])
+    buf = np.empty((e, d * width + 1, m))
+    body = buf[:, :-1].reshape(e, d, width, m, copy=False)
+    views, start = {const: buf[:, -1]}, 0
+    for name in parts:
+        entries = {}
+        for k, shape, _ in cells[name][::-1]:
+            stop = start + math.prod(shape[2:-1])
+            view = body[:, :, start:stop].reshape((e, d) + shape[2:], copy=False)
+            entries[k] = view.swapaxes(0, 1) if decls[name].shape[0] == "d" else view
+            start = stop
+        views[name] = entries.pop(None) if None in entries else dict(reversed(entries.items()))
+    return buf, views
+
+
+def _last_weight_buffer(d: int, e: int, nL: int) -> tuple[np.ndarray, dict]:
+    """``[e n_L, 3 d n_L]``: the last weight row's blocks ``[e, d, p, q]``
+    at row ``(o, q)``, column ``(block, c, p)``."""
+    buf = np.empty((e * nL, 3 * d * nL))
+    cols = buf.reshape(e, nL, 3, d, nL, copy=False)
+    names = ("phiW_L_W", "phiW_L_WW", "phiW_L_bW")
+    return buf, {name: cols[:, :, f].transpose(0, 2, 3, 1) for f, name in enumerate(names)}
+
+
+def _row_views(buf: np.ndarray, n0: int, k: tuple) -> list[np.ndarray]:
+    """The blocks of a boundary row as views of its ``[d, 3 n0 + c, e k]``
+    coefficients, per input channel: the three ``[d, e, n0, *k]`` blocks of
+    ``[W]^(i,0)``, ``[WW]^(i,0)(L,0)`` and ``[bW]^(i)(L,0)``, then the
+    ``c`` ``[d, e, *k]`` blocks of the per-channel columns, in the order of
+    the row terms built in :func:`equivariant_forward`."""
+    d = buf.shape[0]
+    h = buf[:, : 3 * n0].reshape((d, 3, n0, -1) + k, copy=False).swapaxes(2, 3)
+    t = buf[:, 3 * n0 :].reshape((d, -1, h.shape[2]) + k, copy=False)
+    return [*h.swapaxes(0, 1), *t.swapaxes(0, 1)]
+
+
+def _first_rows_buffer(d: int, e: int, n0: int) -> tuple[np.ndarray, dict]:
+    """``[d, 3 n0 + 1, e n0 + e]``: the first weight row's, then bias row's."""
+    buf = np.empty((d, 3 * n0 + 1, e * n0 + e))
+    views = _row_views(buf[..., : e * n0], n0, (n0,)) + _row_views(buf[..., e * n0 :], n0, ())
+    names = [f"{row}_1_{term}" for row in ("phiW", "phib") for term in ("W", "WW", "bW", "b")]
+    return buf, dict(zip(names, views))
+
+
+def _interior_rows_buffer(d: int, e: int, n0: int, i: int) -> tuple[np.ndarray, dict]:
+    """``[d, 3 n0 + i, e]``: the bias row of interior layer ``i``."""
+    buf = np.empty((d, 3 * n0 + i, e))
+    w, ww, bw, *wb, b = _row_views(buf, n0, ())
+    return buf, {"b_w": w, "b_ww": ww, "b_bw": bw, "b_wb": dict(enumerate(wb, 1)), "b_b": b}
+
+
+def _scalars_buffer(d: int, e: int) -> tuple[np.ndarray, dict]:
+    """``[3 d, e]``: an interior weight row's scalars, read as the transpose."""
+    buf = np.empty((3 * d, e))
+    return buf, dict(zip(("w", "ww", "bw"), buf.reshape(3, d, e, copy=False)))
 
 
 def init_equivariant(
@@ -426,20 +500,6 @@ def _check_input(params, U: WeightObject) -> None:
         )
 
 
-def _row_coefficients(heads, tail) -> np.ndarray:
-    """``[d, 3 n0 + c, e k]`` coefficients of a boundary row, per input channel.
-
-    ``heads`` are the three ``[d, e, n0, *k]`` blocks of ``[W]^(i,0)``,
-    ``[WW]^(i,0)(L,0)`` and ``[bW]^(i)(L,0)``; ``tail`` the ``c`` blocks
-    ``[d, e, *k]`` of the per-channel columns.  The middle axis follows the
-    columns of the row terms built in :func:`equivariant_forward`.
-    """
-    h = np.array(heads).swapaxes(2, 3).swapaxes(0, 1)  # [d, 3, n0, e, *k]
-    t = np.array(tail).swapaxes(0, 1)  # [d, c, e, *k]
-    d = t.shape[0]
-    return np.concatenate([h.reshape(d, 3 * h.shape[2], -1), t.reshape(d, t.shape[1], -1)], axis=1)
-
-
 def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObject:
     """Apply the equivariant layer, mapping d input channels to e output ones."""
     _check_input(params, U)
@@ -467,54 +527,37 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
 
     # Last layer: the three weight terms mix over their row index in one
     # GEMM; the bias row is the invariant map of the feature rows.
-    coef = np.concatenate([params.phiW_L_W, params.phiW_L_WW, params.phiW_L_bW], axis=1)
-    coef = coef.transpose(0, 3, 1, 2).reshape(e * n[L], 3 * d * n[L])
     terms = weight_terms(L).reshape(B, 3 * d * n[L], n[L - 1])
-    W_out[L - 1] = serial_matmul(coef, terms).reshape(B, e, n[L], n[L - 1])
+    W_out[L - 1] = serial_matmul(params._last_weight, terms).reshape(B, e, n[L], n[L - 1])
     X = _features(V, psi, suffix, prefix)
-    b_out[L - 1] = serial_matmul(X, params.last_bias_packed()).swapaxes(0, 1)
+    b_out[L - 1] = serial_matmul(X, params._last_bias).swapaxes(0, 1)
 
     # First layer: the weight and bias rows share the GEMMs over the
     # column-mixing terms and the bias.
     tail = V.bias(1)[..., None]
-    coef = np.concatenate(
-        [
-            _row_coefficients(
-                [params.phiW_1_W, params.phiW_1_WW, params.phiW_1_bW], [params.phiW_1_b]
-            ),
-            _row_coefficients(
-                [params.phib_1_W, params.phib_1_WW, params.phib_1_bW], [params.phib_1_b]
-            ),
-        ],
-        axis=2,
-    )
-    rows = boundary_row(1, tail, coef)
+    rows = boundary_row(1, tail, params._first_rows)
     W_out[0] = rows[..., : e * n[0]].reshape(B, n[1], e, n[0]).transpose(0, 2, 1, 3)
     b_out[0] = rows[..., e * n[0] :].transpose(0, 2, 1)
 
     # Interior layers: scalar coefficients for the weight row; the bias row
     # reads [Wb]^(i,t)(t) = W^(i) [Wb]^(i-1,t)(t) for t = 1..i-1, then b^(i).
     for i in range(2, L):
-        blk = params.mid[i]
-        coef = np.concatenate([blk.w, blk.ww, blk.bw]).T
+        scalars, coef = params._interior[i]
         terms = weight_terms(i).reshape(B, 3 * d, -1)
-        W_out[i - 1] = np.matmul(coef, terms).reshape(B, e, n[i], n[i - 1])
+        W_out[i - 1] = np.matmul(scalars.T, terms).reshape(B, e, n[i], n[i - 1])
         tail = np.concatenate([np.matmul(V.weight(i), tail), V.bias(i)[..., None]], axis=-1)
-        coef = _row_coefficients(
-            [blk.b_w, blk.b_ww, blk.b_bw], [blk.b_wb[t] for t in range(1, i)] + [blk.b_b]
-        )
         b_out[i - 1] = boundary_row(i, tail, coef).transpose(0, 2, 1)
 
-    if not had_batch:
-        W_out = [w[0] for w in W_out]
-        b_out = [v[0] for v in b_out]
-    return WeightObject(params.out_spec(), tuple(W_out), tuple(b_out), batch=U.batch)
+    if had_batch:
+        return WeightObject._derived(params._out_spec, tuple(W_out), tuple(b_out), B)
+    flat = np.concatenate([w[0] for w in W_out] + [v[0] for v in b_out], axis=None)
+    return WeightObject._derived(params._out_spec, flat=flat)
 
 
 def invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndarray:
     """Apply the invariant layer; returns an ``[e, d_out]`` array per row."""
     _check_input(params, U)
-    return np.moveaxis(serial_matmul(featurize(U, params.psi), params.packed()), 0, -2)
+    return np.moveaxis(serial_matmul(featurize(U, params.psi), params._packed), 0, -2)
 
 
 def stack_forward(
@@ -557,7 +600,9 @@ def stack_forward(
 
 def _stack_rows(stack, head, U: WeightObject) -> np.ndarray:
     for params, act in stack:
-        U = equivariant_forward(params, U).map(act)
+        U = equivariant_forward(params, U)
+        # An activation is elementwise: an unbatched output maps as one vector.
+        U = U.map(act) if U.flat is None else WeightObject._derived(U.spec, flat=act(U.flat))
     return invariant_forward(head, U)
 
 

@@ -267,27 +267,23 @@ def feature_count(spec: WeightSpec) -> int:
     return spec.d * per_channel + 1
 
 
-def in_feature_order(ww, w, tr_ww, bw, wb, tr_bw, b, const, axis: int = -1) -> np.ndarray:
+def in_feature_order(ww, w, tr_ww, bw, wb, tr_bw, b, const) -> np.ndarray:
     """Concatenate per-channel parts in the ``magep-feat/1`` order.
 
     Each part has shape ``[..., d, k]``: its ``k`` entries for every channel
     (the part names and widths are those of :func:`featurize`).  The result
     lists, for channel 1, 2, ..., d, the seven parts in turn, then the
-    ``[..., 1]`` trailing ``const``.  The same order serves the feature rows
-    and the layers' coefficient tensors; those keep an output axis after the
-    entries (parts ``[..., d, k, m]``, ``const`` ``[..., 1, m]``), selected
-    by ``axis=-2``.
+    ``[..., 1]`` trailing ``const``.  The layers' packed coefficient
+    tensors follow the same order along their feature axis.
     """
     parts = [ww, w, tr_ww, bw, wb, tr_bw, b]
-    a = axis % b.ndim
-    lead, d, trail = b.shape[: a - 1], b.shape[a - 1], b.shape[a + 1 :]
-    width = sum(p.shape[a] for p in parts)
-    out = np.empty(lead + (d * width + 1,) + trail)
-    head = (slice(None),) * (a - 1)
+    lead, d = b.shape[:-2], b.shape[-2]
+    width = sum(p.shape[-1] for p in parts)
+    out = np.empty(lead + (d * width + 1,))
     # The parts are written straight into the flat result, one copy.
-    body = out[head + (slice(None, -1),)].reshape(lead + (d, width) + trail, copy=False)
-    np.concatenate(parts, axis=a, out=body)
-    out[head + (slice(-1, None),)] = const
+    body = out[..., :-1].reshape(lead + (d, width), copy=False)
+    np.concatenate(parts, axis=-1, out=body)
+    out[..., -1:] = const
     return out
 
 

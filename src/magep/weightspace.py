@@ -108,7 +108,7 @@ def dim(spec: WeightSpec) -> int:
     return spec._layout[-1][1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightObject:
     """One weight-space element, optionally batched.
 
@@ -129,7 +129,7 @@ class WeightObject:
     W: tuple[np.ndarray, ...]
     b: tuple[np.ndarray, ...]
     batch: int | None = field(default=None)
-    flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    flat: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         W = tuple(tensor(w) for w in self.W)

@@ -1,4 +1,8 @@
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -405,3 +409,159 @@ def test_forward_rejects_wrong_spec():
     other = random_weights(WeightSpec(2, (2, 2, 2), 2), Rng(0))
     with pytest.raises(ValidationError):
         layers.equivariant_forward(params, other)
+
+
+# The packing code of the forward before the blocks became views of their
+# GEMM buffers, kept here as the reference for the buffers' layout.
+
+
+def _old_pack_features(params, prefix):
+    slots = ("WWLL", "WL0", "trWW", "bWLL0", "Wb", "trbW", "b")
+    const = getattr(params, prefix + "1")
+    L, m = params.spec.L, const.shape[-1]
+
+    def features(v):
+        return v.reshape(v.shape[0], v.shape[1], -1, m)
+
+    blocks = []
+    for slot in slots:
+        value = getattr(params, prefix + slot)
+        if isinstance(value, dict):
+            value = np.concatenate([features(value[k]) for k in range(L - 1, 0, -1)], axis=2)
+        else:
+            value = features(value)
+        blocks.append(value if prefix == "phib_L_" else value.swapaxes(0, 1))
+    body = np.concatenate(blocks, axis=2)  # [e, d, width, m]
+    return np.concatenate([body.reshape(body.shape[0], -1, m), const[:, None]], axis=1)
+
+
+def _old_row_coefficients(heads, tail):
+    h = np.array(heads).swapaxes(2, 3).swapaxes(0, 1)  # [d, 3, n0, e, *k]
+    t = np.array(tail).swapaxes(0, 1)  # [d, c, e, *k]
+    d = t.shape[0]
+    return np.concatenate([h.reshape(d, 3 * h.shape[2], -1), t.reshape(d, t.shape[1], -1)], axis=1)
+
+
+def _old_buffers(p):
+    e, d, nL = p.e, p.spec.d, p.spec.n[-1]
+    last = np.concatenate([p.phiW_L_W, p.phiW_L_WW, p.phiW_L_bW], axis=1)
+    first = np.concatenate(
+        [
+            _old_row_coefficients([p.phiW_1_W, p.phiW_1_WW, p.phiW_1_bW], [p.phiW_1_b]),
+            _old_row_coefficients([p.phib_1_W, p.phib_1_WW, p.phib_1_bW], [p.phib_1_b]),
+        ],
+        axis=2,
+    )
+    out = [
+        _old_pack_features(p, "phib_L_"),
+        last.transpose(0, 3, 1, 2).reshape(e * nL, 3 * d * nL),
+        first,
+    ]
+    for i, blk in p.mid.items():
+        out.append(np.concatenate([blk.w, blk.ww, blk.bw]))
+        tail = [blk.b_wb[t] for t in range(1, i)] + [blk.b_b]
+        out.append(_old_row_coefficients([blk.b_w, blk.b_ww, blk.b_bw], tail))
+    return out
+
+
+def _buffers(p):
+    if isinstance(p, layers.InvariantParams):
+        return [p.packed()]
+    out = [p.last_bias_packed(), p._last_weight, p._first_rows]
+    for scalars, rows in p._interior.values():
+        out += [scalars, rows]
+    return out
+
+
+DEEP = WeightSpec(4, (3, 16, 5, 16, 2), 2)
+PACK_SPECS = [DEEP, WeightSpec(3, (2, 3, 1, 4), 1)]
+
+
+@pytest.mark.parametrize("spec", PACK_SPECS, ids=["deep", "d1"])
+@pytest.mark.parametrize("e", [1, 4])
+def test_buffers_equal_the_old_packing_bit_for_bit(spec, e):
+    p = layers.init_equivariant(spec, e, Rng(31))
+    inv = layers.init_invariant(spec, e, 3, Rng(32))
+    pairs = list(zip(_buffers(p), _old_buffers(p)))
+    pairs.append((inv.packed(), _old_pack_features(inv, "phi_")))
+    assert len(pairs) == 2 * spec.L
+    for got, want in pairs:
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", PACK_SPECS, ids=["deep", "d1"])
+def test_every_block_is_a_view_of_a_buffer(spec):
+    r = Rng(33)
+    for p in (layers.init_equivariant(spec, 2, r.child(1)), layers.init_invariant(spec, 2, 3, r)):
+        buffers = _buffers(p)
+        for name, block in p.blocks().items():
+            assert any(np.shares_memory(block, buf) for buf in buffers), name
+
+
+def _constructor_args(p):
+    return {f.name: getattr(p, f.name) for f in dataclasses.fields(p)}
+
+
+def _tables(p):
+    out = [v for v in _constructor_args(p).values() if isinstance(v, dict)]
+    return out + [blk.b_wb for blk in getattr(p, "mid", {}).values()]
+
+
+def test_construction_copies_the_given_blocks():
+    spec = WeightSpec(3, (2, 3, 2, 2), 2)
+    r = Rng(35)
+    for p in (layers.init_equivariant(spec, 3, r.child(1)), layers.init_invariant(spec, 3, 2, r)):
+        # Tables given in descending key order are stored ascending, the
+        # order the .mgp.json bytes depend on.
+        args = {
+            k: dict(reversed(v.items())) if isinstance(v, dict) else v
+            for k, v in _constructor_args(p).items()
+        }
+        q = type(p)(**args)
+        assert all(list(t) == sorted(t) for t in _tables(q))
+        before = {k: v.copy() for k, v in q.blocks().items()}
+        for v in p.blocks().values():
+            v[...] = 7.0
+        for k, v in q.blocks().items():
+            assert np.array_equal(v, before[k]), k
+            assert not any(np.shares_memory(v, buf) for buf in _buffers(p)), k
+
+
+@pytest.mark.parametrize("kind", ["equivariant", "invariant"])
+def test_copies_own_their_buffers(kind):
+    spec = WeightSpec(3, (2, 3, 2, 2), 2)
+    r = Rng(37)
+    if kind == "equivariant":
+        p, forward = layers.init_equivariant(spec, 2, r.child("p")), layers.equivariant_forward
+    else:
+        p, forward = layers.init_invariant(spec, 2, 3, r.child("p")), layers.invariant_forward
+    U = random_weights(spec, r.child("U"), Uniform(0.5, 1.5))
+
+    def out(params):
+        y = forward(params, U)
+        return y.flat.copy() if kind == "equivariant" else y
+
+    base = out(p)
+    copies = (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)), dataclasses.replace(p))
+    for q in copies:
+        assert np.array_equal(out(q), base)
+        for name, block in q.blocks().items():
+            assert any(np.shares_memory(block, buf) for buf in _buffers(q)), name
+            assert not any(np.shares_memory(block, buf) for buf in _buffers(p)), name
+        next(iter(q.blocks().values()))[...] += 1.0
+        assert not np.array_equal(out(q), base)
+        assert np.array_equal(out(p), base)
+
+
+def test_equality_is_identity():
+    spec = WeightSpec(2, (1, 2, 1), 1)
+    U, V = random_weights(spec, Rng(0)), random_weights(spec, Rng(0))
+    assert U == U and U != V
+    assert U.equal(V) and U.allclose(V)
+    spec = WeightSpec(3, (1, 2, 2, 1), 1)
+    p, q = layers.init_equivariant(spec, 2, Rng(1)), layers.init_equivariant(spec, 2, Rng(1))
+    assert p == p and p != q and p.mid[2] != q.mid[2]
+    assert all(np.array_equal(v, q.blocks()[k]) for k, v in p.blocks().items())
+    inv = layers.init_invariant(spec, 2, 3, Rng(2))
+    assert inv == inv and inv != layers.init_invariant(spec, 2, 3, Rng(2))
