@@ -4,11 +4,9 @@ For frozen connection matrices the invariant layer is linear in its
 coefficient blocks, so fitting those blocks against any target reduces to
 ridge regression on a fixed feature vector.  The features are exactly the
 scalars the invariant layer contracts against, computed by
-:func:`magep.stableterms.featurize` (re-exported here as ``featurize``) in a
-canonical order that is part of the public contract (per channel: the two
-full boundary blocks, the per-layer traces, the ``[bW]`` boundary block, the
-per-``t`` ``[Wb]`` entries and traces, the last bias, then one trailing
-constant).
+:func:`magep.stableterms.featurize` (re-exported here as ``featurize``) in
+the canonical ``magep-feat/1`` order its docstring states, which is part of
+the public contract.
 """
 
 from __future__ import annotations

@@ -18,13 +18,14 @@ input-width index plus per-``t`` ``[Wb]`` terms and the bias.
 
 The forward reads only the O(L) terms these rows need, from the suffix
 chains ``[W]^(L,t)`` and prefix chains ``[W]^(s,0)`` that the featurizer
-builds, once per call; ``[bW]`` is formed as the outer product
-``b^(s) (x) psi [W]^(L,t)`` and ``[Wb]^(i,t)`` by the recursion
-``W^(i) [Wb]^(i-1,t)``.  The last-layer bias row is the invariant map
-with ``d_out = n_L``: the feature rows times the ``phib_L_*`` blocks packed
-in feature order.  Every other row is one batched BLAS matrix product: the
-terms of a family sum are concatenated along the contracted axis, and their
-coefficient blocks along the matching axis.  The first-layer rows and the
+builds, once per call, with or without a leading batch axis; ``[bW]`` is
+formed as the outer product ``b^(s) (x) psi [W]^(L,t)`` and ``[Wb]^(i,t)``
+by the recursion ``W^(i) [Wb]^(i-1,t)``.  The last-layer bias row is the
+invariant map with ``d_out = n_L``: the feature rows times the ``phib_L_*``
+blocks packed in feature order, each block named after its feature part.
+Every other row is one batched BLAS matrix product: the terms of a family
+sum are concatenated along the contracted axis, and their coefficient
+blocks along the matching axis.  The first-layer rows and the
 interior bias rows contract over one input channel at a time and sum the
 channels.  The products with a long contracted axis (the feature rows times
 the packed blocks, and the last weight row) go through
@@ -48,7 +49,8 @@ its forward's GEMMs read: an invariant map's ``[e, F, m]`` tensor in
 feature order (also the last-layer bias row's), the last weight row's
 ``[e n_L, 3 d n_L]`` matrix, and the boundary rows' ``[d, 3 n0 + c, e k]``
 matrices.  Every block is a view of its place in a buffer, so a write to
-a block reaches the next forward and nothing packed can go stale.
+a block reaches the next forward and nothing packed can go stale; the
+tables and ``mid`` are read-only mappings, so no block can be swapped out.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cache
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -65,7 +68,10 @@ from . import jsonio
 from .activations import Activation
 from .dense import Rng, serial_matmul, tensor
 from .errors import ConfigurationError, ValidationError
-from .stableterms import PsiParams, _chains, _features, featurize, psi_indices
+from .stableterms import (
+    _FEATURE_PARTS, PsiParams, _chains, _check_psi_fits, _features, feature_count, featurize,
+    psi_indices,
+)
 from .weightspace import WeightObject, WeightSpec, _count
 
 __all__ = [
@@ -199,21 +205,17 @@ def _assign(obj, values: dict) -> None:
         object.__setattr__(obj, name, value)
 
 
-class _Layer:
-    """What both layer kinds derive from their declared blocks."""
-
-    @property
-    def d(self) -> int:
-        return self.spec.d
-
-    def _check_psi(self) -> None:
-        if self.psi.spec.n != self.spec.n or self.psi.spec.L != self.spec.L:
-            raise ValidationError("psi was built for a different architecture")
-
+class _Rebuilt:
     def __reduce__(self):
         # Copies and unpickled objects are rebuilt by the constructor, so
-        # their blocks are again views of their own buffers.
-        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+        # their blocks are again views of their own buffers.  A read-only
+        # table can be neither pickled nor copied: it is handed over as a dict.
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
+
+
+class _Layer(_Rebuilt):
+    """What both layer kinds derive from their declared blocks."""
 
     def blocks(self) -> dict[str, np.ndarray]:
         """Flat view of every stored coefficient block, keyed by name.
@@ -237,7 +239,7 @@ class _Layer:
 
 
 @dataclass(frozen=True, eq=False)
-class MiddleBlocks:
+class MiddleBlocks(_Rebuilt):
     """Coefficient blocks of one interior layer ``1 < i < L``."""
 
     w: np.ndarray = _block("d e", "1", slot="scalarsW.W")  # [W]^(i,i-1)
@@ -288,7 +290,7 @@ class EquivariantParams(_Layer):
             i: _checked(mid[i], _layout(MiddleBlocks, spec, e, nL, i), f"mid[{i}].")
             for i in interior
         }
-        self._check_psi()
+        _check_psi_fits(spec, self.psi)
         packed = {
             "_last_bias": _pack(blocks, *_feature_buffer(self, "phib_L_", layout)),
             "_last_weight": _pack(blocks, *_last_weight_buffer(d, e, nL)),
@@ -299,7 +301,7 @@ class EquivariantParams(_Layer):
             },
             "_out_spec": WeightSpec(spec.L, spec.n, e),
         }
-        mid = {i: MiddleBlocks(**m) for i, m in mid.items()}
+        mid = MappingProxyType({i: MiddleBlocks(**m) for i, m in mid.items()})
         _assign(self, {"e": e, **blocks, "mid": mid, **packed})
 
     def out_spec(self) -> WeightSpec:
@@ -335,7 +337,7 @@ class InvariantParams(_Layer):
         d_out = _count("output width d_out", self.d_out)
         layout = _layout(InvariantParams, self.spec, e, d_out)
         blocks = _checked(self, layout)
-        self._check_psi()
+        _check_psi_fits(self.spec, self.psi)
         packed = _pack(blocks, *_feature_buffer(self, "phi_", layout))
         _assign(self, {"e": e, "d_out": d_out, **blocks, "_packed": packed})
 
@@ -349,21 +351,18 @@ class InvariantParams(_Layer):
         return self._packed
 
 
-# Name suffixes of an invariant map's blocks, in the order of
-# :func:`magep.stableterms.in_feature_order`; the last is the constant row.
-_FEATURE_SLOTS = ("WWLL", "WL0", "trWW", "bWLL0", "Wb", "trbW", "b", "1")
-
-
 def _pack(blocks: dict, buf: np.ndarray, views: dict) -> np.ndarray:
     """Copy each of ``blocks`` into its view of ``buf`` (a table entry by
-    entry), then make the views the blocks; returns ``buf``."""
+    entry), then make the views the blocks, a table as a read-only mapping;
+    returns ``buf``."""
     for name, view in views.items():
         if isinstance(view, dict):
             for k, v in view.items():
                 v[...] = blocks[name][k]
+            view = MappingProxyType(view)
         else:
             view[...] = blocks[name]
-    blocks.update(views)
+        blocks[name] = view
     return buf
 
 
@@ -373,24 +372,23 @@ def _pack(blocks: dict, buf: np.ndarray, views: dict) -> np.ndarray:
 
 
 def _feature_buffer(params, prefix: str, layout) -> tuple[np.ndarray, dict]:
-    """``[e, F, m]``: the blocks ``prefix + slot`` of an invariant map in
-    feature order.  For each channel, the blocks in slot order, each
-    flattened to its feature entries (none for a trace), a table in
-    descending key order; then the constant row ``[e, m]``.  ``[d, e, ...]``
-    blocks view it with their first two axes swapped."""
-    decls, d = dict(_declared(type(params))), params.spec.d
+    """``[e, F, m]``: the blocks ``prefix + part`` of an invariant map in
+    feature order.  For each channel, the blocks of the feature parts in
+    turn, each flattened to its feature entries (none for a trace), a table
+    in the per-layer order; then the constant row ``prefix + "1"``,
+    ``[e, m]``.  ``[d, e, ...]`` blocks view it with their first two axes
+    swapped."""
+    decls, spec = dict(_declared(type(params))), params.spec
     cells = {name: c for name, _, c in layout}
-    *parts, const = (prefix + slot for slot in _FEATURE_SLOTS)
-    e, m = cells[const][0][1]
-    width = sum(math.prod(shape[2:-1]) for name in parts for _, shape, _ in cells[name])
-    buf = np.empty((e, d * width + 1, m))
-    body = buf[:, :-1].reshape(e, d, width, m, copy=False)
-    views, start = {const: buf[:, -1]}, 0
-    for name in parts:
-        entries = {}
+    e, m = cells[prefix + "1"][0][1]
+    buf = np.empty((e, feature_count(spec), m))
+    body = buf[:, :-1].reshape(e, spec.d, -1, m, copy=False)
+    views, start = {prefix + "1": buf[:, -1]}, 0
+    for part, _ in _FEATURE_PARTS:
+        name, entries = prefix + part, {}
         for k, shape, _ in cells[name][::-1]:
             stop = start + math.prod(shape[2:-1])
-            view = body[:, :, start:stop].reshape((e, d) + shape[2:], copy=False)
+            view = body[:, :, start:stop].reshape((e, spec.d) + shape[2:], copy=False)
             entries[k] = view.swapaxes(0, 1) if decls[name].shape[0] == "d" else view
             start = stop
         views[name] = entries.pop(None) if None in entries else dict(reversed(entries.items()))
@@ -482,17 +480,6 @@ def init_invariant(
     return InvariantParams(spec=spec, e=e, d_out=d_out, psi=psi, **blocks)
 
 
-def _batched(U: WeightObject) -> tuple[WeightObject, bool]:
-    if U.batch is not None:
-        return U, True
-    return (
-        WeightObject._derived(
-            U.spec, tuple(w[None] for w in U.W), tuple(v[None] for v in U.b), 1
-        ),
-        False,
-    )
-
-
 def _check_input(params, U: WeightObject) -> None:
     if U.spec != params.spec:
         raise ValidationError(
@@ -503,55 +490,52 @@ def _check_input(params, U: WeightObject) -> None:
 def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObject:
     """Apply the equivariant layer, mapping d input channels to e output ones."""
     _check_input(params, U)
-    V, had_batch = _batched(U)
     spec, psi, e = params.spec, params.psi, params.e
-    L, n, d, B = spec.L, spec.n, spec.d, V.batch
-    suffix, prefix = _chains(V)
+    L, n, d = spec.L, spec.n, spec.d
+    lead = () if U.batch is None else (U.batch,)
+    suffix, prefix = _chains(U)
 
     def ww(s, t):  # [WW]^(s,0)(L,t)
         return np.matmul(np.matmul(prefix[s], psi.ww[(s, t)]), suffix[t])
 
     def bw(s, t):  # [bW]^(s)(L,t) as the outer product b^(s) (x) psi [W]^(L,t)
         row = np.matmul(psi.bw[(s, t)][0], suffix[t])
-        return V.bias(s)[..., :, None] * row[..., None, :]
+        return U.bias(s)[..., :, None] * row[..., None, :]
 
-    def weight_terms(i):  # [B, 3d, n_i, n_{i-1}], channels grouped by family
-        return np.concatenate([V.weight(i), ww(i, i - 1), bw(i, i - 1)], axis=1)
+    def weight_terms(i):  # [..., 3d, n_i, n_{i-1}], channels grouped by family
+        return np.concatenate([U.weight(i), ww(i, i - 1), bw(i, i - 1)], axis=-3)
 
-    def boundary_row(i, tail, coef):  # [B, n_i, e k]: per-channel GEMMs, summed
+    def boundary_row(i, tail, coef):  # [..., n_i, e k]: per-channel GEMMs, summed
         terms = np.concatenate([prefix[i], ww(i, 0), bw(i, 0), tail], axis=-1)
-        return np.matmul(terms, coef).sum(axis=1)
+        return np.matmul(terms, coef).sum(axis=-3)
 
     W_out: list[np.ndarray] = [None] * L  # type: ignore[list-item]
     b_out: list[np.ndarray] = [None] * L  # type: ignore[list-item]
 
     # Last layer: the three weight terms mix over their row index in one
     # GEMM; the bias row is the invariant map of the feature rows.
-    terms = weight_terms(L).reshape(B, 3 * d * n[L], n[L - 1])
-    W_out[L - 1] = serial_matmul(params._last_weight, terms).reshape(B, e, n[L], n[L - 1])
-    X = _features(V, psi, suffix, prefix)
-    b_out[L - 1] = serial_matmul(X, params._last_bias).swapaxes(0, 1)
+    terms = weight_terms(L).reshape(lead + (3 * d * n[L], n[L - 1]))
+    W_out[L - 1] = serial_matmul(params._last_weight, terms).reshape(lead + (e, n[L], n[L - 1]))
+    X = _features(U, psi, suffix, prefix)
+    b_out[L - 1] = np.moveaxis(serial_matmul(X, params._last_bias), 0, -2)
 
     # First layer: the weight and bias rows share the GEMMs over the
     # column-mixing terms and the bias.
-    tail = V.bias(1)[..., None]
+    tail = U.bias(1)[..., None]
     rows = boundary_row(1, tail, params._first_rows)
-    W_out[0] = rows[..., : e * n[0]].reshape(B, n[1], e, n[0]).transpose(0, 2, 1, 3)
-    b_out[0] = rows[..., e * n[0] :].transpose(0, 2, 1)
+    W_out[0] = rows[..., : e * n[0]].reshape(lead + (n[1], e, n[0])).swapaxes(-3, -2)
+    b_out[0] = rows[..., e * n[0] :].swapaxes(-2, -1)
 
     # Interior layers: scalar coefficients for the weight row; the bias row
     # reads [Wb]^(i,t)(t) = W^(i) [Wb]^(i-1,t)(t) for t = 1..i-1, then b^(i).
     for i in range(2, L):
         scalars, coef = params._interior[i]
-        terms = weight_terms(i).reshape(B, 3 * d, -1)
-        W_out[i - 1] = np.matmul(scalars.T, terms).reshape(B, e, n[i], n[i - 1])
-        tail = np.concatenate([np.matmul(V.weight(i), tail), V.bias(i)[..., None]], axis=-1)
-        b_out[i - 1] = boundary_row(i, tail, coef).transpose(0, 2, 1)
+        terms = weight_terms(i).reshape(lead + (3 * d, -1))
+        W_out[i - 1] = np.matmul(scalars.T, terms).reshape(lead + (e, n[i], n[i - 1]))
+        tail = np.concatenate([np.matmul(U.weight(i), tail), U.bias(i)[..., None]], axis=-1)
+        b_out[i - 1] = boundary_row(i, tail, coef).swapaxes(-2, -1)
 
-    if had_batch:
-        return WeightObject._derived(params._out_spec, tuple(W_out), tuple(b_out), B)
-    flat = np.concatenate([w[0] for w in W_out] + [v[0] for v in b_out], axis=None)
-    return WeightObject._derived(params._out_spec, flat=flat)
+    return WeightObject._derived(params._out_spec, tuple(W_out), tuple(b_out), U.batch)
 
 
 def invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndarray:

@@ -32,19 +32,14 @@ def mlp_forward(U: WeightObject, x: np.ndarray, act: Activation) -> np.ndarray:
     spec = U.spec
     if spec.d != 1:
         raise ValidationError(f"mlp_forward supports d = 1 only, got d={spec.d}")
-    x = tensor(x)
-    if x.shape != (spec.n[0],):
-        raise DimensionError(f"input has shape {x.shape}, expected ({spec.n[0]},)")
-    h = x
-    if U.batch is not None:
-        h = np.broadcast_to(x, (U.batch, spec.n[0]))
-    for i in range(1, spec.L):
-        w = U.weight(i)[..., 0, :, :]
-        b = U.bias(i)[..., 0, :]
-        h = act(np.matmul(w, h[..., None])[..., 0] + b)
-    w = U.weight(spec.L)[..., 0, :, :]
-    b = U.bias(spec.L)[..., 0, :]
-    return np.matmul(w, h[..., None])[..., 0] + b
+    h = tensor(x)
+    if h.shape != (spec.n[0],):
+        raise DimensionError(f"input has shape {h.shape}, expected ({spec.n[0]},)")
+    for i in range(1, spec.L + 1):
+        h = np.matmul(U.weight(i)[..., 0, :, :], h[..., None])[..., 0] + U.bias(i)[..., 0, :]
+        if i < spec.L:
+            h = act(h)
+    return h
 
 
 def probe_targets(

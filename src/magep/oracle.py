@@ -25,7 +25,6 @@ from .weightspace import Uniform, WeightObject, WeightSpec, random_weights
 __all__ = [
     "naive_equivariant_forward",
     "naive_invariant_forward",
-    "FAMILY_TOKENS",
     "feature_design_matrix",
     "independence_report",
     "RANK_THRESHOLD",
@@ -330,7 +329,6 @@ _FAMILIES = {
     "eq17": (None, "eq17", None),
     "const": (None, "1", None),
 }
-FAMILY_TOKENS = tuple(_FAMILIES)
 
 
 def _columns(U: WeightObject, psi: PsiParams, families: Sequence[str]):
@@ -393,7 +391,6 @@ def independence_report(
     psi: PsiParams,
     rng: Rng,
     threshold: float = RANK_THRESHOLD,
-    oversample: int = OVERSAMPLE,
 ) -> dict:
     """Numerical independence/degeneracy report for the stable-term families.
 
@@ -411,13 +408,13 @@ def independence_report(
     """
 
     def check(families):
-        X = _design(spec, psi, families, rng, lambda F: oversample * F)
+        X = _design(spec, psi, families, rng, lambda F: OVERSAMPLE * F)
         return X.shape[1], _sigma_ratio(X)
 
     report: dict = {
         "spec": {"L": spec.L, "n": list(spec.n), "d": spec.d},
         "threshold": threshold,
-        "oversample": oversample,
+        "oversample": OVERSAMPLE,
     }
     asserted = ["w_noL0", "b", "wb_noL", "const"]
     F, ratio = check(asserted)

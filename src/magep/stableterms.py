@@ -49,7 +49,6 @@ __all__ = [
     "all_terms",
     "feature_count",
     "featurize",
-    "in_feature_order",
 ]
 
 FEATURE_ORDER_VERSION = "magep-feat/1"
@@ -259,32 +258,24 @@ def all_terms(U: WeightObject, psi: PsiParams) -> StableTermSet:
     return StableTermSet(spec, chains, wb, bw, ww, b)
 
 
+# The seven per-channel parts of the ``magep-feat/1`` order (see
+# :func:`featurize`), each with its width per channel.  A per-layer part
+# lists its entries for layers L-1 down to 1 in turn.  The layers name their
+# packed blocks by these part names.
+_FEATURE_PARTS = (
+    ("WWLL", lambda spec: spec.n[-1] * spec.n[0]),  # [WW]^(L,0)(L,0)
+    ("WL0", lambda spec: spec.n[-1] * spec.n[0]),  # [W]^(L,0)
+    ("trWW", lambda spec: spec.L - 1),  # tr [WW]^(s,0)(L,s), per layer
+    ("bWLL0", lambda spec: spec.n[-1] * spec.n[0]),  # [bW]^(L)(L,0)
+    ("Wb", lambda spec: (spec.L - 1) * spec.n[-1]),  # [Wb]^(L,t)(t), per layer
+    ("trbW", lambda spec: spec.L - 1),  # tr [bW]^(t)(L,t), per layer
+    ("b", lambda spec: spec.n[-1]),  # [b]^(L)
+)
+
+
 def feature_count(spec: WeightSpec) -> int:
     """Number of invariant features, the trailing constant included."""
-    L = spec.L
-    n0, nL = spec.n[0], spec.n[L]
-    per_channel = 3 * nL * n0 + (L - 1) + (L - 1) * nL + (L - 1) + nL
-    return spec.d * per_channel + 1
-
-
-def in_feature_order(ww, w, tr_ww, bw, wb, tr_bw, b, const) -> np.ndarray:
-    """Concatenate per-channel parts in the ``magep-feat/1`` order.
-
-    Each part has shape ``[..., d, k]``: its ``k`` entries for every channel
-    (the part names and widths are those of :func:`featurize`).  The result
-    lists, for channel 1, 2, ..., d, the seven parts in turn, then the
-    ``[..., 1]`` trailing ``const``.  The layers' packed coefficient
-    tensors follow the same order along their feature axis.
-    """
-    parts = [ww, w, tr_ww, bw, wb, tr_bw, b]
-    lead, d = b.shape[:-2], b.shape[-2]
-    width = sum(p.shape[-1] for p in parts)
-    out = np.empty(lead + (d * width + 1,))
-    # The parts are written straight into the flat result, one copy.
-    body = out[..., :-1].reshape(lead + (d, width), copy=False)
-    np.concatenate(parts, axis=-1, out=body)
-    out[..., -1:] = const
-    return out
+    return spec.d * sum(width(spec) for _, width in _FEATURE_PARTS) + 1
 
 
 def _chains(U: WeightObject) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
@@ -323,24 +314,27 @@ def featurize(U: WeightObject, psi: PsiParams) -> np.ndarray:
 
 def _features(U: WeightObject, psi: PsiParams, suffix, prefix) -> np.ndarray:
     """:func:`featurize` on chains already built by :func:`_chains`."""
-    L = U.spec.L
-    full = suffix[0]
-    hidden = range(L - 1, 0, -1)
-    tr_ww = [
-        np.einsum("...ij,...ji->...", np.matmul(prefix[s], psi.ww[(s, s)]), suffix[s])
-        for s in hidden
-    ]
+    spec, L, full = U.spec, U.spec.L, suffix[0]
+    hidden = range(L - 1, 0, -1)  # the per-layer order of _FEATURE_PARTS
     wb = [np.matmul(suffix[t], U.bias(t)[..., None])[..., 0] for t in hidden]
-    tr_bw = [np.matmul(v, psi.bw[(t, t)][0]) for t, v in zip(hidden, wb)]
     b_last = U.bias(L)
     flat = lambda m: m.reshape(m.shape[:-2] + (-1,))
-    return in_feature_order(
-        flat(np.matmul(np.matmul(full, psi.ww[(L, 0)]), full)),
-        flat(full),
-        np.stack(tr_ww, axis=-1),
-        flat(b_last[..., :, None] * np.matmul(psi.bw[(L, 0)][0], full)[..., None, :]),
-        np.concatenate(wb, axis=-1),
-        np.stack(tr_bw, axis=-1),
-        b_last,
-        np.ones(b_last.shape[:-2] + (1,)),
+    parts = dict(
+        WWLL=flat(np.matmul(np.matmul(full, psi.ww[(L, 0)]), full)),
+        WL0=flat(full),
+        trWW=np.stack([
+            np.einsum("...ij,...ji->...", np.matmul(prefix[s], psi.ww[(s, s)]), suffix[s])
+            for s in hidden
+        ], axis=-1),
+        bWLL0=flat(b_last[..., :, None] * np.matmul(psi.bw[(L, 0)][0], full)[..., None, :]),
+        Wb=np.concatenate(wb, axis=-1),
+        trbW=np.stack([np.matmul(v, psi.bw[(t, t)][0]) for t, v in zip(hidden, wb)], axis=-1),
+        b=b_last,
     )
+    lead = b_last.shape[:-2]
+    out = np.empty(lead + (feature_count(spec),))
+    # The parts are written straight into the flat result, one copy.
+    body = out[..., :-1].reshape(lead + (spec.d, -1), copy=False)
+    np.concatenate([parts[name] for name, _ in _FEATURE_PARTS], axis=-1, out=body)
+    out[..., -1] = 1.0
+    return out

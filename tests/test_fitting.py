@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from magep import fitting, monomial, netfunc
-from magep.activations import relu
+from magep.activations import leaky_relu, relu
 from magep.dense import Rng, rel_residual
 from magep.errors import ValidationError
-from magep.stableterms import PsiParams
+from magep.stableterms import _FEATURE_PARTS, PsiParams
 from magep.weightspace import Uniform, WeightObject, WeightSpec, random_weights
 
 SPEC = WeightSpec(2, (1, 2, 1), 1)
@@ -202,6 +202,45 @@ def test_probe_target_fit_beats_constant_predictor():
     model_mse = fitting.evaluate(fit, test, psi)
     constant_mse = float(np.mean((test.targets - train.targets.mean(axis=0)) ** 2))
     assert constant_mse >= 2.0 * model_mse
+
+
+def _part_columns(spec, names):
+    """Columns of the named feature parts in every channel, then the constant."""
+    cols, start = [], 0
+    for _ in range(spec.d):
+        for name, width in _FEATURE_PARTS:
+            if name in names:
+                cols += range(start, start + width(spec))
+            start += width(spec)
+    return cols + [start]
+
+
+@pytest.mark.parametrize("n", [(2, 3, 3, 2), (4, 16, 16, 16, 4)])
+def test_linear_networks_lie_in_the_span_of_their_linear_parts(n):
+    # leaky_relu(1.0) is the identity, so f(x; U) = [W]^(L,0) x + sum_t
+    # [Wb]^(L,t)(t) + b^(L): at fixed probes a linear function of the WL0,
+    # Wb and b parts alone.
+    spec = WeightSpec(len(n) - 1, n, 1)
+    rng = Rng(5)
+    psi = PsiParams.random(spec, rng.child("psi"))
+    N = 3 * fitting.feature_count(spec)
+    objs = [random_weights(spec, rng.child("row", k), Uniform(-1.0, 1.0)) for k in range(N)]
+    probes = [rng.child("probe", p).uniform(-1.0, 1.0, spec.n[0]) for p in range(3)]
+    X = fitting.design_matrix(objs, psi)[:, _part_columns(spec, {"WL0", "Wb", "b"})]
+
+    def residual(act):
+        y = netfunc.probe_targets(objs, probes, act)
+        phi = np.linalg.lstsq(X, y, rcond=None)[0]
+        return np.max(np.abs(X @ phi - y)) / np.max(np.abs(y))
+
+    # A backward-stable least-squares solve of a consistent system leaves a
+    # relative residual of about N eps (cond2(X) + 1) at most (Higham, ch. 20).
+    # Measured: 1.1e-15 at cond2 2.9 and 1.6e-15 at cond2 19, against bounds
+    # of 6.0e-14 and 9.3e-13.
+    bound = N * np.finfo(np.float64).eps * (np.linalg.cond(X) + 1.0)
+    assert residual(leaky_relu(1.0)) <= bound
+    # The relu net is not linear, so the same columns must miss it (0.59, 0.94).
+    assert residual(relu) >= 0.1
 
 
 def test_fit_validation():
