@@ -10,6 +10,7 @@ rerunning that suite's trials.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .stableterms import (
     wb_term,
     ww_term,
 )
-from .weightspace import Uniform, WeightObject, WeightSpec, random_weights
+from .weightspace import Uniform, WeightObject, WeightSpec, _count, random_weights
 
 __all__ = ["Grid", "SUITE_NAMES", "DEFAULT_TOLERANCES", "run_suite", "run_suites", "run_bench"]
 
@@ -71,6 +72,17 @@ class Grid:
     d_values: tuple[int, ...] = (1, 2)
     e_values: tuple[int, ...] = (1, 3)
     scale_range: tuple[float, float] = monomial.DEFAULT_SCALE_RANGE
+
+    def __post_init__(self):
+        # A grid no suite can draw from is rejected here, before any suite
+        # runs, rather than reported as one error record per suite.
+        for name, least in (("L_values", 2), ("d_values", 1), ("e_values", 1)):
+            values = tuple(_count(f"each of grid {name}", v, least) for v in getattr(self, name))
+            if not values:
+                raise ValidationError(f"grid {name} must not be empty")
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "n_max", _count("grid n_max", self.n_max))
+        object.__setattr__(self, "scale_range", monomial._scale_range(self.scale_range))
 
     def sample_spec(self, rng: Rng, d: int | None = None, n_min: int = 1) -> WeightSpec:
         L = rng.choice(self.L_values)
@@ -429,6 +441,12 @@ def _require_trials(trials: int) -> None:
         raise ValidationError(f"trials must be >= 1, got {trials}")
 
 
+def _require_tolerance(name: str, tol: float) -> None:
+    """A NaN tolerance fails every residual and an infinite one passes any."""
+    if not math.isfinite(tol):
+        raise ValidationError(f"tolerance of suite {name!r} must be finite, got {tol}")
+
+
 def run_suite(
     name: str,
     trials: int,
@@ -443,6 +461,7 @@ def run_suite(
     _require_trials(trials)
     grid = grid or Grid()
     tol = DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
+    _require_tolerance(name, tol)
     rng = Rng(seed)
     kwargs = {}
     if name == "equiv":
@@ -462,12 +481,14 @@ def run_suites(
     collapse_psi: bool = False,
 ) -> dict:
     """Run one suite or all of them; returns the full JSON-ready report."""
-    # Both checks come before the per-suite error records can swallow them.
+    # These checks come before the per-suite error records can swallow them.
     _require_trials(trials)
     if selector != "all" and selector not in _SUITE_FNS:
         raise ValidationError(f"unknown suite {selector!r}")
     names = SUITE_NAMES if selector == "all" else (selector,)
     overrides = tolerance_overrides or {}
+    for name, tol in overrides.items():
+        _require_tolerance(name, tol)
     records = []
     for name in names:
         try:

@@ -10,6 +10,7 @@ serially, so results never depend on scheduling.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -64,6 +65,8 @@ def cmd_gen(args) -> int:
     spec = _spec_from_args(args)
     if args.count < 0:
         raise MagepError(f"--count must be >= 0, got {args.count}")
+    if args.batch is not None and args.batch < 1:
+        raise MagepError(f"--batch must be >= 1, got {args.batch}")
     if args.dist == "uniform":
         dist = Uniform(args.lo, args.hi)
     else:
@@ -112,17 +115,19 @@ def cmd_check(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.lam < 0:
-        raise MagepError(f"--lambda must be >= 0, got {args.lam}")
+    if not 0.0 <= args.lam < math.inf:
+        raise MagepError(f"--lambda must be finite and >= 0, got {args.lam}")
     if not 0.0 < args.split < 1.0:
         raise MagepError(f"--split must be in (0, 1), got {args.split}")
     if args.probes < 1:
         raise MagepError(f"--probes must be >= 1, got {args.probes}")
+    if args.samples is not None and args.samples < 1:
+        raise MagepError(f"--samples must be >= 1, got {args.samples}")
     spec = _spec_from_args(args)
     rng = Rng(args.seed)
     psi = PsiParams.random(spec, rng.child("psi"))
     F = fitting.feature_count(spec)
-    total = args.samples if args.samples else args.samples_per_feature * F
+    total = args.samples if args.samples is not None else args.samples_per_feature * F
     objects = tuple(
         random_weights(spec, rng.child("data", k), Uniform(-1.0, 1.0))
         for k in range(total)
@@ -192,11 +197,13 @@ def cmd_bench(args) -> int:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--L-values", default="2,3,4", help="grid layer counts")
-    p.add_argument("--n-max", type=int, default=4, help="grid max width")
-    p.add_argument("--d-values", default="1,2", help="grid input channel counts")
-    p.add_argument("--e-values", default="1,3", help="grid output channel counts")
-    p.add_argument("--scale-range", default="0.25,4", help="group scale range lo,hi")
+    grid = checks.Grid()
+    text = lambda values: ",".join(map(str, values))
+    p.add_argument("--L-values", default=text(grid.L_values), help="grid layer counts")
+    p.add_argument("--n-max", type=int, default=grid.n_max, help="grid max width")
+    p.add_argument("--d-values", default=text(grid.d_values), help="grid input channel counts")
+    p.add_argument("--e-values", default=text(grid.e_values), help="grid output channel counts")
+    p.add_argument("--scale-range", default=text(grid.scale_range), help="group scale range lo,hi")
 
 
 def build_parser() -> argparse.ArgumentParser:

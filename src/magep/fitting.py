@@ -123,8 +123,8 @@ def fit_ridge(train: FitDataset, psi: PsiParams, lam: float) -> FitResult:
     """
     if len(train) < 1:
         raise ValidationError("fit needs at least one training row")
-    if lam < 0:
-        raise ValidationError(f"ridge strength must be >= 0, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise ValidationError(f"ridge strength must be finite and >= 0, got {lam}")
     X = design_matrix(train.objects, psi)
     y = train.targets
     F = X.shape[1]

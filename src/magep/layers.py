@@ -492,7 +492,7 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
     _check_input(params, U)
     spec, psi, e = params.spec, params.psi, params.e
     L, n, d = spec.L, spec.n, spec.d
-    lead = () if U.batch is None else (U.batch,)
+    lead = U.flat.shape[:-1]
     suffix, prefix = _chains(U)
 
     def ww(s, t):  # [WW]^(s,0)(L,t)
@@ -585,8 +585,8 @@ def stack_forward(
 def _stack_rows(stack, head, U: WeightObject) -> np.ndarray:
     for params, act in stack:
         U = equivariant_forward(params, U)
-        # An activation is elementwise: an unbatched output maps as one vector.
-        U = U.map(act) if U.flat is None else WeightObject._derived(U.spec, flat=act(U.flat))
+        # An activation is elementwise: it maps the output's flat array at once.
+        U = WeightObject._viewing(U.spec, U.batch, act(U.flat))
     return invariant_forward(head, U)
 
 

@@ -19,6 +19,7 @@ applied identically over channel and batch axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,18 @@ VARIANTS = (VARIANT_POSITIVE, VARIANT_SIGN)
 DEFAULT_SCALE_RANGE = (0.25, 4.0)
 
 
+def _scale_range(scale_range) -> tuple[float, float]:
+    """``(lo, hi)`` as floats with ``0 < lo <= hi < inf``; anything else
+    raises ``ValidationError``."""
+    try:
+        lo, hi = (float(v) for v in scale_range)
+    except (TypeError, ValueError):
+        raise ValidationError(f"scale range must be a pair lo, hi, got {scale_range!r}") from None
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValidationError(f"scale range must be finite with 0 < lo <= hi, got {scale_range}")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class MonomialElement:
     """One factored monomial matrix ``diag(scales) @ P_perm``.
@@ -69,8 +82,8 @@ class MonomialElement:
             raise ValidationError(
                 f"scales and perm must be equal-length vectors, got {scales.shape} and {perm.shape}"
             )
-        if np.any(scales == 0.0):
-            raise ValidationError("monomial scales must be non-zero")
+        if not np.all(np.isfinite(scales) & (scales != 0.0)):
+            raise ValidationError("monomial scales must be finite and non-zero")
         if not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise ValidationError(f"perm {perm.tolist()} is not a permutation")
 
@@ -138,11 +151,7 @@ def sample_monomial(
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     if variant == VARIANT_POSITIVE:
-        lo, hi = scale_range
-        if lo <= 0:
-            raise ValidationError(f"scale range must be positive, got lo={lo}")
-        if lo > hi:
-            raise ValidationError(f"scale range out of order: {scale_range}")
+        lo, hi = _scale_range(scale_range)
         scales = rng.log_uniform(lo, hi, n)
     else:
         scales = rng.signs(n)

@@ -6,9 +6,9 @@ biases (``d = 1`` for plain MLPs, ``d = kernel size`` for convolutional
 weights).  An element holds one weight tensor per layer, shaped
 ``[batch?, d, n_i, n_{i-1}]``, and one bias tensor ``[batch?, d, n_i]``.
 
-An unbatched element stores all of its entries in one contiguous vector,
-so a dataset of them is stacked with one concatenation per block (see
-:func:`stack_blocks`).
+Every element stores its entries in one contiguous array, a vector per
+row, with its tensors as views; a dataset of unbatched elements is thus
+stacked with one concatenation per block (see :func:`stack_blocks`).
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class WeightSpec:
 
     @cached_property
     def _layout(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """``(start, stop, shape)`` of W^1..W^L, then b^1..b^L, in the flat
-        vector of an unbatched :class:`WeightObject`."""
+        """``(start, stop, shape)`` of W^1..W^L, then b^1..b^L, in each row
+        of the flat array of a :class:`WeightObject`."""
         shapes = [self.weight_shape(i) for i in range(1, self.L + 1)]
         shapes += [self.bias_shape(i) for i in range(1, self.L + 1)]
         layout, start = [], 0
@@ -116,20 +116,19 @@ class WeightObject:
     :meth:`weight` and :meth:`bias`, which match the layer indexing used
     throughout the numerics.
 
-    An unbatched object keeps every entry in ``flat``, one contiguous
-    float64 vector of length ``dim(spec)``: W^1..W^L, then b^1..b^L, each
-    row-major.  Its ``W`` and ``b`` are views of ``flat``, so a write to one
-    shows in the other.  Construction copies the given tensors into a fresh
-    vector: changing them afterwards leaves the object as it was.  A batched
-    object keeps the per-layer arrays it is given, without a copy, and its
-    ``flat`` is ``None``.
+    Every entry lives in ``flat``, one C-contiguous float64 array of shape
+    ``[dim(spec)]``, or ``[batch, dim(spec)]`` when batched.  Each row holds
+    W^1..W^L, then b^1..b^L, each row-major.  ``W`` and ``b`` are views of
+    ``flat``, so a write to one shows in the other.  Construction copies the
+    given tensors into a fresh array: changing them afterwards leaves the
+    object as it was.
     """
 
     spec: WeightSpec
     W: tuple[np.ndarray, ...]
     b: tuple[np.ndarray, ...]
     batch: int | None = field(default=None)
-    flat: np.ndarray | None = field(default=None, init=False, repr=False)
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         W = tuple(tensor(w) for w in self.W)
@@ -139,27 +138,32 @@ class WeightObject:
             raise ValidationError(
                 f"expected {spec.L} weight and bias tensors, got {len(W)} and {len(b)}"
             )
-        prefix = (self.batch,) if self.batch is not None else ()
+        batch = _batch(self.batch)
+        prefix = _lead(batch)
         for k, (a, (_, _, shape)) in enumerate(zip(W + b, spec._layout)):
             if a.shape != prefix + shape:
                 what = f"layer {k + 1} weight" if k < spec.L else f"layer {k + 1 - spec.L} bias"
                 raise ValidationError(f"{what} has shape {a.shape}, expected {prefix + shape}")
-        _assign(self, spec, W, b, self.batch)
+        _assign(self, spec, batch, _join(spec, W + b, batch))
 
     @classmethod
-    def _derived(
-        cls, spec: WeightSpec, W=(), b=(), batch: int | None = None, flat=None
-    ) -> "WeightObject":
+    def _derived(cls, spec: WeightSpec, W, b, batch: int | None = None) -> "WeightObject":
         """Package-internal constructor for float64 tensors whose shapes the
-        caller derived from ``spec``: they are not checked again.  An
-        unbatched object may be given its fresh vector ``flat`` instead."""
+        caller derived from ``spec``: they are not checked again."""
+        return cls._viewing(spec, batch, _join(spec, W + b, batch))
+
+    @classmethod
+    def _viewing(cls, spec: WeightSpec, batch: int | None, flat: np.ndarray) -> "WeightObject":
+        """Package-internal constructor around ``flat``, a C-contiguous float64
+        array of shape ``[batch?, dim(spec)]`` that the caller hands over
+        (or, for :meth:`rows`, shares)."""
         obj = object.__new__(cls)
-        _assign(obj, spec, W, b, batch, flat)
+        _assign(obj, spec, batch, flat)
         return obj
 
     def __reduce__(self):
         # Copies and unpickled objects are rebuilt by the constructor, so
-        # their W and b are again views of their own vector.
+        # their W and b are again views of their own array.
         return (type(self), (self.spec, self.W, self.b, self.batch))
 
     def weight(self, i: int) -> np.ndarray:
@@ -172,10 +176,8 @@ class WeightObject:
         """Rows ``lo..hi-1`` of a batched object, as views."""
         if self.batch is None:
             raise ValidationError("rows() needs a batched weight object")
-        W = tuple(w[lo:hi] for w in self.W)
-        return WeightObject._derived(
-            self.spec, W, tuple(v[lo:hi] for v in self.b), W[0].shape[0]
-        )
+        flat = self.flat[lo:hi]
+        return WeightObject._viewing(self.spec, len(flat), flat)
 
     def map(self, fn) -> "WeightObject":
         """Apply ``fn`` to every weight and bias tensor; each result must
@@ -184,41 +186,45 @@ class WeightObject:
         new = tuple(tensor(fn(a)) for a in old)
         if any(a.shape != c.shape for a, c in zip(old, new)):
             raise ValidationError("map() must keep the shape of every tensor")
-        L = self.spec.L
-        return WeightObject._derived(self.spec, new[:L], new[L:], self.batch)
+        return WeightObject._viewing(self.spec, self.batch, _join(self.spec, new, self.batch))
 
     def allclose(self, other: "WeightObject", atol: float = 0.0, rtol: float = 0.0) -> bool:
         if self.spec != other.spec or self.batch != other.batch:
             return False
-        return all(
-            np.allclose(a, b, atol=atol, rtol=rtol)
-            for a, b in zip(self.W + self.b, other.W + other.b)
-        )
+        return np.allclose(self.flat, other.flat, atol=atol, rtol=rtol)
 
     def equal(self, other: "WeightObject") -> bool:
         """Bit-exact equality."""
         if self.spec != other.spec or self.batch != other.batch:
             return False
-        return all(
-            np.array_equal(a, b) for a, b in zip(self.W + self.b, other.W + other.b)
-        )
+        return np.array_equal(self.flat, other.flat)
 
     @classmethod
     def zeros(cls, spec: WeightSpec, batch: int | None = None) -> "WeightObject":
-        if batch is None:
-            return cls._derived(spec, flat=np.zeros(dim(spec)))
-        parts = [np.zeros((batch,) + shape) for _, _, shape in spec._layout]
-        return cls._derived(spec, tuple(parts[: spec.L]), tuple(parts[spec.L :]), batch)
+        batch = _batch(batch)
+        return cls._viewing(spec, batch, np.zeros(_lead(batch) + (dim(spec),)))
 
 
-def _assign(obj: WeightObject, spec: WeightSpec, W, b, batch, flat=None) -> None:
-    """Set the fields of ``obj``.  Unbatched, ``W`` and ``b`` become views of
-    ``flat``, by default a fresh vector holding a copy of them."""
-    if batch is None:
-        if flat is None:
-            flat = np.concatenate(W + b, axis=None)
-        parts = [flat[start:stop].reshape(shape) for start, stop, shape in spec._layout]
-        W, b = tuple(parts[: spec.L]), tuple(parts[spec.L :])
+def _batch(batch) -> int | None:
+    return None if batch is None else _count("batch", batch)
+
+
+def _lead(batch: int | None) -> tuple[int, ...]:
+    return () if batch is None else (batch,)
+
+
+def _join(spec: WeightSpec, tensors, batch: int | None) -> np.ndarray:
+    """A fresh flat array holding ``tensors``, W^1..W^L then b^1..b^L.  The
+    per-row sizes are explicit, so zero rows join like any other count."""
+    sizes = [_lead(batch) + (stop - start,) for start, stop, _ in spec._layout]
+    return np.concatenate([a.reshape(size) for a, size in zip(tensors, sizes)], axis=-1)
+
+
+def _assign(obj: WeightObject, spec: WeightSpec, batch: int | None, flat: np.ndarray) -> None:
+    """Set the fields of ``obj``; ``W`` and ``b`` become views of ``flat``."""
+    lead = _lead(batch)
+    parts = [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in spec._layout]
+    W, b = tuple(parts[: spec.L]), tuple(parts[spec.L :])
     obj.__dict__.update(spec=spec, W=W, b=b, batch=batch, flat=flat)
 
 
@@ -228,8 +234,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValidationError(f"uniform bounds out of order: {self.lo} > {self.hi}")
+        if not -np.inf < self.lo <= self.hi < np.inf:
+            raise ValidationError(f"uniform bounds must be finite, lo <= hi: {self.lo}, {self.hi}")
 
     def sample(self, rng: Rng, size) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size)
@@ -241,8 +247,8 @@ class Gaussian:
     std: float
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise ValidationError(f"gaussian std must be positive, got {self.std}")
+        if not (np.isfinite(self.mean) and 0 < self.std < np.inf):
+            raise ValidationError(f"gaussian needs finite mean, 0 < std: {self.mean}, {self.std}")
 
     def sample(self, rng: Rng, size) -> np.ndarray:
         return rng.gaussian(self.mean, self.std, size)
@@ -257,22 +263,24 @@ def random_weights(
     """Draw every entry i.i.d. from ``dist``; deterministic given the seed.
 
     The stream fills W^1..W^L, then b^1..b^L, each row-major; an unbatched
-    object draws its whole vector in that order with one call.
+    object draws its whole vector in that order with one call.  A batched
+    one draws each tensor for all rows in turn, then stores them with one
+    concatenation.
     """
+    batch = _batch(batch)
     if batch is None:
-        return WeightObject._derived(spec, flat=dist.sample(rng, (dim(spec),)))
+        return WeightObject._viewing(spec, None, dist.sample(rng, (dim(spec),)))
     parts = [dist.sample(rng, (batch,) + shape) for _, _, shape in spec._layout]
-    return WeightObject._derived(spec, tuple(parts[: spec.L]), tuple(parts[spec.L :]), batch)
+    return WeightObject._viewing(spec, batch, _join(spec, parts, batch))
 
 
 def stack_blocks(objects: Sequence[WeightObject]) -> Iterator[WeightObject]:
     """Batched objects of up to :data:`STACK_BLOCK` consecutive rows each.
 
     The inputs must be unbatched and share one spec; row ``k`` of the
-    ``j``-th block is ``objects[j * STACK_BLOCK + k]``.  A block is one
-    concatenation of the rows' flat vectors, viewed as ``[B, dim(spec)]``,
-    then one C-contiguous copy per weight and bias tensor; no copy of the
-    whole dataset is held at once.
+    ``j``-th block is ``objects[j * STACK_BLOCK + k]``.  A block's ``flat``
+    is one concatenation of the rows' flat vectors, viewed as
+    ``[B, dim(spec)]``; no copy of the whole dataset is held at once.
     """
     if not objects:
         return
@@ -282,14 +290,8 @@ def stack_blocks(objects: Sequence[WeightObject]) -> Iterator[WeightObject]:
             raise ValidationError("stacking needs unbatched weight objects of one spec")
     for lo in range(0, len(objects), STACK_BLOCK):
         rows = objects[lo : lo + STACK_BLOCK]
-        B = len(rows)
-        flat = np.concatenate([u.flat for u in rows]).reshape(B, -1)
-        parts = tuple(
-            np.ascontiguousarray(flat[:, start:stop]).reshape((B,) + shape)
-            for start, stop, shape in spec._layout
-        )
-        del flat  # not held while the caller works on the block
-        yield WeightObject._derived(spec, parts[: spec.L], parts[spec.L :], B)
+        flat = np.concatenate([u.flat for u in rows]).reshape(len(rows), dim(spec))
+        yield WeightObject._viewing(spec, len(rows), flat)
 
 
 _WEIGHT_KEYS = ("format", "L", "n", "d", "batch", "W", "b")
@@ -316,8 +318,8 @@ def load(path) -> tuple[WeightSpec, WeightObject]:
     if doc["format"] != WEIGHT_FORMAT:
         raise ValidationError(f"unsupported format {doc['format']!r}")
     spec = WeightSpec(L=doc["L"], n=doc["n"], d=doc["d"])
-    batch = None if doc["batch"] is None else _count("batch", doc["batch"])
-    prefix = (batch,) if batch is not None else ()
+    batch = _batch(doc["batch"])
+    prefix = _lead(batch)
     if not isinstance(doc["W"], list) or len(doc["W"]) != spec.L:
         raise ValidationError("W must list one tensor per layer")
     if not isinstance(doc["b"], list) or len(doc["b"]) != spec.L:

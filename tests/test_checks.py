@@ -69,3 +69,37 @@ def test_a_raising_suite_yields_an_error_record(monkeypatch):
 def test_run_suites_rejects_an_unknown_selector():
     with pytest.raises(ValidationError, match="unknown suite 'nope'"):
         checks.run_suites("nope", 2, 0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_run_suites_rejects_a_non_finite_tolerance_before_any_suite(tol, monkeypatch):
+    monkeypatch.setitem(checks._SUITE_FNS, "group", lambda *a, **k: pytest.fail("suite ran"))
+    with pytest.raises(ValidationError, match="must be finite"):
+        checks.run_suites("all", 2, 0, tolerance_overrides={"equiv": tol})
+    with pytest.raises(ValidationError, match="must be finite"):
+        checks.run_suite("equiv", 2, 0, tolerance=tol)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"L_values": (1, 2)},
+        {"L_values": ()},
+        {"n_max": 0},
+        {"d_values": (0,)},
+        {"e_values": ()},
+        {"e_values": (1, -3)},
+        {"scale_range": (float("nan"), 4.0)},
+        {"scale_range": (0.0, 4.0)},
+        {"scale_range": (4.0, 0.25)},
+        {"scale_range": (0.25, float("inf"))},
+    ],
+)
+def test_grid_rejects_what_no_suite_can_draw_from(bad):
+    with pytest.raises(ValidationError):
+        checks.Grid(**bad)
+
+
+def test_grid_normalizes_its_fields():
+    grid = checks.Grid(L_values=[np.int64(2)], n_max=np.int32(3), scale_range=[1, 2])
+    assert grid == checks.Grid(L_values=(2,), n_max=3, scale_range=(1.0, 2.0))

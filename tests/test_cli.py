@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from magep.cli import main, validate_report
+from magep.checks import Grid
+from magep.cli import _grid_from_args, build_parser, main, validate_report
 
 
 def run_cli(*args):
@@ -181,3 +182,51 @@ def test_fit_without_probes_is_usage_error():
     res = run_cli("fit", "--probes", "0")
     assert res.returncode == 2
     assert "--probes must be >= 1" in res.stderr
+
+
+# Each command with its outputs under ``out``; the invalid flag is appended.
+_BASE = {
+    "gen": lambda out: ["gen", "--L", "2", "--n", "1,2,1", "--count", "2", "--out-dir", str(out / "g")],
+    "check": lambda out: ["check", "--trials", "2", "--out", str(out / "report.json")],
+    "bench": lambda out: ["bench", "--reps", "1", "--out", str(out / "bench.json")],
+    "fit": lambda out: ["fit", "--out", str(out / "f.mgfit.json"), "--report-out", str(out / "f.json")],
+}
+
+_INVALID = [
+    ("gen", "--batch", "0"),
+    ("gen", "--batch", "-1"),
+    ("gen", "--lo", "nan"),
+    ("gen", "--hi", "inf"),
+    ("gen", "--dist", "gaussian", "--std", "nan"),
+    ("gen", "--dist", "gaussian", "--mean", "inf"),
+    ("check", "--n-max", "0"),
+    ("check", "--L-values", "1"),
+    ("check", "--d-values", "0"),
+    ("check", "--e-values", "0"),
+    ("check", "--scale-range", "nan,4"),
+    ("check", "--scale-range", "0,4"),
+    ("check", "--scale-range", "4,1"),
+    ("check", "--scale-range", "1,inf"),
+    ("check", "--tol", "equiv=nan"),
+    ("check", "--tol", "equiv=inf"),
+    ("bench", "--e-values", "0"),
+    ("fit", "--lambda", "nan"),
+    ("fit", "--lambda", "inf"),
+    ("fit", "--samples", "0"),
+]
+
+
+@pytest.mark.parametrize("case", _INVALID, ids=[" ".join(c) for c in _INVALID])
+def test_invalid_flag_is_usage_error_before_any_work(tmp_path, case):
+    command, *flags = case
+    res = run_cli(*_BASE[command](tmp_path), *flags)
+    assert res.returncode == 2, res.stderr
+    # One error line: no traceback, and no suite or fit progress before it.
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert res.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["check", "bench"])
+def test_grid_flags_default_to_grid(command):
+    assert _grid_from_args(build_parser().parse_args([command])) == Grid()

@@ -246,8 +246,9 @@ def test_linear_networks_lie_in_the_span_of_their_linear_parts(n):
 def test_fit_validation():
     psi = PsiParams.random(SPEC, Rng(23))
     data = _dataset(SPEC, psi, 5, 24, lambda objs: np.zeros((len(objs), 1)))
-    with pytest.raises(ValidationError):
-        fitting.fit_ridge(data, psi, -1.0)
+    for lam in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            fitting.fit_ridge(data, psi, lam)
     with pytest.raises(ValidationError):
         fitting.fit_ridge(fitting.FitDataset((), np.zeros((0, 1))), psi, 1.0)
     with pytest.raises(ValidationError):

@@ -499,12 +499,16 @@ def test_unbatched_forward_is_row_zero_of_a_batch_of_one_bit_for_bit(spec, e):
     # tensors differed from their unbatched forward, by up to 1.8e-15 relative.
     r = Rng(38)
     params = layers.init_equivariant(spec, e, r.child("p"))
+    head = layers.init_invariant(WeightSpec(spec.L, spec.n, e), 2, 3, r.child("head"))
     for k in range(5):
         U = random_weights(spec, r.child("U", k), Uniform(-2.0, 2.0))
         one = WeightObject(spec, tuple(w[None] for w in U.W), tuple(v[None] for v in U.b), 1)
         alone, row = layers.equivariant_forward(params, U), layers.equivariant_forward(params, one)
         for a, b in zip(alone.W + alone.b, row.W + row.b):
             assert a.shape == b.shape[1:] and a.tobytes() == b[0].tobytes()
+        # Both outputs are one contiguous row, so the head reads them alike.
+        alone, row = (layers.stack_forward([(params, relu)], head, V) for V in (U, one))
+        assert alone.tobytes() == row[0].tobytes()
 
 
 @pytest.mark.parametrize("spec", PACK_SPECS, ids=["deep", "d1"])

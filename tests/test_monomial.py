@@ -146,6 +146,15 @@ def test_sample_rejects_bad_scale_range():
         sample(spec, Rng(0), scale_range=(0.0, 1.0))
     with pytest.raises(ValidationError):
         sample(spec, Rng(0), scale_range=(2.0, 1.0))
+    for bad in [(np.nan, 4.0), (0.25, np.inf), (0.25,)]:
+        with pytest.raises(ValidationError, match="scale range"):
+            sample_monomial(3, Rng(0), scale_range=bad)
+
+
+@pytest.mark.parametrize("scales", [[np.nan, 1.0], [1.0, np.inf], [0.0, 1.0]])
+def test_monomial_scales_must_be_finite_and_non_zero(scales):
+    with pytest.raises(ValidationError, match="finite and non-zero"):
+        MonomialElement(scales, [0, 1])
 
 
 def test_boundary_factors_must_be_identities():

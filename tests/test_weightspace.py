@@ -70,10 +70,12 @@ def test_random_weights_deterministic():
 
 
 def test_dist_validation():
-    with pytest.raises(ValidationError):
-        Uniform(1.0, -1.0)
-    with pytest.raises(ValidationError):
-        Gaussian(0.0, 0.0)
+    for lo, hi in [(1.0, -1.0), (np.nan, 1.0), (-1.0, np.inf), (-np.inf, 1.0)]:
+        with pytest.raises(ValidationError):
+            Uniform(lo, hi)
+    for mean, std in [(0.0, 0.0), (0.0, np.nan), (0.0, np.inf), (np.nan, 1.0), (np.inf, 1.0)]:
+        with pytest.raises(ValidationError):
+            Gaussian(mean, std)
 
 
 def test_batched_shapes():
@@ -168,9 +170,12 @@ def test_rows_are_views_of_a_batched_object():
     U = random_weights(spec, Rng(4), Uniform(-1.0, 1.0), batch=5)
     part = U.rows(3, 8)  # clipped at the batch end
     assert part.batch == 2
+    assert part.flat.base is U.flat and part.flat.shape == (2, dim(spec))
     for i in range(1, spec.L + 1):
         assert np.array_equal(part.weight(i), U.weight(i)[3:])
-        assert np.shares_memory(part.bias(i), U.bias(i))
+        assert np.shares_memory(part.bias(i), U.flat)
+    empty = U.rows(5, 5)
+    assert empty.batch == 0 and empty.weight(1).shape == (0,) + spec.weight_shape(1)
     unbatched = random_weights(spec, Rng(4), Uniform(-1.0, 1.0))
     with pytest.raises(ValidationError):
         unbatched.rows(0, 1)
@@ -185,41 +190,67 @@ def test_spec_coerces_integer_fields():
             WeightSpec(**{"L": 2, "n": (1, 2, 1), "d": 1, **bad})
 
 
-def test_unbatched_tensors_are_views_of_one_vector():
-    U = random_weights(CHANNELS, Rng(6))
-    assert U.flat.shape == (dim(CHANNELS),) and U.flat.flags.c_contiguous
+BATCHES = pytest.mark.parametrize("batch", [None, 1, 3])
+
+
+def _lead(batch):
+    return () if batch is None else (batch,)
+
+
+@BATCHES
+def test_tensors_are_views_of_one_flat_array(batch):
+    U = random_weights(CHANNELS, Rng(6), batch=batch)
+    lead = _lead(batch)
+    assert U.flat.shape == lead + (dim(CHANNELS),) and U.flat.flags.c_contiguous
+    assert U.flat.dtype == np.float64
     parts = U.W + U.b
     assert all(np.shares_memory(a, U.flat) for a in parts)
-    assert np.array_equal(np.concatenate([a.ravel() for a in parts]), U.flat)
-    U.flat[-1] = 7.5  # the last entry of b^L
-    assert U.bias(CHANNELS.L)[-1, -1] == 7.5
-    U.weight(2)[1, 0, 2] = -3.0
+    rows = [a.reshape(lead + (-1,)) for a in parts]
+    assert np.array_equal(np.concatenate(rows, axis=-1), U.flat)
+    U.flat[..., -1] = 7.5  # the last entry of b^L
+    assert np.all(U.bias(CHANNELS.L)[..., -1, -1] == 7.5)
+    U.weight(2)[..., 1, 0, 2] = -3.0
     start = np.prod(CHANNELS.weight_shape(1))
-    assert U.flat[start + np.ravel_multi_index((1, 0, 2), CHANNELS.weight_shape(2))] == -3.0
-    assert random_weights(CHANNELS, Rng(6), batch=2).flat is None
+    at = start + np.ravel_multi_index((1, 0, 2), CHANNELS.weight_shape(2))
+    assert np.all(U.flat[..., at] == -3.0)
 
 
-def test_construction_copies_the_given_tensors():
-    W = [np.ones(CHANNELS.weight_shape(i)) for i in range(1, CHANNELS.L + 1)]
-    b = [np.ones(CHANNELS.bias_shape(i)) for i in range(1, CHANNELS.L + 1)]
-    U = WeightObject(CHANNELS, W, b)
+@BATCHES
+def test_construction_copies_the_given_tensors(batch):
+    lead = _lead(batch)
+    W = [np.ones(lead + CHANNELS.weight_shape(i)) for i in range(1, CHANNELS.L + 1)]
+    b = [np.ones(lead + CHANNELS.bias_shape(i)) for i in range(1, CHANNELS.L + 1)]
+    U = WeightObject(CHANNELS, W, b, batch)
     W[0][...] = 5.0
     b[2][...] = 5.0
     assert np.all(U.flat == 1.0)
     assert not any(np.shares_memory(a, c) for a, c in zip(U.W + U.b, W + b))
-    # Derived objects own fresh vectors too.
-    for V in (U.map(lambda a: a), WeightObject.zeros(CHANNELS)):
+    # Derived objects own fresh arrays too.
+    for V in (U.map(lambda a: a), WeightObject.zeros(CHANNELS, batch)):
+        assert V.flat.shape == U.flat.shape and V.flat.flags.c_contiguous
         assert not np.shares_memory(V.flat, U.flat)
 
 
-@pytest.mark.parametrize("batch", [None, 2])
-def test_copies_keep_their_own_vector(batch):
+@BATCHES
+def test_copies_keep_their_own_array(batch):
     U = random_weights(CHANNELS, Rng(3), batch=batch)
     for V in (copy.copy(U), copy.deepcopy(U), pickle.loads(pickle.dumps(U))):
         assert V.equal(U)
-        if batch is None:
-            assert all(np.shares_memory(a, V.flat) for a in V.W + V.b)
-            assert not np.shares_memory(V.flat, U.flat)
+        assert all(np.shares_memory(a, V.flat) for a in V.W + V.b)
+        assert not np.shares_memory(V.flat, U.flat)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.0, "2"])
+def test_batch_must_be_a_positive_integer(bad):
+    W = [np.zeros(CHANNELS.weight_shape(i)) for i in range(1, CHANNELS.L + 1)]
+    b = [np.zeros(CHANNELS.bias_shape(i)) for i in range(1, CHANNELS.L + 1)]
+    with pytest.raises(ValidationError, match="batch must be an integer >= 1"):
+        WeightObject(CHANNELS, W, b, bad)
+    with pytest.raises(ValidationError, match="batch must be an integer >= 1"):
+        random_weights(CHANNELS, Rng(0), batch=bad)
+    with pytest.raises(ValidationError, match="batch must be an integer >= 1"):
+        WeightObject.zeros(CHANNELS, bad)
+    assert random_weights(CHANNELS, Rng(0), batch=np.int64(2)).batch == 2
 
 
 def test_map_keeps_shapes():
@@ -242,7 +273,7 @@ def test_stack_blocks_equals_per_layer_stack(spec):
     for j, blk in enumerate(blocks):
         want = _reference_stack(objects[j * STACK_BLOCK : (j + 1) * STACK_BLOCK])
         for got, ref in zip(blk.W + blk.b, want):
-            assert got.flags.c_contiguous and got.dtype == np.float64
+            assert got.dtype == np.float64
             assert got.shape == ref.shape
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
