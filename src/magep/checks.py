@@ -21,16 +21,7 @@ from .activations import abs_act, leaky_relu, relu, sin, tanh
 from .dense import Rng, rel_residual
 from .errors import ValidationError
 from .monomial import VARIANT_POSITIVE, VARIANT_SIGN
-from .stableterms import (
-    PsiParams,
-    bw_term,
-    psi_indices,
-    w_chain,
-    w_indices,
-    wb_indices,
-    wb_term,
-    ww_term,
-)
+from .stableterms import PsiParams, _w_chains, all_terms
 from .weightspace import Uniform, WeightObject, WeightSpec, _count, random_weights
 
 __all__ = ["Grid", "SUITE_NAMES", "DEFAULT_TOLERANCES", "run_suite", "run_suites", "run_bench"]
@@ -81,7 +72,8 @@ class Grid:
             if not values:
                 raise ValidationError(f"grid {name} must not be empty")
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "n_max", _count("grid n_max", self.n_max))
+        # The netinv witness and the sharing-mutation equiv trials draw widths >= 2.
+        object.__setattr__(self, "n_max", _count("grid n_max", self.n_max, 2))
         object.__setattr__(self, "scale_range", monomial._scale_range(self.scale_range))
 
     def sample_spec(self, rng: Rng, d: int | None = None, n_min: int = 1) -> WeightSpec:
@@ -162,32 +154,32 @@ def _suite_stability(trials, rng, grid, tol):
         r = rng.child("stability", k)
         spec, U, g = _draw(r, grid, _variant_for(k))
         psi = PsiParams.random(spec, r.child("psi"))
-        gU = monomial.act(g, U)
-        L = spec.L
-        for s, t in w_indices(L):
-            want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(w_chain(U, s, t)))
-            worst = max(worst, rel_residual(w_chain(gU, s, t), want))
-        for s in range(1, L + 1):
-            want = g.layer(s).apply_rows(U.bias(s)[..., None])[..., 0]
-            worst = max(worst, rel_residual(gU.bias(s), want))
-        for s, t in wb_indices(L):
-            want = g.layer(s).apply_rows(wb_term(U, s, t)[..., None])[..., 0]
-            worst = max(worst, rel_residual(wb_term(gU, s, t), want))
-        for s, t in psi_indices(L):
-            for term in (bw_term, ww_term):
-                want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(term(U, s, t, psi)))
-                worst = max(worst, rel_residual(term(gU, s, t, psi), want))
+        T, gT = all_terms(U, psi), all_terms(monomial.act(g, U), psi)
+        # [W], [bW] and [WW] at (s, t) move by g_s on rows and g_t^-1 on
+        # columns; [b] and [Wb] move by g_s alone.
+        for table, moved in ((T.w, gT.w), (T.bw, gT.bw), (T.ww, gT.ww)):
+            for (s, t), v in table.items():
+                want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(v))
+                worst = max(worst, rel_residual(moved[(s, t)], want))
+        rows = lambda s, v: g.layer(s).apply_rows(v[..., None])[..., 0]
+        for s, v in T.b.items():
+            worst = max(worst, rel_residual(gT.b[s], rows(s, v)))
+        for (s, t), v in T.wb.items():
+            worst = max(worst, rel_residual(gT.wb[(s, t)], rows(s, v)))
     return _record("stability", trials, worst, tol, worst <= tol)
 
 
-def _chain_identities(V, s, t, rr, row):
-    """(product, direct value) pairs of the composition identities at (s, t, rr)."""
-    pairs = [(np.matmul(w_chain(V, s, t), w_chain(V, t, rr)), w_chain(V, s, rr))]
+def _chain_identities(V, chains, s, t, rr, row):
+    """(product, direct value) pairs of the composition identities at
+    (s, t, rr), on the chains of ``V``: [W](s,t)[W](t,rr) = [W](s,rr),
+    [W](s,t)[Wb](t,rr) = [Wb](s,rr) and, with ``row`` a connection row of
+    width n_s, (b^(s) x row)[W](s,t) [W](t,rr) = (b^(s) x row)[W](s,rr)."""
+    wb = lambda i, j: np.matmul(chains[(i, j)], V.bias(j)[..., None])[..., 0]
+    bw = lambda j: np.matmul(V.bias(s)[..., None] * row[0], chains[(s, j)])
+    pairs = [(np.matmul(chains[(s, t)], chains[(t, rr)]), chains[(s, rr)])]
     if rr >= 1:
-        got = np.matmul(w_chain(V, s, t), wb_term(V, t, rr)[..., None])[..., 0]
-        pairs.append((got, wb_term(V, s, rr)))
-    got = np.matmul(bw_term(V, s, t, row, upper=s), w_chain(V, t, rr))
-    pairs.append((got, bw_term(V, s, rr, row, upper=s)))
+        pairs.append((np.matmul(chains[(s, t)], wb(t, rr)[..., None])[..., 0], wb(s, rr)))
+    pairs.append((np.matmul(bw(t), chains[(t, rr)]), bw(rr)))
     return pairs
 
 
@@ -198,9 +190,10 @@ def _suite_chains(trials, rng, grid, tol):
         r = rng.child("chains", k)
         spec, U, _ = _draw(r, grid)
         absU = U.map(np.abs)
+        chains, abs_chains = _w_chains(U), _w_chains(absU)
         L = spec.L
         for s in range(1, L + 1):
-            if not np.array_equal(w_chain(U, s, s - 1), U.weight(s)):
+            if not np.array_equal(chains[(s, s - 1)], U.weight(s)):
                 exact_specialization = False
         for s in range(2, L + 1):
             for t in range(1, s):
@@ -210,8 +203,8 @@ def _suite_chains(trials, rng, grid, tol):
                     # the absolute values of its factors, which bounds its
                     # rounding error; max|product| is no such scale, since
                     # cancellation can make it arbitrarily small.
-                    exact = _chain_identities(U, s, t, rr, row)
-                    bounds = _chain_identities(absU, s, t, rr, np.abs(row))
+                    exact = _chain_identities(U, chains, s, t, rr, row)
+                    bounds = _chain_identities(absU, abs_chains, s, t, rr, np.abs(row))
                     for (got, want), (bound, _) in zip(exact, bounds):
                         worst = max(worst, float(np.max(np.abs(got - want)) / np.max(bound)))
     return _record(

@@ -123,6 +123,10 @@ def cmd_fit(args) -> int:
         raise MagepError(f"--probes must be >= 1, got {args.probes}")
     if args.samples is not None and args.samples < 1:
         raise MagepError(f"--samples must be >= 1, got {args.samples}")
+    if args.samples_per_feature < 1:
+        raise MagepError(f"--samples-per-feature must be >= 1, got {args.samples_per_feature}")
+    if args.target == "probes" and args.d != 1:
+        raise MagepError(f"--target probes needs --d 1, got {args.d}")
     spec = _spec_from_args(args)
     rng = Rng(args.seed)
     psi = PsiParams.random(spec, rng.child("psi"))

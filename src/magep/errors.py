@@ -9,10 +9,6 @@ class DimensionError(MagepError, ValueError):
     """Operand shapes or extents are inconsistent."""
 
 
-class IndexRangeError(MagepError, ValueError):
-    """A stable-term index pair lies outside its feasible range."""
-
-
 class ValidationError(MagepError, ValueError):
     """A value violates a structural invariant (widths, shapes, keys)."""
 

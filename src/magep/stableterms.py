@@ -13,15 +13,13 @@ the building blocks of the equivariant and invariant layers:
 All products act per channel (and per batch row); channels never mix.  The
 connection matrices ``Psi`` bridge the mismatched chain endpoints: the
 ``[bW]`` one is a row vector of width ``n_L``, the ``[WW]`` one an
-``n_0 x n_L`` matrix, both shared across channels.  The upper index of the
-middle chain defaults to ``L`` but is exposed as the ``upper`` argument so
-compositions like ``[bW]^(s)(s,t) [W]^(t,r) = [bW]^(s)(s,r)`` are
-expressible.
+``n_0 x n_L`` matrix, both shared across channels.
 
-:func:`all_terms` evaluates every family at every index pair from their
-definitions; the checks, the oracle and the tests read it.  :func:`featurize`
-evaluates only the invariant scalars the invariant layer and the ridge fit
-read, from O(L) prefix and suffix chains, which the equivariant layer shares.
+:func:`all_terms` is the one evaluator of every family at every index pair;
+the stability suite, the oracle's rank reports and the tests read it.
+:func:`featurize` evaluates only the invariant scalars the invariant layer
+and the ridge fit read, from O(L) prefix and suffix chains, which the
+equivariant layer shares.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .dense import Rng, tensor
-from .errors import IndexRangeError, ValidationError
+from .errors import ValidationError
 from .weightspace import WeightObject, WeightSpec
 
 __all__ = [
@@ -42,10 +40,6 @@ __all__ = [
     "w_indices",
     "wb_indices",
     "psi_indices",
-    "w_chain",
-    "wb_term",
-    "bw_term",
-    "ww_term",
     "all_terms",
     "feature_count",
     "featurize",
@@ -140,110 +134,31 @@ class StableTermSet:
     b: dict[int, np.ndarray]
 
 
-def _check_chain_indices(spec: WeightSpec, s: int, t: int) -> None:
-    if not (spec.L >= s > t >= 0):
-        raise IndexRangeError(
-            f"chain indices must satisfy L >= s > t >= 0, got (s, t)=({s}, {t}) with L={spec.L}"
-        )
-
-
-def w_chain(U: WeightObject, s: int, t: int) -> np.ndarray:
-    """``[W]^(s,t)``: left-to-right product of the layer weights s..t+1."""
-    _check_chain_indices(U.spec, s, t)
-    out = U.weight(t + 1)
-    for i in range(t + 2, s + 1):
-        out = np.matmul(U.weight(i), out)
-    return out
-
-
-def wb_term(U: WeightObject, s: int, t: int) -> np.ndarray:
-    """``[Wb]^(s,t)(t) = [W]^(s,t) b^(t)``; needs ``t >= 1`` (layer 0 has no bias)."""
-    if t < 1:
-        raise IndexRangeError(f"[Wb] needs t > 0, got t={t}")
-    _check_chain_indices(U.spec, s, t)
-    chain = w_chain(U, s, t)
-    return np.matmul(chain, U.bias(t)[..., None])[..., 0]
-
-
-def _psi_row(psi, key: tuple[int, int], want_cols: int, family: str) -> np.ndarray:
-    if isinstance(psi, PsiParams):
-        table = psi.bw if family == "bw" else psi.ww
-        if key not in table:
-            raise KeyError(f"psi_{family} has no entry for (s, t)={key}")
-        mat = table[key]
-    else:
-        mat = tensor(psi)
-    if mat.ndim != 2 or mat.shape[1] != want_cols:
-        raise ValidationError(
-            f"psi_{family}{key} has shape {mat.shape}, expected (*, {want_cols})"
-        )
-    return mat
-
-
-def bw_term(
-    U: WeightObject, s: int, t: int, psi, upper: int | None = None
-) -> np.ndarray:
-    """``[bW]^(s)(upper,t) = b^(s) Psi [W]^(upper,t)`` with ``upper`` defaulting to L.
-
-    ``psi`` is either a :class:`PsiParams` (looked up at ``(s, t)``,
-    valid only for the default upper index) or a raw ``[1, n_upper]`` row.
-    """
-    spec = U.spec
-    u = spec.L if upper is None else upper
-    if not (spec.L >= s >= 1):
-        raise IndexRangeError(f"[bW] needs L >= s >= 1, got s={s}")
-    if not (u > t >= 0):
-        raise IndexRangeError(f"[bW] needs upper > t >= 0, got upper={u}, t={t}")
-    if isinstance(psi, PsiParams) and u != spec.L:
-        raise ValidationError("PsiParams rows only fit the default upper index L")
-    row = _psi_row(psi, (s, t), spec.n[u], "bw")
-    if row.shape[0] != 1:
-        raise ValidationError(f"psi_bw must be a single row, got shape {row.shape}")
-    outer = U.bias(s)[..., None] * row[0]
-    return np.matmul(outer, w_chain(U, u, t))
-
-
-def ww_term(
-    U: WeightObject, s: int, t: int, psi, upper: int | None = None
-) -> np.ndarray:
-    """``[WW]^(s,0)(upper,t) = [W]^(s,0) Psi [W]^(upper,t)``, ``upper`` defaulting to L."""
-    spec = U.spec
-    u = spec.L if upper is None else upper
-    if not (spec.L >= s >= 1):
-        raise IndexRangeError(f"[WW] needs L >= s >= 1, got s={s}")
-    if not (u > t >= 0):
-        raise IndexRangeError(f"[WW] needs upper > t >= 0, got upper={u}, t={t}")
-    if isinstance(psi, PsiParams) and u != spec.L:
-        raise ValidationError("PsiParams matrices only fit the default upper index L")
-    mat = _psi_row(psi, (s, t), spec.n[u], "ww")
-    if mat.shape[0] != spec.n[0]:
-        raise ValidationError(
-            f"psi_ww{(s, t)} has {mat.shape[0]} rows, expected n_0={spec.n[0]}"
-        )
-    left = np.matmul(w_chain(U, s, 0), mat)
-    return np.matmul(left, w_chain(U, u, t))
-
-
 def _check_psi_fits(spec: WeightSpec, psi: PsiParams) -> None:
     if psi.spec.n != spec.n or psi.spec.L != spec.L:
         raise ValidationError("psi was built for a different architecture")
 
 
-def all_terms(U: WeightObject, psi: PsiParams) -> StableTermSet:
-    """Evaluate every family at every feasible index pair.
-
-    Chains are built by dynamic programming (``chain(s,t) = W^(s) chain(s-1,t)``),
-    O(L^2) matrix products in total; each entry equals its direct-definition
-    evaluation.
-    """
-    spec = U.spec
-    _check_psi_fits(spec, psi)
-    L = spec.L
+def _w_chains(U: WeightObject) -> dict[tuple[int, int], np.ndarray]:
+    """``[W]^(s,t)`` at every pair of :func:`w_indices`, by the recursion
+    ``[W]^(s,t) = W^(s) [W]^(s-1,t)`` from ``[W]^(t+1,t) = W^(t+1)``:
+    O(L^2) matrix products in total."""
+    L = U.spec.L
     chains: dict[tuple[int, int], np.ndarray] = {}
     for t in range(L):
         chains[(t + 1, t)] = U.weight(t + 1)
         for s in range(t + 2, L + 1):
             chains[(s, t)] = np.matmul(U.weight(s), chains[(s - 1, t)])
+    return chains
+
+
+def all_terms(U: WeightObject, psi: PsiParams) -> StableTermSet:
+    """Evaluate every family at every feasible index pair, from the chains
+    of :func:`_w_chains`."""
+    spec = U.spec
+    _check_psi_fits(spec, psi)
+    L = spec.L
+    chains = _w_chains(U)
     wb = {
         (s, t): np.matmul(chains[(s, t)], U.bias(t)[..., None])[..., 0]
         for s, t in wb_indices(L)

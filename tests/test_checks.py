@@ -14,19 +14,37 @@ def test_chains_suite_passes_where_cancellation_shrank_the_chain():
 
 
 def test_chains_suite_fails_on_a_perturbed_chain(monkeypatch):
-    exact = checks.w_chain
+    exact = checks._w_chains
 
-    def perturbed(U, s, t):
-        out = exact(U, s, t)
-        if s - t >= 2:  # leave the one-step chains exact
-            out = out + 1e-9 * exact(U.map(np.abs), s, t)
-        return out
+    def perturbed(U):
+        chains, bounds = exact(U), exact(U.map(np.abs))
+        return {
+            # leave the one-step chains exact
+            (s, t): v + 1e-9 * bounds[(s, t)] if s - t >= 2 else v
+            for (s, t), v in chains.items()
+        }
 
-    monkeypatch.setattr(checks, "w_chain", perturbed)
+    monkeypatch.setattr(checks, "_w_chains", perturbed)
     rec = checks.run_suite("chains", 5, 381)
     assert not rec["pass"]
     # The (2, 1, 0) identity sees exactly the 1e-9 on its right-hand side.
     assert 0.9e-9 <= rec["max_residual"] <= 1e-8
+
+
+def test_stability_suite_fails_when_one_family_breaks_its_law(monkeypatch):
+    assert checks.run_suite("stability", 10, 3)["pass"]
+    exact = checks.all_terms
+
+    def offset_ww(U, psi):
+        terms = exact(U, psi)
+        for v in terms.ww.values():
+            v[..., 0, 0] += 0.5  # a fixed offset, which g does not move
+        return terms
+
+    monkeypatch.setattr(checks, "all_terms", offset_ww)
+    rec = checks.run_suite("stability", 10, 3)
+    assert not rec["pass"]
+    assert rec["max_residual"] > 1e3 * rec["tolerance"]
 
 
 RECORD_KEYS = ["suite", "trials", "max_residual", "tolerance", "pass", "details"]
@@ -86,6 +104,7 @@ def test_run_suites_rejects_a_non_finite_tolerance_before_any_suite(tol, monkeyp
         {"L_values": (1, 2)},
         {"L_values": ()},
         {"n_max": 0},
+        {"n_max": 1},  # netinv and --corrupt-sharing draw widths >= 2
         {"d_values": (0,)},
         {"e_values": ()},
         {"e_values": (1, -3)},

@@ -200,6 +200,7 @@ _INVALID = [
     ("gen", "--dist", "gaussian", "--std", "nan"),
     ("gen", "--dist", "gaussian", "--mean", "inf"),
     ("check", "--n-max", "0"),
+    ("check", "--n-max", "1"),
     ("check", "--L-values", "1"),
     ("check", "--d-values", "0"),
     ("check", "--e-values", "0"),
@@ -213,6 +214,9 @@ _INVALID = [
     ("fit", "--lambda", "nan"),
     ("fit", "--lambda", "inf"),
     ("fit", "--samples", "0"),
+    ("fit", "--samples-per-feature", "0"),
+    ("fit", "--samples-per-feature", "-3"),
+    ("fit", "--target", "probes", "--d", "2"),
 ]
 
 

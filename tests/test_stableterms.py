@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from magep import monomial
+from magep import monomial, oracle
 from magep.dense import Rng, rel_residual
-from magep.errors import IndexRangeError, ValidationError
+from magep.errors import ValidationError
 from magep.stableterms import (
     PsiParams,
+    _w_chains,
     all_terms,
-    bw_term,
     psi_indices,
-    w_chain,
     w_indices,
     wb_indices,
-    wb_term,
-    ww_term,
 )
 from magep.weightspace import Uniform, WeightObject, WeightSpec, random_weights
 
@@ -33,7 +30,7 @@ def test_one_step_chain_is_the_raw_weight():
     spec = WeightSpec(4, (2, 3, 2, 4, 1), 2)
     U = random_weights(spec, Rng(2), batch=3)
     for s in range(1, 5):
-        assert np.array_equal(w_chain(U, s, s - 1), U.weight(s))
+        assert np.array_equal(_w_chains(U)[(s, s - 1)], U.weight(s))
 
 
 def test_identity_chain():
@@ -42,32 +39,21 @@ def test_identity_chain():
     U = WeightObject(
         spec, (eye.copy(), eye.copy(), eye.copy()), tuple(np.zeros((1, 2)) for _ in range(3))
     )
-    assert np.array_equal(w_chain(U, 3, 0), eye)
+    assert np.array_equal(_w_chains(U)[(3, 0)], eye)
 
 
 def test_full_chain_hand_value():
-    assert np.array_equal(w_chain(_toy_object(), 2, 0), np.array([[[2.0]]]))
-
-
-def test_chain_index_validation():
-    U = _toy_object()
-    with pytest.raises(IndexRangeError):
-        w_chain(U, 1, 1)
-    with pytest.raises(IndexRangeError):
-        w_chain(U, 3, 0)
-    with pytest.raises(IndexRangeError):
-        w_chain(U, 0, -1)
+    assert np.array_equal(_w_chains(_toy_object())[(2, 0)], np.array([[[2.0]]]))
 
 
 def test_wb_hand_values():
     U = _toy_object()
-    assert np.array_equal(wb_term(U, 2, 1), np.array([[2.0]]))
-    with pytest.raises(IndexRangeError):
-        wb_term(U, 2, 0)  # layer 0 has no bias
+    psi = PsiParams.random(SPEC_121, Rng(0))
+    assert np.array_equal(all_terms(U, psi).wb[(2, 1)], np.array([[2.0]]))
     zero_bias = WeightObject(
         SPEC_121, U.W, (np.zeros((1, 2)), np.zeros((1, 1)))
     )
-    assert np.all(wb_term(zero_bias, 2, 1) == 0.0)
+    assert np.all(all_terms(zero_bias, psi).wb[(2, 1)] == 0.0)
 
 
 def test_wb_identity_chain_returns_bias():
@@ -75,7 +61,7 @@ def test_wb_identity_chain_returns_bias():
     eye = np.eye(2)[None]
     b1 = np.array([[3.0, 4.0]])
     U = WeightObject(spec, (eye.copy(), eye.copy()), (b1, np.zeros((1, 2))))
-    assert np.array_equal(wb_term(U, 2, 1), b1)
+    assert np.array_equal(all_terms(U, PsiParams.random(spec, Rng(0))).wb[(2, 1)], b1)
 
 
 def test_bw_scalar_case():
@@ -86,35 +72,36 @@ def test_bw_scalar_case():
         (np.array([[[2.0]]]), np.array([[[1.0]]])),  # chain (2,0) = 2 = omega
         (np.array([[1.0]]), np.array([[beta]])),
     )
-    got = bw_term(U, 2, 0, np.array([[psi_val]]))
+    got = all_terms(U, PsiParams.constant(spec, psi_val)).bw[(2, 0)]
     assert np.allclose(got, beta * psi_val * omega)
 
 
 def test_bw_zero_cases():
     spec = WeightSpec(2, (1, 2, 1), 1)
     U = random_weights(spec, Rng(1))
-    assert np.all(bw_term(U, 1, 0, np.zeros((1, 1))) == 0.0)
+    assert np.all(all_terms(U, PsiParams.constant(spec, 0.0)).bw[(1, 0)] == 0.0)
     zero_bias = WeightObject(spec, U.W, tuple(np.zeros_like(b) for b in U.b))
-    assert np.all(bw_term(zero_bias, 1, 0, np.ones((1, 1))) == 0.0)
+    assert np.all(all_terms(zero_bias, PsiParams.constant(spec, 1.0)).bw[(1, 0)] == 0.0)
 
 
 def test_ww_zero_psi():
-    U = random_weights(WeightSpec(2, (2, 2, 2), 1), Rng(3))
-    assert np.all(ww_term(U, 1, 0, np.zeros((2, 2))) == 0.0)
+    spec = WeightSpec(2, (2, 2, 2), 1)
+    U = random_weights(spec, Rng(3))
+    assert np.all(all_terms(U, PsiParams.constant(spec, 0.0)).ww[(1, 0)] == 0.0)
 
 
 def test_ww_width_one_collapse():
     # with every width 1 and psi = 1, [WW]^(s,0)(L,s) equals [W]^(L,0) exactly
     spec = WeightSpec(3, (1, 1, 1, 1), 1)
     U = random_weights(spec, Rng(4))
+    terms = all_terms(U, PsiParams.constant(spec, 1.0))
     for s in (1, 2):
-        got = ww_term(U, s, s, np.ones((1, 1)))
-        assert np.allclose(got, w_chain(U, 3, 0), atol=1e-15)
+        assert np.allclose(terms.ww[(s, s)], terms.w[(3, 0)], atol=1e-15)
 
 
 def test_ww_hand_value():
     U = _toy_object()
-    got = ww_term(U, 1, 1, np.array([[1.0]]))
+    got = all_terms(U, PsiParams.constant(SPEC_121, 1.0)).ww[(1, 1)]
     assert np.array_equal(got, np.array([[[1.0, 1.0], [1.0, 1.0]]]))
 
 
@@ -131,6 +118,7 @@ def test_all_terms_key_counts_for_two_layers():
 
 
 def test_all_terms_agrees_with_direct_definitions():
+    # The naive-loop reference evaluates the same definitions on nested lists.
     rng = Rng(7)
     worst = 0.0
     for k in range(50):
@@ -141,13 +129,17 @@ def test_all_terms_agrees_with_direct_definitions():
         U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
         psi = PsiParams.random(spec, r.child("psi"))
         terms = all_terms(U, psi)
-        for s, t in w_indices(L):
-            worst = max(worst, rel_residual(terms.w[(s, t)], w_chain(U, s, t)))
-        for s, t in wb_indices(L):
-            worst = max(worst, rel_residual(terms.wb[(s, t)], wb_term(U, s, t)))
-        for s, t in psi_indices(L):
-            worst = max(worst, rel_residual(terms.bw[(s, t)], bw_term(U, s, t, psi)))
-            worst = max(worst, rel_residual(terms.ww[(s, t)], ww_term(U, s, t, psi)))
+        naive = oracle._naive_terms(
+            spec,
+            [w.tolist() for w in U.W],
+            [b.tolist() for b in U.b],
+            {k: v.tolist() for k, v in psi.bw.items()},
+            {k: v.tolist() for k, v in psi.ww.items()},
+        )
+        for got, want in zip((terms.w, terms.wb, terms.bw, terms.ww), naive):
+            assert set(got) == set(want)
+            for key, v in got.items():
+                worst = max(worst, rel_residual(v, np.array(want[key])))
     assert worst <= 1e-13
 
 
@@ -170,16 +162,6 @@ def test_psi_validation():
         PsiParams(spec, good.bw, bad_shape)
 
 
-def test_bw_rejects_mismatched_psi_row():
-    spec = WeightSpec(2, (1, 2, 1), 1)
-    U = random_weights(spec, Rng(1))
-    with pytest.raises(ValidationError):
-        bw_term(U, 1, 0, np.ones((1, 3)))  # n_L = 1, row too wide
-    psi = PsiParams.random(spec, Rng(2))
-    with pytest.raises(ValidationError):
-        bw_term(U, 1, 0, psi, upper=1)  # PsiParams rows only fit upper = L
-
-
 def test_chain_composition_identities():
     # [W](s,t)[W](t,r) = [W](s,r); [W](s,t)[Wb](t,r) = [Wb](s,r);
     # [bW]^(s)(s,t)[W](t,r) = [bW]^(s)(s,r)
@@ -191,17 +173,20 @@ def test_chain_composition_identities():
         n = tuple(int(v) for v in r.child("n").integers(1, 4, L + 1))
         spec = WeightSpec(L, n, 1)
         U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
+        W = _w_chains(U)
+        wb = lambda s, t: np.matmul(W[(s, t)], U.bias(t)[..., None])[..., 0]
         for s in range(2, L + 1):
             for t in range(1, s):
                 for q in range(t):
-                    got = np.matmul(w_chain(U, s, t), w_chain(U, t, q))
-                    worst = max(worst, rel_residual(got, w_chain(U, s, q)))
+                    got = np.matmul(W[(s, t)], W[(t, q)])
+                    worst = max(worst, rel_residual(got, W[(s, q)]))
                     if q >= 1:
-                        got = np.matmul(w_chain(U, s, t), wb_term(U, t, q)[..., None])[..., 0]
-                        worst = max(worst, rel_residual(got, wb_term(U, s, q)))
+                        got = np.matmul(W[(s, t)], wb(t, q)[..., None])[..., 0]
+                        worst = max(worst, rel_residual(got, wb(s, q)))
                     row = r.child("row", s, t, q).uniform(-1.0, 1.0, (1, spec.n[s]))
-                    got = np.matmul(bw_term(U, s, t, row, upper=s), w_chain(U, t, q))
-                    worst = max(worst, rel_residual(got, bw_term(U, s, q, row, upper=s)))
+                    outer = U.bias(s)[..., None] * row[0]
+                    got = np.matmul(np.matmul(outer, W[(s, t)]), W[(t, q)])
+                    worst = max(worst, rel_residual(got, np.matmul(outer, W[(s, q)])))
     assert worst <= 1e-12
 
 
@@ -218,23 +203,19 @@ def test_stability_under_group_action():
         U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0))
         psi = PsiParams.random(spec, r.child("psi"))
         g = monomial.sample(spec, r.child("g"), variant)
-        gU = monomial.act(g, U)
+        T, gT = all_terms(U, psi), all_terms(monomial.act(g, U), psi)
         for s, t in w_indices(L):
-            want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(w_chain(U, s, t)))
-            worst = max(worst, rel_residual(w_chain(gU, s, t), want))
+            want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(T.w[(s, t)]))
+            worst = max(worst, rel_residual(gT.w[(s, t)], want))
         for s in range(1, L + 1):
-            want = g.layer(s).apply_rows(U.bias(s)[..., None])[..., 0]
-            worst = max(worst, rel_residual(gU.bias(s), want))
+            want = g.layer(s).apply_rows(T.b[s][..., None])[..., 0]
+            worst = max(worst, rel_residual(gT.b[s], want))
         for s, t in wb_indices(L):
-            want = g.layer(s).apply_rows(wb_term(U, s, t)[..., None])[..., 0]
-            worst = max(worst, rel_residual(wb_term(gU, s, t), want))
+            want = g.layer(s).apply_rows(T.wb[(s, t)][..., None])[..., 0]
+            worst = max(worst, rel_residual(gT.wb[(s, t)], want))
         for s, t in psi_indices(L):
-            want = g.layer(t).apply_cols_inverse(
-                g.layer(s).apply_rows(bw_term(U, s, t, psi))
-            )
-            worst = max(worst, rel_residual(bw_term(gU, s, t, psi), want))
-            want = g.layer(t).apply_cols_inverse(
-                g.layer(s).apply_rows(ww_term(U, s, t, psi))
-            )
-            worst = max(worst, rel_residual(ww_term(gU, s, t, psi), want))
+            for family in ("bw", "ww"):
+                term, moved = getattr(T, family)[(s, t)], getattr(gT, family)[(s, t)]
+                want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(term))
+                worst = max(worst, rel_residual(moved, want))
     assert worst <= 1e-10

@@ -2,7 +2,9 @@
 coefficient block declarations."""
 
 import importlib
+import inspect
 import pkgutil
+import re
 import runpy
 from dataclasses import fields
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import magep
+from magep import errors
 from magep.layers import EquivariantParams, InvariantParams, MiddleBlocks
 
 MODULES = [
@@ -45,3 +48,17 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(f"magep.{module}"), name, None))
     ]
     assert not missing, f"traced names {missing} do not exist"
+
+
+def test_every_error_class_is_raised():
+    # An exception class nothing raises is surface that nothing uses.
+    source = "\n".join(p.read_text() for p in Path(magep.__file__).parent.glob("*.py"))
+    dead = [
+        name
+        for name, cls in vars(errors).items()
+        if inspect.isclass(cls)
+        and issubclass(cls, errors.MagepError)
+        and cls is not errors.MagepError
+        and not re.search(rf"\braise\s+(errors\.)?{name}\b", source)
+    ]
+    assert not dead, f"magep.errors defines {dead}, which nothing in magep raises"
