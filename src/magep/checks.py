@@ -11,7 +11,9 @@ rerunning that suite's trials.
 from __future__ import annotations
 
 import math
+import os
 import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,8 @@ DEFAULT_TOLERANCES = {
 
 GROUP_SCALE_TOL = 1e-14
 NETINV_WITNESS_FLOOR = 1e-3
+# Innermost frames an error record keeps of a raising suite's traceback.
+TRACEBACK_FRAMES = 8
 
 
 @dataclass(frozen=True)
@@ -498,8 +502,13 @@ def run_suites(
             )
         except Exception as exc:  # partial report still emitted
             tol = overrides.get(name, DEFAULT_TOLERANCES[name])
+            frames = traceback.extract_tb(exc.__traceback__, limit=-TRACEBACK_FRAMES)
             records.append(
-                _record(name, trials, None, tol, False, error=f"{type(exc).__name__}: {exc}")
+                _record(
+                    name, trials, None, tol, False,
+                    error=f"{type(exc).__name__}: {exc}",
+                    traceback=[f"{os.path.basename(f.filename)}:{f.lineno} in {f.name}" for f in frames],
+                )
             )
     return {
         "format": "report/1",

@@ -44,13 +44,16 @@ in the file.  The shape and key checks, the random initialization (in
 field order), ``blocks()``, the parameter counts and the ``.mgp.json``
 reader and writer are all derived from these declarations.
 
-A params object packs its blocks once, at construction, into the buffers
-its forward's GEMMs read: an invariant map's ``[e, F, m]`` tensor in
-feature order (also the last-layer bias row's), the last weight row's
-``[e n_L, 3 d n_L]`` matrix, and the boundary rows' ``[d, 3 n0 + c, e k]``
-matrices.  Every block is a view of its place in a buffer, so a write to
-a block reaches the next forward and nothing packed can go stale; the
-tables and ``mid`` are read-only mappings, so no block can be swapped out.
+A params object holds its blocks in the buffers its forward's GEMMs read:
+an invariant map's ``[e, F, m]`` tensor in feature order (also the
+last-layer bias row's), the last weight row's ``[e n_L, 3 d n_L]`` matrix,
+and the boundary rows' ``[d, 3 n0 + c, e k]`` matrices.  The constructor
+checks the given blocks and copies each into its place once; the
+initializers draw each block straight into its place, at an architecture
+the constructor would accept, and skip the checks and the copy.  Every
+block is a view of its place in a buffer, so a write to a block reaches
+the next forward and nothing packed can go stale; the tables and ``mid``
+are read-only mappings, so no block can be swapped out.
 """
 
 from __future__ import annotations
@@ -168,32 +171,27 @@ def _layout(cls, spec: WeightSpec, e: int, m: int, i: int | None = None) -> tupl
     return tuple(out)
 
 
-def _checked(obj, layout, where: str = "") -> dict:
-    """The blocks of ``obj`` as float64 arrays, checked against ``layout``."""
-    out = {}
+def _checked(obj, layout, views: dict, where: str = "") -> None:
+    """Check each block of ``obj`` against ``layout`` and copy it into its view."""
     for name, keys, cells in layout:
         table = {None: getattr(obj, name)} if keys is None else dict(getattr(obj, name))
         if keys is not None and table.keys() != set(keys):
             raise ValidationError(f"{where}{name} must be keyed by layers {keys}")
         for k, shape, _ in cells:
-            arr = table[k] = tensor(table[k])
+            arr = tensor(table[k])
             if arr.shape != shape:
                 label = where + name + ("" if k is None else f"[{k}]")
                 raise ValidationError(f"{label} has shape {arr.shape}, expected {shape}")
-        out[name] = table[None] if keys is None else table
-    return out
+            (views[name] if keys is None else views[name][k])[...] = arr
 
 
-def _draw(rng: Rng, layout, scale: float) -> dict:
-    """Every block of ``layout``, uniform(-a, a) with ``a = scale / sqrt(d * fan)``."""
-    out = {}
+def _draw(rng: Rng, layout, views: dict, scale: float) -> None:
+    """Fill the view of every block of ``layout``, in field order, with
+    uniform(-a, a), ``a = scale / sqrt(d * fan)``; one draw per block."""
     for name, keys, cells in layout:
-        table = {}
         for k, shape, fan in cells:
             a = scale if fan is None else scale / math.sqrt(math.prod(fan))
-            table[k] = rng.uniform(-a, a, shape)
-        out[name] = table[None] if keys is None else table
-    return out
+            (views[name] if keys is None else views[name][k])[...] = rng.uniform(-a, a, shape)
 
 
 def _size(layout) -> int:
@@ -203,6 +201,19 @@ def _size(layout) -> int:
 def _assign(obj, values: dict) -> None:
     for name, value in values.items():
         object.__setattr__(obj, name, value)
+
+
+def _fields(views: dict) -> dict:
+    """Block views as field values: a table as a read-only mapping."""
+    return {name: MappingProxyType(v) if type(v) is dict else v for name, v in views.items()}
+
+
+def _built(cls, fields: dict):
+    """A ``cls`` object holding ``fields``, which an initializer filled at a
+    checked architecture: no checks, no copies."""
+    obj = object.__new__(cls)
+    _assign(obj, fields)
+    return obj
 
 
 class _Rebuilt:
@@ -280,29 +291,17 @@ class EquivariantParams(_Layer):
 
     def __post_init__(self):
         spec, e = self.spec, _count("output channel count e", self.e)
-        d, n0, nL, interior = spec.d, spec.n[0], spec.n[-1], range(2, spec.L)
+        nL, interior = spec.n[-1], range(2, spec.L)
         layout = _layout(EquivariantParams, spec, e, nL)
-        blocks = _checked(self, layout)
+        fields, views, mid_views = _equivariant_buffers(spec, e, layout)
+        _checked(self, layout, views)
         mid = dict(self.mid)
         if mid.keys() != set(interior):
             raise ValidationError(f"mid must be keyed by layers {tuple(interior)}")
-        mid = {
-            i: _checked(mid[i], _layout(MiddleBlocks, spec, e, nL, i), f"mid[{i}].")
-            for i in interior
-        }
+        for i in interior:
+            _checked(mid[i], _layout(MiddleBlocks, spec, e, nL, i), mid_views[i], f"mid[{i}].")
         _check_psi_fits(spec, self.psi)
-        packed = {
-            "_last_bias": _pack(blocks, *_feature_buffer(self, "phib_L_", layout)),
-            "_last_weight": _pack(blocks, *_last_weight_buffer(d, e, nL)),
-            "_first_rows": _pack(blocks, *_first_rows_buffer(d, e, n0)),
-            "_interior": {
-                i: (_pack(m, *_scalars_buffer(d, e)), _pack(m, *_interior_rows_buffer(d, e, n0, i)))
-                for i, m in mid.items()
-            },
-            "_out_spec": WeightSpec(spec.L, spec.n, e),
-        }
-        mid = MappingProxyType({i: MiddleBlocks(**m) for i, m in mid.items()})
-        _assign(self, {"e": e, **blocks, "mid": mid, **packed})
+        _assign(self, fields)
 
     def out_spec(self) -> WeightSpec:
         return self._out_spec
@@ -336,10 +335,10 @@ class InvariantParams(_Layer):
         e = _count("output channel count e", self.e)
         d_out = _count("output width d_out", self.d_out)
         layout = _layout(InvariantParams, self.spec, e, d_out)
-        blocks = _checked(self, layout)
+        fields, views = _invariant_buffers(self.spec, e, d_out, layout)
+        _checked(self, layout, views)
         _check_psi_fits(self.spec, self.psi)
-        packed = _pack(blocks, *_feature_buffer(self, "phi_", layout))
-        _assign(self, {"e": e, "d_out": d_out, **blocks, "_packed": packed})
+        _assign(self, fields)
 
     def packed(self) -> np.ndarray:
         """All blocks as one ``[e, F, d_out]`` tensor in feature order.
@@ -351,34 +350,19 @@ class InvariantParams(_Layer):
         return self._packed
 
 
-def _pack(blocks: dict, buf: np.ndarray, views: dict) -> np.ndarray:
-    """Copy each of ``blocks`` into its view of ``buf`` (a table entry by
-    entry), then make the views the blocks, a table as a read-only mapping;
-    returns ``buf``."""
-    for name, view in views.items():
-        if isinstance(view, dict):
-            for k, v in view.items():
-                v[...] = blocks[name][k]
-            view = MappingProxyType(view)
-        else:
-            view[...] = blocks[name]
-        blocks[name] = view
-    return buf
-
-
 # Each function below allocates one GEMM buffer of the forward and returns
 # it with the views of the blocks it holds: it reshapes the buffer back into
 # the tensor the blocks concatenate to, then undoes the axis swaps.
 
 
-def _feature_buffer(params, prefix: str, layout) -> tuple[np.ndarray, dict]:
+def _feature_buffer(cls, spec: WeightSpec, prefix: str, layout) -> tuple[np.ndarray, dict]:
     """``[e, F, m]``: the blocks ``prefix + part`` of an invariant map in
     feature order.  For each channel, the blocks of the feature parts in
     turn, each flattened to its feature entries (none for a trace), a table
     in the per-layer order; then the constant row ``prefix + "1"``,
     ``[e, m]``.  ``[d, e, ...]`` blocks view it with their first two axes
     swapped."""
-    decls, spec = dict(_declared(type(params))), params.spec
+    decls = dict(_declared(cls))
     cells = {name: c for name, _, c in layout}
     e, m = cells[prefix + "1"][0][1]
     buf = np.empty((e, feature_count(spec), m))
@@ -437,6 +421,43 @@ def _scalars_buffer(d: int, e: int) -> tuple[np.ndarray, dict]:
     return buf, dict(zip(("w", "ww", "bw"), buf.reshape(3, d, e, copy=False)))
 
 
+# The two functions below allocate a layer's buffers and return its fields
+# other than ``spec`` and ``psi``, every block a view of its place, with the
+# views to fill: the constructor copies each block into its view as it
+# checks it, the initializers draw into them.
+
+
+def _equivariant_buffers(spec: WeightSpec, e: int, layout) -> tuple[dict, dict, dict]:
+    """``(fields, views, mid_views)``, ``mid_views`` per interior layer."""
+    d, n0, nL = spec.d, spec.n[0], spec.n[-1]
+    last_bias, views = _feature_buffer(EquivariantParams, spec, "phib_L_", layout)
+    last_weight, more = _last_weight_buffer(d, e, nL)
+    first_rows, most = _first_rows_buffer(d, e, n0)
+    views |= more | most
+    interior, mid_views = {}, {}
+    for i in range(2, spec.L):
+        (scalars, w), (rows, b) = _scalars_buffer(d, e), _interior_rows_buffer(d, e, n0, i)
+        interior[i], mid_views[i] = (scalars, rows), w | b
+    mid = MappingProxyType({i: MiddleBlocks(**_fields(v)) for i, v in mid_views.items()})
+    fields = {
+        "e": e,
+        **_fields(views),
+        "mid": mid,
+        "_last_bias": last_bias,
+        "_last_weight": last_weight,
+        "_first_rows": first_rows,
+        "_interior": interior,
+        "_out_spec": WeightSpec(spec.L, spec.n, e),
+    }
+    return fields, views, mid_views
+
+
+def _invariant_buffers(spec: WeightSpec, e: int, d_out: int, layout) -> tuple[dict, dict]:
+    """``(fields, views)``."""
+    packed, views = _feature_buffer(InvariantParams, spec, "phi_", layout)
+    return {"e": e, "d_out": d_out, **_fields(views), "_packed": packed}, views
+
+
 def init_equivariant(
     spec: WeightSpec,
     e: int,
@@ -448,19 +469,22 @@ def init_equivariant(
 
     ``fan`` counts the input scalars summed into one output scalar of the
     block (the channel factor ``d`` enters separately); pure bias blocks
-    use ``a = scale``.  The blocks are drawn in field order.  The connection
-    matrices default to the frozen uniform(-1, 1) initialization.
+    use ``a = scale``.  The blocks are drawn in field order, each straight
+    into its view of the forward's buffers.  The connection matrices default
+    to the frozen uniform(-1, 1) initialization.
     """
     e = _count("output channel count e", e)
     if psi is None:
         psi = PsiParams.random(spec, rng.child("psi"))
+    else:
+        _check_psi_fits(spec, psi)
     nL = spec.n[-1]
-    blocks = _draw(rng, _layout(EquivariantParams, spec, e, nL), scale)
-    mid = {
-        i: MiddleBlocks(**_draw(rng, _layout(MiddleBlocks, spec, e, nL, i), scale))
-        for i in range(2, spec.L)
-    }
-    return EquivariantParams(spec=spec, e=e, mid=mid, psi=psi, **blocks)
+    layout = _layout(EquivariantParams, spec, e, nL)
+    fields, views, mid_views = _equivariant_buffers(spec, e, layout)
+    _draw(rng, layout, views, scale)
+    for i, v in mid_views.items():
+        _draw(rng, _layout(MiddleBlocks, spec, e, nL, i), v, scale)
+    return _built(EquivariantParams, {"spec": spec, "psi": psi, **fields})
 
 
 def init_invariant(
@@ -476,8 +500,12 @@ def init_invariant(
     d_out = _count("output width d_out", d_out)
     if psi is None:
         psi = PsiParams.random(spec, rng.child("psi"))
-    blocks = _draw(rng, _layout(InvariantParams, spec, e, d_out), scale)
-    return InvariantParams(spec=spec, e=e, d_out=d_out, psi=psi, **blocks)
+    else:
+        _check_psi_fits(spec, psi)
+    layout = _layout(InvariantParams, spec, e, d_out)
+    fields, views = _invariant_buffers(spec, e, d_out, layout)
+    _draw(rng, layout, views, scale)
+    return _built(InvariantParams, {"spec": spec, "psi": psi, **fields})
 
 
 def _check_input(params, U: WeightObject) -> None:

@@ -63,37 +63,65 @@ def _scale_range(scale_range) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_scales(scales: np.ndarray) -> np.ndarray:
+    if not (np.isfinite(scales) & (scales != 0.0)).all():
+        raise ValidationError("monomial scales must be finite and non-zero")
+    return scales
+
+
+def _known_variant(variant: str) -> str:
+    if variant not in VARIANTS:
+        raise ValidationError(f"unknown variant {variant!r}")
+    return variant
+
+
 @dataclass(frozen=True)
 class MonomialElement:
     """One factored monomial matrix ``diag(scales) @ P_perm``.
 
     ``perm`` maps source slot ``j`` to target slot ``perm[j]`` (0-based).
+    The constructor copies both arrays, and they and ``inv_perm`` are
+    read-only, so the inverse permutation is computed once per factor and
+    can never go stale.
     """
 
     scales: np.ndarray
     perm: np.ndarray
 
     def __post_init__(self):
-        scales = tensor(self.scales)
-        perm = np.asarray(self.perm, dtype=np.intp)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "perm", perm)
+        scales = np.array(self.scales, dtype=np.float64)
+        perm = np.array(self.perm, dtype=np.intp)
         if scales.ndim != 1 or perm.ndim != 1 or scales.shape != perm.shape:
             raise ValidationError(
                 f"scales and perm must be equal-length vectors, got {scales.shape} and {perm.shape}"
             )
-        if not np.all(np.isfinite(scales) & (scales != 0.0)):
-            raise ValidationError("monomial scales must be finite and non-zero")
-        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        _check_scales(scales)
+        inv_perm = np.argsort(perm)
+        if not np.array_equal(perm[inv_perm], np.arange(perm.size)):
             raise ValidationError(f"perm {perm.tolist()} is not a permutation")
+        self._own(scales, perm, inv_perm)
+
+    @classmethod
+    def _derived(cls, scales: np.ndarray, perm: np.ndarray, inv_perm: np.ndarray) -> "MonomialElement":
+        """A factor from fresh arrays whose validity the caller's arithmetic
+        guarantees: no checks, no copies."""
+        m = object.__new__(cls)
+        m._own(scales, perm, inv_perm)
+        return m
+
+    def _own(self, scales: np.ndarray, perm: np.ndarray, inv_perm: np.ndarray) -> None:
+        for name, value in (("scales", scales), ("perm", perm), ("inv_perm", inv_perm)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # Copies and unpickled factors go through the checking constructor,
+        # so their arrays are again read-only.
+        return type(self), (self.scales, self.perm)
 
     @property
     def n(self) -> int:
         return self.scales.size
-
-    @property
-    def inv_perm(self) -> np.ndarray:
-        return np.argsort(self.perm)
 
     def is_identity(self) -> bool:
         return bool(
@@ -106,11 +134,12 @@ class MonomialElement:
         if self.n != other.n:
             raise DimensionError(f"monomial sizes differ: {self.n} vs {other.n}")
         scales = self.scales * other.scales[self.inv_perm]
-        perm = self.perm[other.perm]
-        return MonomialElement(scales, perm)
+        perm, inv_perm = self.perm[other.perm], other.inv_perm[self.inv_perm]
+        return MonomialElement._derived(_check_scales(scales), perm, inv_perm)
 
     def invert(self) -> "MonomialElement":
-        return MonomialElement(1.0 / self.scales[self.perm], self.inv_perm)
+        scales = _check_scales(1.0 / self.scales[self.perm])
+        return MonomialElement._derived(scales, self.inv_perm, self.perm)
 
     def apply_rows(self, mat: np.ndarray) -> np.ndarray:
         """Left action ``(D @ P) @ mat`` on the second-to-last axis."""
@@ -137,7 +166,8 @@ class MonomialElement:
 
 
 def identity_monomial(n: int) -> MonomialElement:
-    return MonomialElement(np.ones(n), np.arange(n))
+    perm = np.arange(n)
+    return MonomialElement._derived(np.ones(n), perm, perm)
 
 
 def sample_monomial(
@@ -148,25 +178,22 @@ def sample_monomial(
 ) -> MonomialElement:
     """One random monomial factor: log-uniform scales (positive variant) or
     fair signs (sign variant), and a uniform random permutation."""
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}")
-    if variant == VARIANT_POSITIVE:
+    if _known_variant(variant) == VARIANT_POSITIVE:
         lo, hi = _scale_range(scale_range)
-        scales = rng.log_uniform(lo, hi, n)
+        # exp can round a draw at the top of a finite range up to inf.
+        scales = _check_scales(rng.log_uniform(lo, hi, n))
     else:
         scales = rng.signs(n)
-    return MonomialElement(scales, rng.permutation(n))
+    perm = rng.permutation(n)
+    return MonomialElement._derived(scales, perm, np.argsort(perm))
 
 
 def _check_variant(m: MonomialElement, variant: str) -> None:
-    if variant == VARIANT_POSITIVE:
+    if _known_variant(variant) == VARIANT_POSITIVE:
         if np.any(m.scales <= 0):
             raise ValidationError("positive variant requires all scales > 0")
-    elif variant == VARIANT_SIGN:
-        if np.any(np.abs(m.scales) != 1.0):
-            raise ValidationError("sign variant requires all scales in {-1, +1}")
-    else:
-        raise ValidationError(f"unknown variant {variant!r}")
+    elif np.any(np.abs(m.scales) != 1.0):
+        raise ValidationError("sign variant requires all scales in {-1, +1}")
 
 
 @dataclass(frozen=True)
@@ -188,6 +215,15 @@ class GroupElement:
             raise ValidationError("boundary factors (layers 0 and L) must be identities")
         for m in self.layers[1:-1]:
             _check_variant(m, self.variant)
+
+    @classmethod
+    def _derived(cls, variant: str, layers: tuple[MonomialElement, ...]) -> "GroupElement":
+        """An element whose boundaries and variant the caller's construction
+        guarantees: no checks."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "variant", variant)
+        object.__setattr__(g, "layers", layers)
+        return g
 
     @property
     def L(self) -> int:
@@ -217,7 +253,9 @@ def _check_same_structure(g: GroupElement, h: GroupElement) -> None:
 
 
 def identity(spec: WeightSpec, variant: str = VARIANT_POSITIVE) -> GroupElement:
-    return GroupElement(variant, tuple(identity_monomial(n) for n in spec.n))
+    return GroupElement._derived(
+        _known_variant(variant), tuple(identity_monomial(n) for n in spec.n)
+    )
 
 
 def sample(
@@ -227,31 +265,33 @@ def sample(
     scale_range: tuple[float, float] = DEFAULT_SCALE_RANGE,
 ) -> GroupElement:
     """A random group element: identity at the boundary layers, random
-    monomial factors at the hidden layers."""
+    monomial factors at the hidden layers (``spec.L >= 2``, so
+    :func:`sample_monomial` checks the variant)."""
     layers = [identity_monomial(spec.n[0])]
     for i in range(1, spec.L):
         layers.append(sample_monomial(spec.n[i], rng, variant, scale_range))
     layers.append(identity_monomial(spec.n[spec.L]))
-    return GroupElement(variant, tuple(layers))
+    return GroupElement._derived(variant, tuple(layers))
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Layerwise monomial product, so ``act(compose(g, h), U) == act(g, act(h, U))``."""
     _check_same_structure(g, h)
-    return GroupElement(
+    return GroupElement._derived(
         g.variant, tuple(a.compose(b) for a, b in zip(g.layers, h.layers))
     )
 
 
 def invert(g: GroupElement) -> GroupElement:
-    return GroupElement(g.variant, tuple(m.invert() for m in g.layers))
+    return GroupElement._derived(g.variant, tuple(m.invert() for m in g.layers))
 
 
 def act_layers(layers: tuple[MonomialElement, ...], U: WeightObject) -> WeightObject:
     """Raw action of per-layer monomial factors on a weight object.
 
-    Does not require identity boundary factors; :func:`act` adds that
-    constraint.  Kept separate so the unconstrained action is testable.
+    Does not require identity boundary factors; :func:`act` passes a group
+    element's, which are identities by construction.  Kept separate so the
+    unconstrained action is testable.
     """
     spec = U.spec
     if len(layers) != spec.L + 1 or any(m.n != spec.n[i] for i, m in enumerate(layers)):
@@ -264,19 +304,15 @@ def act_layers(layers: tuple[MonomialElement, ...], U: WeightObject) -> WeightOb
         rows = layers[i]
         cols = layers[i - 1]
         ratio = rows.scales[:, None] / cols.scales[None, :]
-        w = U.weight(i)[..., rows.inv_perm[:, None], cols.inv_perm[None, :]] * ratio
-        W.append(w)
-        b.append(U.bias(i)[..., rows.inv_perm] * rows.scales)
+        W.append(U.weight(i).take(rows.inv_perm, -2).take(cols.inv_perm, -1) * ratio)
+        b.append(U.bias(i).take(rows.inv_perm, -1) * rows.scales)
     return WeightObject._derived(spec, tuple(W), tuple(b), U.batch)
 
 
 def act(g: GroupElement, U: WeightObject) -> WeightObject:
-    """Group action ``g U`` on a weight object sharing the same widths."""
-    if g.widths() != U.spec.n:
-        raise DimensionError(
-            f"group element widths {g.widths()} do not match spec widths {U.spec.n}"
-        )
-    # Invariant of the group: the boundary layers are never rewired.
-    if not (g.layers[0].is_identity() and g.layers[-1].is_identity()):
-        raise ValidationError("boundary factors must be identities")
+    """Group action ``g U`` on a weight object sharing the same widths.
+
+    A group element's boundary factors are identities by construction and
+    its arrays are read-only, so the action never rewires the boundary
+    layers; :func:`act_layers` checks the widths."""
     return act_layers(g.layers, U)

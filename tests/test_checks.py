@@ -70,9 +70,13 @@ def test_suite_records_keep_their_keys_and_order():
         assert list(rec["details"]) == DETAIL_KEYS[rec["suite"]]
 
 
+def _explode():
+    raise RuntimeError("boom")
+
+
 def test_a_raising_suite_yields_an_error_record(monkeypatch):
     def broken(trials, rng, grid, tol):
-        raise RuntimeError("boom")
+        _explode()
 
     monkeypatch.setitem(checks._SUITE_FNS, "inv", broken)
     report = checks.run_suites("all", 2, 0)
@@ -80,8 +84,17 @@ def test_a_raising_suite_yields_an_error_record(monkeypatch):
     assert list(rec) == RECORD_KEYS
     assert rec["max_residual"] is None and rec["pass"] is False
     assert rec["tolerance"] == checks.DEFAULT_TOLERANCES["inv"]
-    assert rec["details"] == {"error": "RuntimeError: boom"}
+    assert list(rec["details"]) == ["error", "traceback"]
+    assert rec["details"]["error"] == "RuntimeError: boom"
+    # The summary runs outermost first and ends at the raising function.
+    frames = rec["details"]["traceback"]
+    assert 1 < len(frames) <= checks.TRACEBACK_FRAMES
+    assert frames[-1].startswith("test_checks.py:") and frames[-1].endswith(" in _explode")
+    assert frames[-2].endswith(" in broken")
     assert report["pass"] is False
+    for other in report["suites"]:
+        if other is not rec:
+            assert other["pass"] and other["max_residual"] is not None, other["suite"]
 
 
 def test_run_suites_rejects_an_unknown_selector():

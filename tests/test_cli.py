@@ -178,6 +178,17 @@ def test_bench_without_reps_is_usage_error():
     assert "reps must be >= 1" in res.stderr
 
 
+@pytest.mark.parametrize("flag", [("--n-max", "9"), ("--scale-range", "1,1")])
+def test_bench_rejects_the_grid_flags_it_does_not_read(tmp_path, flag):
+    # Bench times width-3 specs and draws no group element.
+    res = run_cli("bench", "--reps", "1", "--out", str(tmp_path / "bench.json"), *flag)
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage: magep ")
+    assert f"unrecognized arguments: {' '.join(flag)}" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_without_probes_is_usage_error():
     res = run_cli("fit", "--probes", "0")
     assert res.returncode == 2

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from magep import layers, monomial, oracle
+from magep.checks import Grid
 from magep.activations import abs_act, relu, sin, tanh
 from magep.dense import Rng, rel_residual
 from magep.errors import ConfigurationError, ValidationError
@@ -600,3 +601,48 @@ def test_equality_is_identity():
     assert all(np.array_equal(v, q.blocks()[k]) for k, v in p.blocks().items())
     inv = layers.init_invariant(spec, 2, 3, Rng(2))
     assert inv == inv and inv != layers.init_invariant(spec, 2, 3, Rng(2))
+
+
+# Specs of the check grid, and the equivariant layers and head of the
+# deep-forward benchmark workload (L=6, n=32, d 1 -> 4 -> 4, e=4, d_out=3).
+_GRID_SPECS = [Grid().sample_spec(Rng(40).child(k)) for k in range(6)]
+_INIT_CASES = [(spec, e, 3) for spec in _GRID_SPECS for e in (1, 3)] + [
+    (WeightSpec(6, (32,) * 7, 1), 4, 3),
+    (WeightSpec(6, (32,) * 7, 4), 4, 3),
+]
+
+
+@pytest.mark.parametrize("spec, e, d_out", _INIT_CASES, ids=lambda v: str(v))
+def test_init_equals_what_the_checking_constructor_builds(spec, e, d_out):
+    r = Rng(41)
+    for p in (layers.init_equivariant(spec, e, r.child("eq")), layers.init_invariant(spec, e, d_out, r)):
+        q = copy.copy(p)  # through __reduce__, i.e. the checking constructor
+        got, want = q.blocks(), p.blocks()
+        assert list(got) == list(want)
+        for k, v in want.items():
+            assert got[k].dtype == v.dtype and got[k].tobytes() == v.tobytes(), k
+        for a, b in zip(_buffers(q), _buffers(p), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for name, block in p.blocks().items():
+            assert any(np.shares_memory(block, buf) for buf in _buffers(p)), name
+
+
+def test_init_rejects_a_psi_built_for_another_architecture():
+    spec, other = WeightSpec(3, (2, 3, 2, 2), 2), WeightSpec(3, (2, 3, 3, 2), 2)
+    psi = PsiParams.random(other, Rng(42))
+    with pytest.raises(ValidationError, match="different architecture"):
+        layers.init_equivariant(spec, 2, Rng(43), psi=psi)
+    with pytest.raises(ValidationError, match="different architecture"):
+        layers.init_invariant(spec, 2, 3, Rng(43), psi=psi)
+
+
+def test_zero_scale_init_gives_negative_zero_blocks_and_draws_nothing():
+    spec = WeightSpec(4, (2, 3, 2, 3, 2), 2)
+    for init in (
+        lambda r: layers.init_equivariant(spec, 3, r, scale=0.0),
+        lambda r: layers.init_invariant(spec, 3, 2, r, scale=0.0),
+    ):
+        r = Rng(44)
+        blocks = init(r).blocks()
+        assert all(np.all(v == 0.0) and np.all(np.signbit(v)) for v in blocks.values())
+        assert np.array_equal(r.uniform(0.0, 1.0, 8), Rng(44).uniform(0.0, 1.0, 8))

@@ -1,9 +1,14 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magep.dense import Rng, rel_residual
 from magep.errors import DimensionError, ValidationError
 from magep.monomial import (
+    VARIANTS,
     GroupElement,
     MonomialElement,
     act,
@@ -210,3 +215,62 @@ def test_general_boundary_action_conjugates_chains():
 def test_serialized_permutations_are_one_based():
     m = MonomialElement(np.ones(3), np.array([2, 0, 1]))
     assert m.to_json()["perm"] == [3, 1, 2]
+
+
+def _rebuilt(g):
+    """``g`` through the public, checking constructors."""
+    return GroupElement(g.variant, tuple(MonomialElement(m.scales, m.perm) for m in g.layers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    variant=st.sampled_from(VARIANTS),
+    n=st.lists(st.integers(1, 5), min_size=3, max_size=6),
+)
+def test_derived_elements_rebuild_through_the_public_constructors(seed, variant, n):
+    spec = WeightSpec(len(n) - 1, tuple(n), 1)
+    r = Rng(seed)
+    g, h = sample(spec, r.child("g"), variant), sample(spec, r.child("h"), variant)
+    for x in (g, h, compose(g, h), invert(g), identity(spec, variant)):
+        assert x.variant == variant and x.widths() == spec.n
+        assert _rebuilt(x).to_json() == x.to_json()
+        for m in x.layers:
+            assert np.array_equal(m.inv_perm, np.argsort(m.perm))
+            for arr in (m.scales, m.perm, m.inv_perm):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[0]
+
+
+def test_public_constructor_copies_and_freezes_its_arrays():
+    scales, perm = np.array([2.0, 3.0, 5.0]), np.array([2, 0, 1])
+    m = MonomialElement(scales, perm)
+    scales[0], perm[:] = 7.0, [0, 1, 2]
+    assert m.scales.tolist() == [2.0, 3.0, 5.0] and m.perm.tolist() == [2, 0, 1]
+    for q in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert np.array_equal(q.perm, m.perm) and np.array_equal(q.inv_perm, m.inv_perm)
+        with pytest.raises(ValueError, match="read-only"):
+            q.perm[0] = 0
+
+
+def test_compose_and_invert_still_reject_scales_their_arithmetic_overflows():
+    def element(scale):
+        hidden = MonomialElement(np.array([scale, 1.0]), np.arange(2))
+        return GroupElement("positive", (identity_monomial(1), hidden, identity_monomial(1)))
+
+    big = element(1e200)
+    with np.errstate(over="ignore", under="ignore"):
+        with pytest.raises(ValidationError, match="finite and non-zero"):
+            compose(big, big)
+        with pytest.raises(ValidationError, match="finite and non-zero"):
+            compose(element(1e-200), element(1e-200))
+        with pytest.raises(ValidationError, match="finite and non-zero"):
+            invert(element(5e-324))
+    assert invert(big).layer(1).scales.tolist() == [1e-200, 1.0]
+
+
+def test_identity_rejects_an_unknown_variant():
+    with pytest.raises(ValidationError, match="unknown variant"):
+        identity(SPEC, "bogus")
+    with pytest.raises(ValidationError, match="unknown variant"):
+        sample(SPEC, Rng(0), "bogus")
