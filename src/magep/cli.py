@@ -39,23 +39,18 @@ def _spec_from_args(args) -> WeightSpec:
     return WeightSpec(L=args.L, n=n, d=args.d)
 
 
-def _grid_from_args(args, **sampling) -> checks.Grid:
-    """The grid of the spec-set flags; ``sampling`` adds the width and
-    group-scale fields a command takes (``check`` only)."""
-    return checks.Grid(
-        L_values=_parse_int_list(args.L_values),
-        d_values=_parse_int_list(args.d_values),
-        e_values=_parse_int_list(args.e_values),
-        **sampling,
-    )
-
-
-def _scale_range_from_args(args) -> tuple[float, float]:
+def _grid_from_args(args) -> checks.Grid:
     try:
         lo, hi = (float(v) for v in args.scale_range.split(","))
     except ValueError as exc:
         raise MagepError(f"--scale-range expects LO,HI, got {args.scale_range!r}") from exc
-    return lo, hi
+    return checks.Grid(
+        L_values=_parse_int_list(args.L_values),
+        n_max=args.n_max,
+        d_values=_parse_int_list(args.d_values),
+        e_values=_parse_int_list(args.e_values),
+        scale_range=(lo, hi),
+    )
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -87,7 +82,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    grid = _grid_from_args(args, n_max=args.n_max, scale_range=_scale_range_from_args(args))
+    grid = _grid_from_args(args)
     overrides = {}
     for item in args.tol or ():
         name, _, value = item.partition("=")
@@ -194,7 +189,14 @@ def cmd_fit(args) -> int:
 def cmd_bench(args) -> int:
     if args.batch < 1:
         raise MagepError(f"--batch must be >= 1, got {args.batch}")
-    report = checks.run_bench(args.reps, args.seed, _grid_from_args(args), args.batch)
+    # Bench times width-3 specs and draws no group element, so it reads
+    # only the grid's spec sets.
+    grid = checks.Grid(
+        L_values=_parse_int_list(args.L_values),
+        d_values=_parse_int_list(args.d_values),
+        e_values=_parse_int_list(args.e_values),
+    )
+    report = checks.run_bench(args.reps, args.seed, grid, args.batch)
     for row in report["rows"]:
         print(
             f"L={row['L']} d={row['d']} e={row['e']} "
@@ -205,17 +207,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_GRID = checks.Grid()
-
-
-def _text(values) -> str:
-    return ",".join(map(str, values))
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--L-values", default=_text(_GRID.L_values), help="grid layer counts")
-    p.add_argument("--d-values", default=_text(_GRID.d_values), help="grid input channel counts")
-    p.add_argument("--e-values", default=_text(_GRID.e_values), help="grid output channel counts")
+def _add_grid_flags(p: argparse.ArgumentParser, *, sampling: bool) -> None:
+    grid = checks.Grid()
+    text = lambda values: ",".join(map(str, values))
+    p.add_argument("--L-values", default=text(grid.L_values), help="grid layer counts")
+    p.add_argument("--d-values", default=text(grid.d_values), help="grid input channel counts")
+    p.add_argument("--e-values", default=text(grid.e_values), help="grid output channel counts")
+    if sampling:
+        p.add_argument("--n-max", type=int, default=grid.n_max, help="grid max width")
+        p.add_argument("--scale-range", default=text(grid.scale_range), help="group scale range lo,hi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", action="append", metavar="SUITE=VALUE", help="override one tolerance")
     p.add_argument("--collapse-psi", action="store_true", help="use collapsing connection matrices in the rank suite")
     p.add_argument("--corrupt-sharing", action="store_true", help=argparse.SUPPRESS)
-    _add_grid_flags(p)
-    p.add_argument("--n-max", type=int, default=_GRID.n_max, help="grid max width")
-    p.add_argument("--scale-range", default=_text(_GRID.scale_range), help="group scale range lo,hi")
+    _add_grid_flags(p, sampling=True)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("fit", help="closed-form toy fit of the invariant features")
@@ -268,14 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", default=None)
     p.set_defaults(fn=cmd_fit)
 
-    # Bench times width-3 specs and draws no group element, so it takes
-    # only the grid's spec sets.
     p = sub.add_parser("bench", help="time the layer forwards against the naive loops")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch", type=int, default=8, help="rows per timed forward")
     p.add_argument("--out", default=None)
-    _add_grid_flags(p)
+    _add_grid_flags(p, sampling=False)
     p.set_defaults(fn=cmd_bench)
     return parser
 

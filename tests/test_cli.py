@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from magep import checks
 from magep.checks import Grid
-from magep.cli import _grid_from_args, build_parser, main, validate_report
+from magep.cli import main, validate_report
 
 
 def run_cli(*args):
@@ -243,5 +244,14 @@ def test_invalid_flag_is_usage_error_before_any_work(tmp_path, case):
 
 
 @pytest.mark.parametrize("command", ["check", "bench"])
-def test_grid_flags_default_to_grid(command):
-    assert _grid_from_args(build_parser().parse_args([command])) == Grid()
+def test_grid_flags_default_to_grid(monkeypatch, command):
+    # Each command hands its runner the default Grid(), every field included.
+    seen = []
+
+    def runner(*args, **kwargs):
+        seen.extend(a for a in args if isinstance(a, Grid))
+        return {"suites": [], "pass": True, "rows": []}
+
+    monkeypatch.setattr(checks, "run_suites" if command == "check" else "run_bench", runner)
+    assert main([command]) == 0
+    assert seen == [Grid()]
