@@ -71,8 +71,8 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
         raise DimensionError(f"residual of mismatched shapes {a.shape} and {b.shape}")
     if a.size == 0:
         return 0.0
-    num = float(np.max(np.abs(a - b)))
-    den = float(max(np.max(np.abs(a)), np.max(np.abs(b))))
+    num = float(np.abs(a - b).max())
+    den = float(max(np.abs(a).max(), np.abs(b).max()))
     if den == 0.0:
         return 0.0 if num == 0.0 else np.inf
     return num / den

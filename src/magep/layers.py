@@ -18,17 +18,22 @@ input-width index plus per-``t`` ``[Wb]`` terms and the bias.
 
 The forward reads only the O(L) terms these rows need, from the suffix
 chains ``[W]^(L,t)`` and prefix chains ``[W]^(s,0)`` that the featurizer
-builds, once per call, with or without a leading batch axis; ``[bW]`` is
-formed as the outer product ``b^(s) (x) psi [W]^(L,t)`` and ``[Wb]^(i,t)``
-by the recursion ``W^(i) [Wb]^(i-1,t)``.  The last-layer bias row is the
-invariant map with ``d_out = n_L``: the feature rows times the ``phib_L_*``
-blocks packed in feature order, each block named after its feature part.
-Every other row is one batched BLAS matrix product: the terms of a family
-sum are concatenated along the contracted axis, and their coefficient
-blocks along the matching axis.  The first-layer rows and the
-interior bias rows contract over one input channel at a time and sum the
-channels.  The products with a long contracted axis (the feature rows times
-the packed blocks, and the last weight row) go through
+builds, once per call, with or without a leading batch axis; ``[Wb]^(i,t)``
+comes by the recursion ``W^(i) [Wb]^(i-1,t)``.  The last-layer bias row is
+the invariant map with ``d_out = n_L``: the feature rows times the
+``phib_L_*`` blocks packed in feature order, each block named after its
+feature part.  The other rows are batched BLAS products of their terms,
+concatenated along the contracted axis, with their coefficient blocks, read
+as views of one buffer; the first-layer rows and the interior bias rows
+contract one input channel at a time and sum the channels.  A block that
+reduces a ``[bW]`` or ``[WW]`` term to a narrower row meets the term's
+cheap factor first, so the term is never formed: ``[bW]^(s)(L,t) = b^(s)
+(x) psi [W]^(L,t)`` becomes one more coefficient row on the ``b^(s)``
+column, and an interior bias row's ``[WW]^(i,0)(L,0)`` block ``C`` joins
+its ``[W]^(i,0)`` product as ``Psi ([W]^(L,0) C)``.  Only the interior
+weight rows, with scalar coefficients, form both terms in full.  The
+products with a long contracted axis (the feature rows times the packed
+blocks, and the last weight row) go through
 :func:`magep.dense.serial_matmul`, so every BLAS call runs on the calling
 thread.
 
@@ -97,12 +102,14 @@ __all__ = [
 PARAMS_FORMAT = "magep-params/1"
 
 # Rows per block in :func:`stack_forward`.  Rows are independent, so blocking
-# changes no value; it bounds the size of the stack's intermediates.  At
-# L=6, n=32, d=1->4->4 with 64 rows (glibc malloc) the unblocked stack mapped
-# about 40 MB of fresh pages per call: 10K page faults, a fifth of its time,
-# in a count that varied by a quarter from process to process.  In blocks of
-# 8 rows the heap serves every block from memory it already holds, with no
-# page faults; blocks of 12 rows fault again.
+# changes no value; it bounds the size of the stack's intermediates.  With
+# glibc malloc, whether they reuse memory the heap holds or fault in fresh
+# pages depends on that size and on the process's allocation history, so a
+# fault count from one process is no rule.  At L=6, n=32, d=1->4->4, 64 rows,
+# after the nine set-ups of perfbench/run.py, blocks of 8 and 16 rows took no
+# page faults per call and the unblocked stack about 12K, with half again
+# the peak RSS; after one set-up, 8-row blocks have taken none or about 16K
+# depending only on what was allocated and freed before.
 ROW_BLOCK = 8
 
 
@@ -392,8 +399,7 @@ def _row_views(buf: np.ndarray, n0: int, k: tuple) -> list[np.ndarray]:
     """The blocks of a boundary row as views of its ``[d, 3 n0 + c, e k]``
     coefficients, per input channel: the three ``[d, e, n0, *k]`` blocks of
     ``[W]^(i,0)``, ``[WW]^(i,0)(L,0)`` and ``[bW]^(i)(L,0)``, then the
-    ``c`` ``[d, e, *k]`` blocks of the per-channel columns, in the order of
-    the row terms built in :func:`equivariant_forward`."""
+    ``c`` ``[d, e, *k]`` blocks of the per-channel columns."""
     d = buf.shape[0]
     h = buf[:, : 3 * n0].reshape((d, 3, n0, -1) + k, copy=False).swapaxes(2, 3)
     t = buf[:, 3 * n0 :].reshape((d, -1, h.shape[2]) + k, copy=False)
@@ -526,42 +532,58 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
     def ww(s, t):  # [WW]^(s,0)(L,t)
         return np.matmul(np.matmul(prefix[s], psi.ww[(s, t)]), suffix[t])
 
-    def bw(s, t):  # [bW]^(s)(L,t) as the outer product b^(s) (x) psi [W]^(L,t)
-        row = np.matmul(psi.bw[(s, t)][0], suffix[t])
-        return U.bias(s)[..., :, None] * row[..., None, :]
+    def psi_w(s, t):  # psi [W]^(L,t), [..., d, n_t]: [bW]^(s)(L,t) is b^(s) (x) psi_w(s, t)
+        return np.matmul(psi.bw[(s, t)][0], suffix[t])
 
-    def weight_terms(i):  # [..., 3d, n_i, n_{i-1}], channels grouped by family
-        return np.concatenate([U.weight(i), ww(i, i - 1), bw(i, i - 1)], axis=-3)
-
-    def boundary_row(i, tail, coef):  # [..., n_i, e k]: per-channel GEMMs, summed
-        terms = np.concatenate([prefix[i], ww(i, 0), bw(i, 0), tail], axis=-1)
-        return np.matmul(terms, coef).sum(axis=-3)
+    def by_channel(col, row):  # sum_c col_c (x) row_c: [..., d, m], [..., d, k] -> [..., m, k]
+        return np.matmul(col.swapaxes(-2, -1), row)
 
     W_out: list[np.ndarray] = [None] * L  # type: ignore[list-item]
     b_out: list[np.ndarray] = [None] * L  # type: ignore[list-item]
 
-    # Last layer: the three weight terms mix over their row index in one
-    # GEMM; the bias row is the invariant map of the feature rows.
-    terms = weight_terms(L).reshape(lead + (3 * d * n[L], n[L - 1]))
-    W_out[L - 1] = serial_matmul(params._last_weight, terms).reshape(lead + (e, n[L], n[L - 1]))
+    # Last layer: [W] and [WW] mix over their row index in one GEMM, and the
+    # [bW] blocks meet b^(L) first: (phiW_L_bW b^(L)) (x) psi [W]^(L,L-1).
+    # The bias row is the invariant map of the feature rows, [e, ..., n_L]
+    # turned into [..., e, n_L].
+    dn, coef = d * n[L], params._last_weight
+    terms = np.concatenate([U.weight(L), ww(L, L - 1)], axis=-3).reshape(lead + (2 * dn, -1))
+    out = serial_matmul(coef[:, : 2 * dn], terms)
+    phi_b = np.matmul(coef[:, 2 * dn :].reshape(-1, d, n[L]).swapaxes(0, 1), U.bias(L)[..., None])
+    out += by_channel(phi_b[..., 0], psi_w(L, L - 1))
+    W_out[L - 1] = out.reshape(lead + (e, n[L], n[L - 1]))
     X = _features(U, psi, suffix, prefix)
-    b_out[L - 1] = np.moveaxis(serial_matmul(X, params._last_bias), 0, -2)
+    b_out[L - 1] = serial_matmul(X, params._last_bias).swapaxes(0, -2)
 
-    # First layer: the weight and bias rows share the GEMMs over the
-    # column-mixing terms and the bias.
-    tail = U.bias(1)[..., None]
-    rows = boundary_row(1, tail, params._first_rows)
-    W_out[0] = rows[..., : e * n[0]].reshape(lead + (n[1], e, n[0])).swapaxes(-3, -2)
-    b_out[0] = rows[..., e * n[0] :].swapaxes(-2, -1)
+    # First layer: the weight and bias rows share one GEMM over [W]^(1,0) and
+    # [WW]^(1,0)(L,0).  Their [bW]^(1)(L,0) blocks, times psi [W]^(L,0), are
+    # one more coefficient row on the b^(1) column.
+    n0, coef = n[0], params._first_rows
+    terms = np.concatenate([prefix[1], ww(1, 0)], axis=-1)
+    rows = np.matmul(terms, coef[:, : 2 * n0]).sum(axis=-3)
+    b_row = np.matmul(psi_w(1, 0)[..., None, :], coef[:, 2 * n0 : 3 * n0]) + coef[:, 3 * n0 :]
+    rows += by_channel(U.bias(1), b_row[..., 0, :])
+    W_out[0] = rows[..., : e * n0].reshape(lead + (n[1], e, n0)).swapaxes(-3, -2)
+    b_out[0] = rows[..., e * n0 :].swapaxes(-2, -1)
 
-    # Interior layers: scalar coefficients for the weight row; the bias row
+    # Interior layers: scalar coefficients for the weight row.  The bias row
     # reads [Wb]^(i,t)(t) = W^(i) [Wb]^(i-1,t)(t) for t = 1..i-1, then b^(i).
+    # Its [WW] and [bW] blocks C meet [W]^(L,0) first: [WW]^(i,0)(L,0) C is
+    # [W]^(i,0) (Psi ([W]^(L,0) C)), which joins the [W]^(i,0) GEMM, and
+    # [bW]^(i)(L,0) C is b^(i) (x) psi ([W]^(L,0) C).
+    tail = U.bias(1)[..., None]
     for i in range(2, L):
         scalars, coef = params._interior[i]
-        terms = weight_terms(i).reshape(lead + (3 * d, -1))
-        W_out[i - 1] = np.matmul(scalars.T, terms).reshape(lead + (e, n[i], n[i - 1]))
+        bw = U.bias(i)[..., :, None] * psi_w(i, i - 1)[..., None, :]  # [bW]^(i)(L,i-1)
+        terms = np.concatenate([U.weight(i), ww(i, i - 1), bw], axis=-3)
+        out = np.matmul(scalars.T, terms.reshape(lead + (3 * d, -1)))
+        W_out[i - 1] = out.reshape(lead + (e, n[i], n[i - 1]))
         tail = np.concatenate([np.matmul(U.weight(i), tail), U.bias(i)[..., None]], axis=-1)
-        b_out[i - 1] = boundary_row(i, tail, coef).swapaxes(-2, -1)
+        # [W]^(L,0) times the [WW] and [bW] blocks at once: [..., d, 2, n_L, e]
+        pair = np.matmul(suffix[0][..., None, :, :], coef[:, n0 : 3 * n0].reshape(d, 2, n0, e))
+        rows = np.matmul(prefix[i], coef[:, :n0] + np.matmul(psi.ww[(i, 0)], pair[..., 0, :, :]))
+        rows += np.matmul(tail, coef[:, 3 * n0 :])
+        bw_row = np.matmul(psi.bw[(i, 0)][0], pair[..., 1, :, :])
+        b_out[i - 1] = (rows.sum(axis=-3) + by_channel(U.bias(i), bw_row)).swapaxes(-2, -1)
 
     return WeightObject._derived(params._out_spec, tuple(W_out), tuple(b_out), U.batch)
 

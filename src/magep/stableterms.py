@@ -101,11 +101,20 @@ class PsiParams:
         """I.i.d. uniform(-1, 1) entries; the default (frozen) initialization."""
         n0, nL = spec.n[0], spec.n[spec.L]
         keys = psi_indices(spec.L)
-        return cls(
+        return cls._derived(
             spec,
             {k: rng.uniform(-1.0, 1.0, (1, nL)) for k in keys},
             {k: rng.uniform(-1.0, 1.0, (n0, nL)) for k in keys},
         )
+
+    @classmethod
+    def _derived(cls, spec: WeightSpec, bw: dict, ww: dict) -> "PsiParams":
+        """Maps this package drew as float64 arrays at ``spec``'s shapes, for
+        exactly the pairs of :func:`psi_indices`: no checks, no copies."""
+        psi = object.__new__(cls)
+        for name, value in (("spec", spec), ("bw", bw), ("ww", ww)):
+            object.__setattr__(psi, name, value)
+        return psi
 
     @classmethod
     def constant(cls, spec: WeightSpec, value: float) -> "PsiParams":

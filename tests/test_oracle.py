@@ -34,6 +34,28 @@ def test_naive_matches_optimized_on_random_instances():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("batch", [None, 2])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WeightSpec(5, (3, 4, 2, 5, 3, 2), 3),
+        WeightSpec(6, (2, 3, 4, 1, 3, 2, 4), 3),  # a width-1 interior layer
+    ],
+)
+def test_naive_matches_optimized_at_depth_with_three_channels(spec, batch):
+    # Four and five interior layers, three input channels and n0 != nL: past
+    # the acceptance grid's L <= 4, d <= 2.
+    r = Rng(7100 + spec.L)
+    eq = layers.init_equivariant(spec, 2, r.child("eq"))
+    U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0), batch=batch)
+    fast = layers.equivariant_forward(eq, U)
+    slow = oracle.naive_equivariant_forward(eq, U)
+    assert fast.batch == slow.batch == batch
+    pairs = list(zip(fast.W + fast.b, slow.W + slow.b))
+    assert all(a.shape == b.shape for a, b in pairs)
+    assert max(rel_residual(a, b) for a, b in pairs) <= 1e-12
+
+
 def test_naive_zero_object_bias_only():
     spec = WeightSpec(3, (2, 2, 2, 2), 1)
     eq = layers.init_equivariant(spec, 2, Rng(1))

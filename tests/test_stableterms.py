@@ -162,6 +162,18 @@ def test_psi_validation():
         PsiParams(spec, good.bw, bad_shape)
 
 
+def test_random_psi_is_what_the_checking_constructor_builds():
+    for spec in (SPEC_121, WeightSpec(3, (2, 3, 3, 4), 2)):
+        psi = PsiParams.random(spec, Rng(3))
+        checked = PsiParams(spec, psi.bw, psi.ww)
+        assert list(psi.bw) == list(psi.ww) == psi_indices(spec.L)
+        for family in ("bw", "ww"):
+            for k, v in getattr(psi, family).items():
+                want = getattr(checked, family)[k]
+                assert v.dtype == want.dtype == np.float64
+                assert v.shape == want.shape and np.array_equal(v, want)
+
+
 def test_chain_composition_identities():
     # [W](s,t)[W](t,r) = [W](s,r); [W](s,t)[Wb](t,r) = [Wb](s,r);
     # [bW]^(s)(s,t)[W](t,r) = [bW]^(s)(s,r)
