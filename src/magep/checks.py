@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 import traceback
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .monomial import VARIANT_POSITIVE, VARIANT_SIGN
 from .stableterms import PsiParams, _w_chains, all_terms
 from .weightspace import Uniform, WeightObject, WeightSpec, _count, random_weights
 
-__all__ = ["Grid", "SUITE_NAMES", "DEFAULT_TOLERANCES", "run_suite", "run_suites", "run_bench"]
+__all__ = ["Grid", "SUITE_NAMES", "DEFAULT_TOLERANCES", "run_suite", "run_suites"]
 
 SUITE_NAMES = (
     "group",
@@ -49,7 +48,7 @@ DEFAULT_TOLERANCES = {
     "inv": 1e-9,
     "stack": 1e-8,
     "oracle": 1e-12,
-    "rank": 1e-6,        # singular-value ratio lower bound
+    "rank": oracle.RANK_THRESHOLD,  # singular-value ratio lower bound
 }
 
 GROUP_SCALE_TOL = 1e-14
@@ -519,46 +518,3 @@ def run_suites(
         "pass": bool(all(rec["pass"] for rec in records)),
     }
 
-
-def run_bench(reps: int, seed: int, grid: Grid | None = None, batch: int = 8) -> dict:
-    """Median wall-clock time per batched forward, BLAS path vs naive loops.
-
-    ``batch`` rows are evaluated per call: that is the workload the
-    contraction path exists for (the loops scale linearly in it).
-    """
-    if reps < 1:
-        raise ValidationError(f"reps must be >= 1, got {reps}")
-    grid = grid or Grid()
-    rng = Rng(seed)
-    rows = []
-    for L in grid.L_values:
-        n = tuple([3] * (L + 1))
-        for d in grid.d_values:
-            spec = WeightSpec(L, n, d)
-            e = max(grid.e_values)
-            params = layers.init_equivariant(spec, e, rng.child("bench", L, d))
-            U = random_weights(
-                spec, rng.child("bench-U", L, d), Uniform(-1.0, 1.0), batch=batch
-            )
-
-            def timed(fn):
-                samples = []
-                for _ in range(reps):
-                    t0 = time.perf_counter()
-                    fn(params, U)
-                    samples.append(time.perf_counter() - t0)
-                return float(np.median(samples))
-
-            rows.append(
-                {
-                    "L": L,
-                    "n": list(n),
-                    "d": d,
-                    "e": e,
-                    "batch": batch,
-                    "reps": reps,
-                    "optimized_s": timed(layers.equivariant_forward),
-                    "naive_s": timed(oracle.naive_equivariant_forward),
-                }
-            )
-    return {"format": "report/1", "command": "bench", "seed": seed, "rows": rows}

@@ -1,4 +1,4 @@
-"""Command-line entry point: generation, verification, fitting, benchmarks.
+"""Command-line entry point: generation, verification and fitting.
 
 Exit codes: 0 success, 1 suite failure, 2 usage error, 3 I/O error.
 All reports are JSON with a ``format: "report/1"`` field.  Trial ``k`` of
@@ -186,36 +186,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    if args.batch < 1:
-        raise MagepError(f"--batch must be >= 1, got {args.batch}")
-    # Bench times width-3 specs and draws no group element, so it reads
-    # only the grid's spec sets.
-    grid = checks.Grid(
-        L_values=_parse_int_list(args.L_values),
-        d_values=_parse_int_list(args.d_values),
-        e_values=_parse_int_list(args.e_values),
-    )
-    report = checks.run_bench(args.reps, args.seed, grid, args.batch)
-    for row in report["rows"]:
-        print(
-            f"L={row['L']} d={row['d']} e={row['e']} "
-            f"optimized={row['optimized_s'] * 1e3:.3f}ms naive={row['naive_s'] * 1e3:.3f}ms",
-            file=sys.stderr,
-        )
-    _emit(report, args.out)
-    return EXIT_OK
-
-
-def _add_grid_flags(p: argparse.ArgumentParser, *, sampling: bool) -> None:
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     grid = checks.Grid()
     text = lambda values: ",".join(map(str, values))
     p.add_argument("--L-values", default=text(grid.L_values), help="grid layer counts")
     p.add_argument("--d-values", default=text(grid.d_values), help="grid input channel counts")
     p.add_argument("--e-values", default=text(grid.e_values), help="grid output channel counts")
-    if sampling:
-        p.add_argument("--n-max", type=int, default=grid.n_max, help="grid max width")
-        p.add_argument("--scale-range", default=text(grid.scale_range), help="group scale range lo,hi")
+    p.add_argument("--n-max", type=int, default=grid.n_max, help="grid max width")
+    p.add_argument("--scale-range", default=text(grid.scale_range), help="group scale range lo,hi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", action="append", metavar="SUITE=VALUE", help="override one tolerance")
     p.add_argument("--collapse-psi", action="store_true", help="use collapsing connection matrices in the rank suite")
     p.add_argument("--corrupt-sharing", action="store_true", help=argparse.SUPPRESS)
-    _add_grid_flags(p, sampling=True)
+    _add_grid_flags(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("fit", help="closed-form toy fit of the invariant features")
@@ -266,13 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-out", default=None)
     p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("bench", help="time the layer forwards against the naive loops")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=8, help="rows per timed forward")
-    p.add_argument("--out", default=None)
-    _add_grid_flags(p, sampling=False)
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 
@@ -280,7 +251,7 @@ def validate_report(doc: dict) -> None:
     """Raise if ``doc`` does not match the report/1 schema."""
     if doc.get("format") != "report/1":
         raise MagepError(f"report format must be 'report/1', got {doc.get('format')!r}")
-    if doc.get("command") not in ("check", "bench", "fit"):
+    if doc.get("command") not in ("check", "fit"):
         raise MagepError(f"unknown report command {doc.get('command')!r}")
     if doc["command"] == "check":
         for key in ("seed", "trials", "suites", "pass"):
@@ -290,9 +261,6 @@ def validate_report(doc: dict) -> None:
             for key in ("suite", "trials", "max_residual", "tolerance", "pass"):
                 if key not in rec:
                     raise MagepError(f"suite record lacks key {key!r}")
-    elif doc["command"] == "bench":
-        if "rows" not in doc:
-            raise MagepError("bench report lacks key 'rows'")
     else:
         for key in ("train_mse", "test_mse", "prediction_invariance_residual"):
             if key not in doc:

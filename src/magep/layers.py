@@ -591,7 +591,7 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
 def invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndarray:
     """Apply the invariant layer; returns an ``[e, d_out]`` array per row."""
     _check_input(params, U)
-    return np.moveaxis(serial_matmul(featurize(U, params.psi), params._packed), 0, -2)
+    return serial_matmul(featurize(U, params.psi), params._packed).swapaxes(0, -2)
 
 
 def stack_forward(

@@ -231,3 +231,47 @@ def test_stability_under_group_action():
                 want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(term))
                 worst = max(worst, rel_residual(moved, want))
     assert worst <= 1e-10
+
+
+# (n, d, batch): unbatched and batched rows, d > 1, and width-1 layers.
+TRACE_CASES = [
+    ((2, 3, 2), 1, None),
+    ((2, 1, 3, 2), 3, 4),
+    ((3, 2, 4, 1, 2), 2, 3),
+    ((2, 3, 2, 3, 2, 3), 3, None),
+]
+
+
+@pytest.mark.parametrize("n, d, batch", TRACE_CASES, ids=str)
+def test_trace_identities(n, d, batch):
+    # The trace is cyclic and [W]^(L,s) [W]^(s,0) = [W]^(L,0), so for every
+    # Psi and 1 <= s < L:
+    #   tr [WW]^(s,0)(L,s) = tr(Psi^(s,s) [W]^(L,0))
+    #   tr [bW]^(s)(L,s)   = psi^(s,s) . [Wb]^(L,s)(s)
+    # Each side sums products of at most k = sum(n) + 1 rounded factors, so
+    # it lies within gamma_k = k u / (1 - k u) of the exact value, relative
+    # to the same contraction over absolute values.  That contraction is
+    # itself rounded, hence the final 1 / (1 - gamma_k).
+    spec = WeightSpec(len(n) - 1, n, d)
+    L = spec.L
+    U = random_weights(spec, Rng(11), Uniform(-1.0, 1.0), batch=batch)
+    psi = PsiParams.random(spec, Rng(12))
+    abs_psi = PsiParams(
+        spec,
+        {key: np.abs(v) for key, v in psi.bw.items()},
+        {key: np.abs(v) for key, v in psi.ww.items()},
+    )
+    T, A = all_terms(U, psi), all_terms(U.map(np.abs), abs_psi)
+    tr = lambda m: np.trace(m, axis1=-2, axis2=-1)
+    k = sum(n) + 1
+    u = np.finfo(np.float64).eps / 2
+    gamma = k * u / (1 - k * u)
+    lead = () if batch is None else (batch,)
+    for s in range(1, L):
+        pairs = [
+            (tr(T.ww[(s, s)]), tr(np.matmul(psi.ww[(s, s)], T.w[(L, 0)])), tr(A.ww[(s, s)])),
+            (tr(T.bw[(s, s)]), np.matmul(T.wb[(L, s)], psi.bw[(s, s)][0]), tr(A.bw[(s, s)])),
+        ]
+        for got, want, scale in pairs:
+            assert got.shape == want.shape == lead + (d,)
+            assert np.all(np.abs(got - want) <= 2 * gamma * scale / (1 - gamma))
