@@ -228,6 +228,24 @@ def test_grid_flags_default_to_grid(monkeypatch):
     assert seen == [Grid()]
 
 
+def test_grid_flags_reach_the_runner(monkeypatch):
+    # check reads all five grid flags; none of them is dropped on the way to Grid.
+    seen = []
+
+    def runner(*args, **kwargs):
+        seen.extend(a for a in args if isinstance(a, Grid))
+        return {"suites": [], "pass": True}
+
+    monkeypatch.setattr(checks, "run_suites", runner)
+    argv = [
+        "check", "--L-values", "2,5", "--d-values", "3", "--e-values", "2,4",
+        "--n-max", "6", "--scale-range", "0.5,2",
+    ]
+    assert main(argv) == 0
+    assert seen == [Grid(L_values=(2, 5), n_max=6, d_values=(3,), e_values=(2, 4), scale_range=(0.5, 2.0))]
+    assert seen[0] != Grid()
+
+
 def test_readme_cli_examples_parse():
     # A stale example (a removed command or flag) fails here; nothing runs.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
