@@ -99,7 +99,6 @@ def cmd_check(args) -> int:
         grid,
         overrides,
         mutate_sharing=args.corrupt_sharing,
-        collapse_psi=args.collapse_psi,
     )
     for rec in report["suites"]:
         status = "pass" if rec["pass"] else "FAIL"
@@ -128,10 +127,15 @@ def cmd_fit(args) -> int:
     if args.target == "probes" and args.d != 1:
         raise MagepError(f"--target probes needs --d 1, got {args.d}")
     spec = _spec_from_args(args)
-    rng = Rng(args.seed)
-    psi = PsiParams.random(spec, rng.child("psi"))
     F = fitting.feature_count(spec)
     total = args.samples if args.samples is not None else args.samples_per_feature * F
+    if not 0 < fitting.train_rows(args.split, total) < total:
+        raise MagepError(
+            f"--split {args.split} of {total} rows leaves an empty train or test set; "
+            "change --split or --samples"
+        )
+    rng = Rng(args.seed)
+    psi = PsiParams.random(spec, rng.child("psi"))
     objects = tuple(
         random_weights(spec, rng.child("data", k), Uniform(-1.0, 1.0))
         for k in range(total)
@@ -224,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     p.add_argument("--tol", action="append", metavar="SUITE=VALUE", help="override one tolerance")
-    p.add_argument("--collapse-psi", action="store_true", help="use collapsing connection matrices in the rank suite")
     p.add_argument("--corrupt-sharing", action="store_true", help=argparse.SUPPRESS)
     _add_grid_flags(p)
     p.set_defaults(fn=cmd_check)

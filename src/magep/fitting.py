@@ -34,9 +34,15 @@ __all__ = [
     "evaluate",
     "save_fit",
     "load_fit",
+    "train_rows",
 ]
 
 FIT_FORMAT = "magep-fit/1"
+
+
+def train_rows(train_fraction: float, rows: int) -> int:
+    """Rows of the train part when ``rows`` rows are split at ``train_fraction``."""
+    return int(round(train_fraction * rows))
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ class FitDataset:
         if not 0.0 < train_fraction < 1.0:
             raise ValidationError(f"train fraction must be in (0, 1), got {train_fraction}")
         order = rng.permutation(len(self))
-        cut = int(round(train_fraction * len(self)))
+        cut = train_rows(train_fraction, len(self))
         take = lambda idx: FitDataset(
             tuple(self.objects[i] for i in idx), self.targets[idx]
         )

@@ -7,7 +7,8 @@ BLAS-based forwards.  The rank machinery realizes "linear independence
 of stable polynomial terms as functions" numerically: a family of terms is
 independent iff its design matrix of random evaluations has full column
 rank, which we certify through the singular-value ratio of a 3x-oversampled
-matrix.
+matrix, and a family's known linear relations show as that many null
+singular values.
 """
 
 from __future__ import annotations
@@ -311,42 +312,35 @@ def naive_invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndar
 # ---------------------------------------------------------------------------
 # Design matrices and rank checks
 
-# Each family token names a StableTermSet table, its column label and its
-# keys at depth L, in column order.  "eq17" (the canonical invariant feature
-# vector, constant included) and "const" (the constant 1) are no such table.
+# Each family token names a StableTermSet table and its keys at depth L, in
+# column order.  "eq17" (the canonical invariant feature vector, constant
+# included) and "const" (the constant 1) are no such table.
 _FAMILIES = {
-    "w": ("w", "W(%d,%d)", w_indices),
-    "w_noL0": ("w", "W(%d,%d)", lambda L: [p for p in w_indices(L) if p != (L, 0)]),
-    "w_L0": ("w", "W(%d,%d)", lambda L: [(L, 0)]),
-    "b": ("b", "b(%d)", lambda L: range(1, L + 1)),
-    "wb": ("wb", "Wb(%d,%d)", wb_indices),
-    "wb_noL": ("wb", "Wb(%d,%d)", lambda L: [(s, t) for s, t in wb_indices(L) if s < L]),
-    "wb_L": ("wb", "Wb(%d,%d)", lambda L: [(L, t) for t in range(1, L)]),
-    "bw": ("bw", "bW(%d)(L,%d)", psi_indices),
-    "bw_diag": ("bw", "bW(%d)(L,%d)", lambda L: [(t, t) for t in range(1, L)]),
-    "ww": ("ww", "WW(%d,0)(L,%d)", psi_indices),
-    "ww_diag": ("ww", "WW(%d,0)(L,%d)", lambda L: [(s, s) for s in range(1, L)]),
-    "eq17": (None, "eq17", None),
-    "const": (None, "1", None),
+    "w_noL0": ("w", lambda L: [p for p in w_indices(L) if p != (L, 0)]),
+    "w_L0": ("w", lambda L: [(L, 0)]),
+    "b": ("b", lambda L: range(1, L + 1)),
+    "wb_noL": ("wb", lambda L: [(s, t) for s, t in wb_indices(L) if s < L]),
+    "wb_L": ("wb", lambda L: [(L, t) for t in range(1, L)]),
+    "bw_diag": ("bw", lambda L: [(t, t) for t in range(1, L)]),
+    "ww_diag": ("ww", lambda L: [(s, s) for s in range(1, L)]),
+    "eq17": (None, None),
+    "const": (None, None),
 }
 
 
-def _columns(U: WeightObject, psi: PsiParams, families: Sequence[str]):
-    """(label, flat values) of each selected column group of ``U``, in order."""
+def _feature_row(U: WeightObject, psi: PsiParams, families: Sequence[str]) -> np.ndarray:
+    """The selected column groups of ``U``, flattened and joined in order."""
     terms = all_terms(U, psi)
+    parts = []
     for fam in families:
-        table, label, keys = _FAMILIES[fam]
+        table, keys = _FAMILIES[fam]
         if fam == "eq17":
-            yield label, featurize(U, psi)
+            parts.append(featurize(U, psi))
         elif fam == "const":
-            yield label, np.ones(1)
+            parts.append(np.ones(1))
         else:
-            for key in keys(U.spec.L):
-                yield label % key, getattr(terms, table)[key].ravel()
-
-
-def _feature_row(U, psi, families) -> np.ndarray:
-    return np.concatenate([vec for _, vec in _columns(U, psi, families)] or [np.zeros(0)])
+            parts += [getattr(terms, table)[key].ravel() for key in keys(U.spec.L)]
+    return np.concatenate(parts or [np.zeros(0)])
 
 
 def _design(spec, psi, families, rng, samples_for) -> np.ndarray:
@@ -377,39 +371,34 @@ def feature_design_matrix(
     return _design(spec, psi, families, rng, lambda F: samples)
 
 
-def _sigma_ratio(X: np.ndarray) -> float:
-    if X.shape[1] == 0:
-        return 1.0
-    sv = np.linalg.svd(X, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0.0
-    return float(sv[-1] / sv[0])
-
-
 def independence_report(
     spec: WeightSpec,
     psi: PsiParams,
     rng: Rng,
     threshold: float = RANK_THRESHOLD,
 ) -> dict:
-    """Numerical independence/degeneracy report for the stable-term families.
+    """Numerical rank of the stable-term families on one design matrix draw.
+
+    Every family is evaluated on the same ``OVERSAMPLE * F`` uniform(-1, 1)
+    weight objects ``rng.child("design", k)``, and a singular value counts
+    as null when its ratio to the largest is below ``threshold``.
 
     The families asserted independent (all ``[W]^(s,t)`` except ``(L,0)``,
-    all biases, all ``[Wb]`` with ``s < L``, and the constant) must give a
-    full-rank design matrix for generic connection matrices.  The coupled
-    pairs ``{[W]^(L,0), [WW]^(s,0)(L,s)}`` and ``{[Wb]^(L,t)(t),
-    [bW]^(t)(L,t)}`` carry structural trace relations for *every*
-    connection matrix (``sum_p [WW]^(s,0)(L,s)_pp`` is a fixed linear
-    combination of ``[W]^(L,0)`` entries, and ``sum_p [bW]^(t)(L,t)_pp``
-    one of ``[Wb]^(L,t)(t)`` entries), so their rank is reported rather
-    than asserted; with degenerate widths and collapsing connection
-    matrices the deficiency deepens to entrywise column equality.  Exact
-    zero columns (vanishing connection matrices) are flagged as well.
+    all biases, all ``[Wb]`` with ``s < L``, and the constant) report their
+    smallest ratio and whether it clears ``threshold``.  Each coupled pair,
+    ``{[W]^(L,0), [WW]^(s,0)(L,s)}`` and ``{[Wb]^(L,t)(t), [bW]^(t)(L,t)}``,
+    reports its ``deficiency``, the count of null ratios, next to the
+    ``expected_deficiency`` ``(L-1)*d`` that its trace relations fix for
+    every connection matrix: per channel and ``1 <= s < L``,
+    ``tr [WW]^(s,0)(L,s) = tr(psi^(s,s) [W]^(L,0))`` and
+    ``tr [bW]^(s)(L,s) = psi^(s,s) . [Wb]^(L,s)(s)``.  A broken relation
+    leaves fewer null directions, and a family that vanishes more.
     """
 
-    def check(families):
+    def sigma_ratios(families):
         X = _design(spec, psi, families, rng, lambda F: OVERSAMPLE * F)
-        return X.shape[1], _sigma_ratio(X)
+        sv = np.linalg.svd(X, compute_uv=False)
+        return sv / sv[0]
 
     report: dict = {
         "spec": {"L": spec.L, "n": list(spec.n), "d": spec.d},
@@ -417,47 +406,22 @@ def independence_report(
         "oversample": OVERSAMPLE,
     }
     asserted = ["w_noL0", "b", "wb_noL", "const"]
-    F, ratio = check(asserted)
+    ratios = sigma_ratios(asserted)
     report["asserted_independent"] = {
         "families": asserted,
-        "features": F,
-        "sigma_ratio": ratio,
-        "full_rank": bool(ratio >= threshold),
+        "features": ratios.size,
+        "sigma_ratio": float(ratios[-1]),
+        "full_rank": bool(ratios[-1] >= threshold),
     }
-    coupled = []
-    degeneracies = []
-    for fams, tag in (
-        (["w_L0", "ww_diag"], "W(L,0)/WW(s,0)(L,s)"),
-        (["wb_L", "bw_diag"], "Wb(L,t)(t)/bW(t)(L,t)"),
-    ):
-        F, ratio = check(fams)
-        deficient = bool(ratio < threshold)
-        coupled.append(
+    report["coupled"] = []
+    for fams in (["w_L0", "ww_diag"], ["wb_L", "bw_diag"]):
+        ratios = sigma_ratios(fams)
+        report["coupled"].append(
             {
                 "families": fams,
-                "features": F,
-                "sigma_ratio": ratio,
-                "deficient": deficient,
+                "features": ratios.size,
+                "deficiency": int(np.count_nonzero(ratios < threshold)),
+                "expected_deficiency": (spec.L - 1) * spec.d,
             }
         )
-        if deficient:
-            degeneracies.append(f"rank-deficient coupled family {tag}")
-    report["coupled"] = coupled
-
-    sample = random_weights(spec, rng.child("zero-check"), Uniform(-1.0, 1.0))
-    columns = list(_columns(sample, psi, ["bw", "ww"]))
-    labels = [
-        label if vec.size == 1 else f"{label}[{i}]"
-        for label, vec in columns
-        for i in range(vec.size)
-    ]
-    rows = [np.concatenate([vec for _, vec in columns])]
-    for k in range(2):
-        U = random_weights(spec, rng.child("zero-check", k), Uniform(-1.0, 1.0))
-        rows.append(_feature_row(U, psi, ["bw", "ww"]))
-    zero_labels = [labels[int(i)] for i in np.nonzero(~np.stack(rows).any(axis=0))[0]]
-    report["zero_columns"] = zero_labels
-    if zero_labels:
-        degeneracies.append("exactly-zero bW/WW columns (vanishing connection matrix)")
-    report["degeneracies"] = degeneracies
     return report

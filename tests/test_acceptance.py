@@ -103,13 +103,14 @@ def test_criterion_09_independence():
     ok = (
         rec["pass"]
         and rec["details"]["asserted_full_rank"]
-        and rec["details"]["witness_deficient"]
+        and rec["details"]["coupled_deficiency_exact"]
     )
     _report(
         9,
         "feature independence",
         ok,
-        f"min_sigma_ratio={rec['max_residual']:.3e} witness_deficient={rec['details']['witness_deficient']}",
+        f"min_sigma_ratio={rec['max_residual']:.3e} "
+        f"coupled_deficiency_exact={rec['details']['coupled_deficiency_exact']}",
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magep import checks
+from magep import checks, oracle
 from magep.errors import ValidationError
 
 
@@ -47,6 +47,50 @@ def test_stability_suite_fails_when_one_family_breaks_its_law(monkeypatch):
     assert rec["max_residual"] > 1e3 * rec["tolerance"]
 
 
+def _rank_with_terms(monkeypatch, edit):
+    """The rank suite at 3 specs, with ``edit`` applied to every term table."""
+    exact = oracle.all_terms
+
+    def edited(U, psi):
+        terms = exact(U, psi)
+        edit(terms, U.spec.L)
+        return terms
+
+    monkeypatch.setattr(oracle, "all_terms", edited)
+    return checks.run_suite("rank", 60, 1)
+
+
+def test_rank_suite_fails_when_a_trace_relation_breaks(monkeypatch):
+    assert checks.run_suite("rank", 60, 1)["pass"]
+
+    def cube(terms, L):
+        # A cubic, which no linear combination of [W]^(L,0) entries follows.
+        w = terms.w[(1, 0)].sum(axis=(-2, -1))[..., None, None]
+        terms.ww[(1, 1)] += 1e-3 * w**3
+
+    rec = _rank_with_terms(monkeypatch, cube)
+    assert not rec["pass"]
+    assert rec["details"]["asserted_full_rank"]
+    assert not rec["details"]["coupled_deficiency_exact"]
+    # Too few null directions: the broken pair lost one.
+    for rep in rec["details"]["reports"]:
+        ww_pair = rep["coupled"][0]
+        assert ww_pair["deficiency"] == ww_pair["expected_deficiency"] - 1
+
+
+def test_rank_suite_fails_when_a_coupled_family_vanishes(monkeypatch):
+    def zero(terms, L):
+        terms.bw[(L - 1, L - 1)][...] = 0.0
+
+    rec = _rank_with_terms(monkeypatch, zero)
+    assert not rec["pass"]
+    assert rec["details"]["asserted_full_rank"]
+    # Too many null directions: every column of the zeroed block is null.
+    for rep in rec["details"]["reports"]:
+        bw_pair = rep["coupled"][1]
+        assert bw_pair["deficiency"] > bw_pair["expected_deficiency"]
+
+
 RECORD_KEYS = ["suite", "trials", "max_residual", "tolerance", "pass", "details"]
 
 DETAIL_KEYS = {
@@ -58,7 +102,7 @@ DETAIL_KEYS = {
     "inv": [],
     "stack": [],
     "oracle": [],
-    "rank": ["asserted_full_rank", "witness_deficient", "collapse_psi", "reports"],
+    "rank": ["asserted_full_rank", "coupled_deficiency_exact", "reports"],
 }
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from magep import checks
+from magep import checks, cli
 from magep.checks import Grid
 from magep.cli import build_parser, main, validate_report
 
@@ -81,15 +81,14 @@ def test_check_sharing_mutation_fails(tmp_path):
     assert report["pass"] is False
 
 
-def test_check_collapse_psi_detects_expected_degeneracy():
-    res = run_cli(
-        "check", "--suite", "rank", "--trials", "40", "--seed", "2", "--collapse-psi"
-    )
-    assert res.returncode == 0, res.stderr
-    report = json.loads(res.stdout)
-    rec = report["suites"][0]
-    assert rec["pass"] is True
-    assert rec["details"]["witness_deficient"] is True
+def test_collapse_psi_is_an_unknown_flag(tmp_path):
+    # The rank suite asserts the coupled deficiency at every connection
+    # matrix, so there is no collapsing mode to select.
+    res = run_cli("check", "--suite", "rank", "--collapse-psi", "--out", str(tmp_path / "r.json"))
+    assert res.returncode == 2
+    assert "unrecognized arguments: --collapse-psi" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_tolerance_override():
@@ -212,6 +211,23 @@ def test_invalid_flag_is_usage_error_before_any_work(tmp_path, case):
     # One error line: no traceback, and no suite or fit progress before it.
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
     assert res.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+_EMPTY_SPLITS = [
+    ("--samples", "10", "--split", "0.99"),  # no test row
+    ("--samples", "1"),  # no test row at the default split
+    ("--samples", "10", "--split", "0.01"),  # no train row
+]
+
+
+@pytest.mark.parametrize("flags", _EMPTY_SPLITS, ids=[" ".join(f) for f in _EMPTY_SPLITS])
+def test_fit_with_an_empty_split_is_usage_error_before_any_draw(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.setattr(cli, "random_weights", lambda *a, **k: pytest.fail("drew data"))
+    monkeypatch.setattr(cli.PsiParams, "random", lambda *a, **k: pytest.fail("drew psi"))
+    assert main([*_BASE["fit"](tmp_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --split ") and err.count("\n") == 1, err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -317,6 +317,46 @@ def test_parameter_count_matches_closed_form():
         assert stored == _invariant_closed_form(spec, e, 3)
 
 
+def _coefficient_map(params, forward, U):
+    """Columns: the flattened forward with one coefficient 1 and the rest 0."""
+    cols = []
+    for arr in params.blocks().values():
+        for idx in np.ndindex(arr.shape):
+            arr[idx] = 1.0
+            cols.append(np.ravel(forward(params, U)))
+            arr[idx] = 0.0
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize(
+    "n, d, e, counts",
+    [
+        ((2, 2, 2), 1, 1, (71, 38)),
+        ((1, 2, 2, 1), 1, 1, (30, 22)),
+        ((2, 3, 3, 2), 2, 2, (356, 180)),
+    ],
+)
+def test_coefficient_map_rank_falls_short_by_the_trace_coefficients(n, d, e, counts):
+    # Both layers are linear in their coefficients.  The trace identities
+    # make the trWW and trbW features fixed combinations of the WL0 and Wb
+    # ones, so exactly their 2(L-1)*d*e*m coefficients are redundant, m
+    # being n_L for the equivariant last-bias row and d_out for the
+    # invariant layer; every other coefficient is identifiable.
+    spec = WeightSpec(len(n) - 1, n, d)
+    r = Rng(3)
+    U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0), batch=60)
+    d_out = 2
+    eq = layers.init_equivariant(spec, e, r.child("eq"), scale=0.0)
+    inv = layers.init_invariant(spec, e, d_out, r.child("inv"), scale=0.0)
+    maps = (
+        (_coefficient_map(eq, lambda p, V: layers.equivariant_forward(p, V).flat, U), n[-1]),
+        (_coefficient_map(inv, layers.invariant_forward, U), d_out),
+    )
+    for (X, m), count in zip(maps, counts):
+        assert X.shape[1] == count
+        assert np.linalg.matrix_rank(X) == count - 2 * (spec.L - 1) * d * e * m
+
+
 def test_channel_counts_are_coerced_and_checked():
     spec = WeightSpec(2, (1, 2, 1), 1)
     assert type(layers.init_equivariant(spec, np.int64(2), Rng(0)).e) is int
