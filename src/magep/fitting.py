@@ -20,7 +20,7 @@ from . import jsonio
 from .dense import Rng
 from .errors import ValidationError
 from .stableterms import FEATURE_ORDER_VERSION, PsiParams, feature_count, featurize
-from .weightspace import WeightObject, _count, stack_blocks
+from .weightspace import WeightObject, _count, map_blocks
 
 __all__ = [
     "FEATURE_ORDER_VERSION",
@@ -111,10 +111,13 @@ def design_matrix(objects: Sequence[WeightObject], psi: PsiParams) -> np.ndarray
     """Feature rows ``[N, F]`` of unbatched, spec-homogeneous objects.
 
     The objects are featurized in stacked blocks of up to ``STACK_BLOCK``
-    rows, each one concatenation of the objects' flat vectors (see
-    :func:`magep.weightspace.stack_blocks`), with one batched call per block.
+    rows, one batched call per block, and the rows are written into one
+    preallocated result (see :func:`magep.weightspace.map_blocks`).  No
+    objects give an empty ``[0, F]`` matrix.
     """
-    return np.concatenate([featurize(block, psi) for block in stack_blocks(objects)])
+    if not objects:
+        return np.zeros((0, feature_count(psi.spec)))
+    return map_blocks(objects, lambda block: featurize(block, psi))
 
 
 def fit_ridge(train: FitDataset, psi: PsiParams, lam: float) -> FitResult:

@@ -8,7 +8,7 @@ weights).  An element holds one weight tensor per layer, shaped
 
 Every element stores its entries in one contiguous array, a vector per
 row, with its tensors as views; a dataset of unbatched elements is thus
-stacked with one concatenation per block (see :func:`stack_blocks`).
+stacked with one concatenation per block (see :func:`map_blocks`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,14 +33,14 @@ __all__ = [
     "dim",
     "random_weights",
     "STACK_BLOCK",
-    "stack_blocks",
+    "map_blocks",
     "save",
     "load",
 ]
 
 WEIGHT_FORMAT = "magep-weights/1"
 
-# Objects per stacked batch in :func:`stack_blocks`.  One block amortizes the
+# Objects per stacked batch in :func:`map_blocks`.  One block amortizes the
 # per-call overhead of the batched numerics; stacking a whole dataset at once
 # would hold a second copy of all of its weights.
 STACK_BLOCK = 256
@@ -274,24 +274,38 @@ def random_weights(
     return WeightObject._viewing(spec, batch, _join(spec, parts, batch))
 
 
-def stack_blocks(objects: Sequence[WeightObject]) -> Iterator[WeightObject]:
-    """Batched objects of up to :data:`STACK_BLOCK` consecutive rows each.
+def map_blocks(
+    objects: Sequence[WeightObject], fn: Callable[[WeightObject], np.ndarray]
+) -> np.ndarray:
+    """``fn`` applied to the objects stacked :data:`STACK_BLOCK` rows at a
+    time, its rows gathered into one array ``[len(objects), ...]``.
 
-    The inputs must be unbatched and share one spec; row ``k`` of the
-    ``j``-th block is ``objects[j * STACK_BLOCK + k]``.  A block's ``flat``
-    is one concatenation of the rows' flat vectors, viewed as
-    ``[B, dim(spec)]``; no copy of the whole dataset is held at once.
+    The objects must be unbatched and share one spec, and there must be at
+    least one.  Row ``k`` of the ``j``-th block is
+    ``objects[j * STACK_BLOCK + k]``.  Every block's ``flat`` is a view of one
+    buffer that the whole call reuses, filled by one concatenation of the
+    rows' flat vectors.  ``fn(block)`` returns one row per object of the
+    block; those rows are copied into the result before the next block
+    overwrites the buffer, so ``fn`` may return a view of the block but must
+    not keep one.
     """
     if not objects:
-        return
+        raise ValidationError("map_blocks needs at least one weight object")
     spec = objects[0].spec
     for u in objects:
         if u.batch is not None or (u.spec is not spec and u.spec != spec):
             raise ValidationError("stacking needs unbatched weight objects of one spec")
+    buf = np.empty((min(len(objects), STACK_BLOCK), dim(spec)))
+    out = None
     for lo in range(0, len(objects), STACK_BLOCK):
         rows = objects[lo : lo + STACK_BLOCK]
-        flat = np.concatenate([u.flat for u in rows]).reshape(len(rows), dim(spec))
-        yield WeightObject._viewing(spec, len(rows), flat)
+        flat = buf[: len(rows)]
+        np.concatenate([u.flat for u in rows], out=flat.reshape(-1))
+        got = fn(WeightObject._viewing(spec, len(rows), flat))
+        if out is None:
+            out = np.empty((len(objects),) + got.shape[1:], got.dtype)
+        out[lo : lo + len(rows)] = got
+    return out
 
 
 _WEIGHT_KEYS = ("format", "L", "n", "d", "batch", "W", "b")

@@ -243,6 +243,12 @@ def test_linear_networks_lie_in_the_span_of_their_linear_parts(n):
     assert residual(relu) >= 0.1
 
 
+def test_design_matrix_of_no_objects_is_empty():
+    spec = WeightSpec(3, (2, 3, 3, 2), 2)
+    X = fitting.design_matrix([], PsiParams.random(spec, Rng(40)))
+    assert X.shape == (0, fitting.feature_count(spec))
+
+
 def test_fit_validation():
     psi = PsiParams.random(SPEC, Rng(23))
     data = _dataset(SPEC, psi, 5, 24, lambda objs: np.zeros((len(objs), 1)))

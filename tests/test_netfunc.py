@@ -48,6 +48,32 @@ def test_mlp_rejects_multichannel_and_bad_input():
         netfunc.mlp_forward(random_weights(WeightSpec(2, (1, 1, 1), 2), Rng(0)), np.zeros(1), relu)
     with pytest.raises(DimensionError):
         netfunc.mlp_forward(_toy(), np.zeros(2), relu)
+    with pytest.raises(DimensionError):
+        netfunc.mlp_forward(_toy(), np.zeros((3, 2)), relu)
+    with pytest.raises(DimensionError):
+        netfunc.mlp_forward(_toy(), np.zeros((2, 3, 1)), relu)
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("act", [relu, tanh], ids=["relu", "tanh"])
+def test_mlp_forward_one_point_row_is_the_point_bit_for_bit(batch, act):
+    spec = WeightSpec(3, (3, 5, 4, 2), 1)
+    U = random_weights(spec, Rng(32), batch=batch)
+    x = Rng(33).uniform(-1.0, 1.0, 3)
+    row = netfunc.mlp_forward(U, x[None], act)
+    assert row.shape == ((batch,) if batch else ()) + (1, 2)
+    assert np.array_equal(row[..., 0, :], netfunc.mlp_forward(U, x, act))
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["unbatched", "batched"])
+def test_mlp_forward_points_as_rows_match_single_points(batch):
+    spec = WeightSpec(3, (3, 5, 4, 2), 1)
+    U = random_weights(spec, Rng(34), batch=batch)
+    points = Rng(35).uniform(-1.0, 1.0, (6, 3))
+    got = netfunc.mlp_forward(U, points, relu)
+    want = np.stack([netfunc.mlp_forward(U, x, relu) for x in points], axis=-2)
+    assert got.shape == want.shape == ((batch,) if batch else ()) + (6, 2)
+    assert rel_residual(got, want) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -116,6 +142,19 @@ def test_probe_targets_empty_probes():
     dataset = [random_weights(SPEC, Rng(k)) for k in range(4)]
     out = netfunc.probe_targets(dataset, [], relu)
     assert out.shape == (4, 0)
+
+
+@pytest.mark.parametrize(
+    "probes", [[np.zeros(2)], [np.zeros(1), np.zeros(2)]], ids=["wrong-length", "ragged"]
+)
+def test_probe_targets_check_probes_before_any_block(monkeypatch, probes):
+    def no_blocks(*args):
+        raise AssertionError("a block was stacked before the probes were checked")
+
+    monkeypatch.setattr(netfunc, "map_blocks", no_blocks)
+    dataset = [random_weights(SPEC, Rng(k)) for k in range(3)]
+    with pytest.raises(DimensionError, match="probe"):
+        netfunc.probe_targets(dataset, probes, relu)
 
 
 def test_probe_targets_heterogeneous_dataset_rejected():

@@ -15,9 +15,9 @@ from magep.weightspace import (
     WeightSpec,
     dim,
     load,
+    map_blocks,
     random_weights,
     save,
-    stack_blocks,
 )
 
 # The probe-fit spec, and a d=2 spec with unequal widths.
@@ -266,31 +266,49 @@ def _reference_stack(rows):
 
 
 @pytest.mark.parametrize("spec", [PROBE, CHANNELS], ids=["probe", "d2"])
-def test_stack_blocks_equals_per_layer_stack(spec):
+def test_map_blocks_equals_per_layer_stack(spec):
     objects = [random_weights(spec, Rng(9).child(k)) for k in range(2 * STACK_BLOCK + 1)]
-    blocks = list(stack_blocks(objects))
-    assert [blk.batch for blk in blocks] == [STACK_BLOCK, STACK_BLOCK, 1]
-    for j, blk in enumerate(blocks):
-        want = _reference_stack(objects[j * STACK_BLOCK : (j + 1) * STACK_BLOCK])
+    sizes = []
+
+    def compare(blk):
+        lo = sum(sizes)
+        want = _reference_stack(objects[lo : lo + blk.batch])
         for got, ref in zip(blk.W + blk.b, want):
             assert got.dtype == np.float64
             assert got.shape == ref.shape
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        sizes.append(blk.batch)
+        return np.zeros((blk.batch, 0))
+
+    assert map_blocks(objects, compare).shape == (len(objects), 0)
+    assert sizes == [STACK_BLOCK, STACK_BLOCK, 1]
+
+
+def test_map_blocks_copies_each_block_before_the_next():
+    # fn returns a view of the reused buffer: the result is right only if
+    # each block's rows are copied out before the next block is stacked.
+    objects = [random_weights(CHANNELS, Rng(8).child(k)) for k in range(2 * STACK_BLOCK + 1)]
+    got = map_blocks(objects, lambda blk: blk.flat)
+    want = np.stack([u.flat for u in objects])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ValidationError, match="at least one"):
+        map_blocks([], lambda blk: blk.flat)
 
 
 def test_equal_specs_need_not_be_identical():
     twin = WeightSpec(CHANNELS.L, list(CHANNELS.n), CHANNELS.d)
     assert twin == CHANNELS and twin is not CHANNELS
     objects = [random_weights(CHANNELS, Rng(1)), random_weights(twin, Rng(2))]
-    (block,) = stack_blocks(objects)
-    assert block.batch == 2
+    rows = map_blocks(objects, lambda blk: blk.flat)
+    assert np.array_equal(rows, np.stack([u.flat for u in objects]))
     assert len(FitDataset(objects, np.zeros(2))) == 2
 
     other = random_weights(WeightSpec(3, (2, 3, 2, 2), 2), Rng(3))
     with pytest.raises(ValidationError, match="one spec"):
-        list(stack_blocks(objects + [other]))
+        map_blocks(objects + [other], lambda blk: blk.flat)
     with pytest.raises(ValidationError, match="spec-homogeneous"):
         FitDataset(objects + [other], np.zeros(3))
     batched = random_weights(CHANNELS, Rng(4), batch=1)
     with pytest.raises(ValidationError, match="unbatched"):
-        list(stack_blocks(objects + [batched]))
+        map_blocks(objects + [batched], lambda blk: blk.flat)
