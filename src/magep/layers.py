@@ -43,22 +43,19 @@ the diagonal traces, and a constant.  It is linear in the invariant
 features of :func:`magep.stableterms.featurize`, so it is evaluated as the
 feature rows times the coefficient blocks packed in the same order.
 
-Each coefficient block is declared once, on its dataclass field: its shape
-and fan-in as size names, its table keys, and for interior blocks its slot
-in the file.  The shape and key checks, the random initialization (in
-field order), ``blocks()``, the parameter counts and the ``.mgp.json``
-reader and writer are all derived from these declarations.
-
 A params object holds its blocks in the buffers its forward's GEMMs read:
 an invariant map's ``[e, F, m]`` tensor in feature order (also the
 last-layer bias row's), the last weight row's ``[e n_L, 3 d n_L]`` matrix,
-and the boundary rows' ``[d, 3 n0 + c, e k]`` matrices.  The constructor
-checks the given blocks and copies each into its place once; the
-initializers draw each block straight into its place, at an architecture
-the constructor would accept, and skip the checks and the copy.  Every
-block is a view of its place in a buffer, so a write to a block reaches
-the next forward and nothing packed can go stale; the tables and ``mid``
-are read-only mappings, so no block can be swapped out.
+and the boundary rows' ``[d, 3 n0 + c, e k]`` matrices.  Each block is a
+view of its place in a buffer, laid out by the function that allocates the
+buffer, and these views alone give each block's shape and a table's keys.
+A block's dataclass field declares the rest: its fan-in, whether it is a
+table over layers, and for interior blocks its slot in the file.  The
+constructor checks the given blocks against their views and copies each in
+once; the initializers draw each block straight into its view, in field
+order, at an architecture the constructor would accept.  So a write to a
+block reaches the next forward and nothing packed can go stale; the tables
+and ``mid`` are read-only mappings, so no block can be swapped out.
 """
 
 from __future__ import annotations
@@ -91,8 +88,6 @@ __all__ = [
     "equivariant_forward",
     "invariant_forward",
     "stack_forward",
-    "equivariant_parameter_count",
-    "invariant_parameter_count",
     "save_params",
     "load_params",
     "PARAMS_FORMAT",
@@ -114,37 +109,27 @@ ROW_BLOCK = 8
 
 
 class _Decl(NamedTuple):
-    """A block field's declaration: its axis names, table keys and file slot,
-    with the axis and fan-in lookups a layout applies to the sizes."""
+    """A block field's declaration: its fan-in lookup, whether it is a table
+    over layers, and its file slot."""
 
-    shape: tuple[str, ...]
-    keys: str | None
-    slot: tuple[str, str] | None
-    shape_of: Callable
     fan_of: Callable | None
+    table: bool
+    slot: tuple[str, str] | None
 
 
-def _block(shape: str, fan: str | None, keys: str | None = None, slot: str | None = None):
+def _block(fan: str | None, table: bool = False, slot: str | None = None):
     """Declare a coefficient block field.
 
-    ``shape`` names the block's axis sizes and ``fan`` the factors of its
-    fan-in, the input scalars summed into one output scalar (``None`` for a
-    pure bias).  The sizes are ``d``, ``e``, ``m`` (the output width: ``n_L``
-    or ``d_out``), ``n0``, ``nL``, ``nk`` (the width of the table key) and
-    ``1``.  ``keys`` makes the block a table over the ``hidden`` layers
-    ``0 < k < L`` or the layers ``below`` the interior layer ``i``,
-    ``0 < k < i``.  ``slot`` is the ``group.key`` an interior block is
-    saved under.
+    ``fan`` names the factors of the block's fan-in, the input scalars
+    summed into one output scalar, besides the channel count ``d`` (``None``
+    for a pure bias).  The factors are ``n0``, ``nL``, ``nk`` (the width of
+    a table entry's layer ``k``) and ``1``.  ``table`` makes the block a
+    table over layers.  The block's shape, and a table's keys, are those of
+    its view of its buffer.  ``slot`` is the ``group.key`` an interior block
+    is saved under.
     """
-    names = tuple(shape.split())
-    decl = _Decl(
-        names,
-        keys,
-        None if slot is None else tuple(slot.split(".")),
-        operator.itemgetter(*names),
-        None if fan is None else operator.itemgetter("d", *fan.split()),
-    )
-    return field(metadata={"block": decl})
+    fan_of = None if fan is None else operator.itemgetter("d", *fan.split())
+    return field(metadata={"block": _Decl(fan_of, table, slot and tuple(slot.split(".")))})
 
 
 @cache
@@ -153,56 +138,40 @@ def _declared(cls) -> tuple[tuple[str, _Decl], ...]:
     return tuple((f.name, f.metadata["block"]) for f in fields(cls) if "block" in f.metadata)
 
 
-def _layout(cls, spec: WeightSpec, e: int, m: int, i: int | None = None) -> tuple:
-    """The blocks of ``cls`` resolved at one architecture, in field order.
+def _cells(decl: _Decl, value):
+    """``(key, entry)`` of every entry of a table, or ``(None, value)``."""
+    return value.items() if decl.table else ((None, value),)
 
-    Each entry is ``(name, keys, cells)``: ``keys`` lists a table's keys
-    (``None`` for a single block) and each cell is ``(key, shape, fan)``
-    with ``fan`` the factors ``d, ...`` of the fan-in, or ``None`` for a
-    pure bias.  ``i`` is the interior layer of :class:`MiddleBlocks`.
-    """
-    n = spec.n
-    sizes = {"1": 1, "d": spec.d, "e": e, "m": m, "n0": n[0], "nL": n[-1]}
-    keysets = {"hidden": tuple(range(1, spec.L)), "below": tuple(range(1, i or 0))}
-    out = []
+
+def _checked(cls, obj, views: dict, where: str = "") -> None:
+    """Check each block of ``obj``, in field order, against the shape and
+    keys of its view, and copy it into the view."""
     for name, decl in _declared(cls):
-        if decl.keys is None:
-            fan = decl.fan_of and decl.fan_of(sizes)
-            out.append((name, None, ((None, decl.shape_of(sizes), fan),)))
-            continue
-        keys, cells = keysets[decl.keys], []
-        for k in keys:
-            sizes["nk"] = n[k]
-            cells.append((k, decl.shape_of(sizes), decl.fan_of(sizes)))
-        out.append((name, keys, tuple(cells)))
-    return tuple(out)
+        value, view, label = getattr(obj, name), views[name], where + name
+        if decl.table and not (isinstance(value, Mapping) and value.keys() == view.keys()):
+            raise ValidationError(f"{label} must be keyed by layers {tuple(view)}")
+        for k, cell in _cells(decl, view):
+            at = label + ("" if k is None else f"[{k}]")
+            try:
+                arr = tensor(value if k is None else value[k])
+            except (TypeError, ValueError):
+                raise ValidationError(f"{at} is not a numeric array") from None
+            if arr.shape != cell.shape:
+                raise ValidationError(f"{at} has shape {arr.shape}, expected {cell.shape}")
+            cell[...] = arr
 
 
-def _checked(obj, layout, views: dict, where: str = "") -> None:
-    """Check each block of ``obj`` against ``layout`` and copy it into its view."""
-    for name, keys, cells in layout:
-        table = {None: getattr(obj, name)} if keys is None else dict(getattr(obj, name))
-        if keys is not None and table.keys() != set(keys):
-            raise ValidationError(f"{where}{name} must be keyed by layers {keys}")
-        for k, shape, _ in cells:
-            arr = tensor(table[k])
-            if arr.shape != shape:
-                label = where + name + ("" if k is None else f"[{k}]")
-                raise ValidationError(f"{label} has shape {arr.shape}, expected {shape}")
-            (views[name] if keys is None else views[name][k])[...] = arr
-
-
-def _draw(rng: Rng, layout, views: dict, scale: float) -> None:
-    """Fill the view of every block of ``layout``, in field order, with
-    uniform(-a, a), ``a = scale / sqrt(d * fan)``; one draw per block."""
-    for name, keys, cells in layout:
-        for k, shape, fan in cells:
-            a = scale if fan is None else scale / math.sqrt(math.prod(fan))
-            (views[name] if keys is None else views[name][k])[...] = rng.uniform(-a, a, shape)
-
-
-def _size(layout) -> int:
-    return sum(math.prod(shape) for _, _, cells in layout for _, shape, _ in cells)
+def _draw(cls, rng: Rng, spec: WeightSpec, views: dict, scale: float) -> None:
+    """Fill the view of every block of ``cls`` with uniform(-a, a), ``a =
+    scale / sqrt(d * fan)``: one draw per block, in field order, a table's
+    entries in ascending key order."""
+    sizes = {"1": 1, "d": spec.d, "n0": spec.n[0], "nL": spec.n[-1]}
+    for name, decl in _declared(cls):
+        for k, cell in _cells(decl, views[name]):
+            if k is not None:
+                sizes["nk"] = spec.n[k]
+            a = scale if decl.fan_of is None else scale / math.sqrt(math.prod(decl.fan_of(sizes)))
+            cell[...] = rng.uniform(-a, a, cell.shape)
 
 
 def _assign(obj, values: dict) -> None:
@@ -242,17 +211,15 @@ class _Layer(_Rebuilt):
         the interior blocks ``group[i].key`` in field order.
         """
         decls = _declared(type(self))
-        out = {name: getattr(self, name) for name, decl in decls if decl.keys is None}
+        out = {name: getattr(self, name) for name, decl in decls if not decl.table}
         for name, decl in decls:
-            if decl.keys is not None:
+            if decl.table:
                 out.update((f"{name}[{k}]", v) for k, v in getattr(self, name).items())
         for i, blk in getattr(self, "mid", {}).items():
             for name, decl in _declared(MiddleBlocks):
-                label, value = f"{decl.slot[0]}[{i}].{decl.slot[1]}", getattr(blk, name)
-                if decl.keys is None:
-                    out[label] = value
-                else:
-                    out.update((f"{label}[{t}]", v) for t, v in value.items())
+                label = f"{decl.slot[0]}[{i}].{decl.slot[1]}"
+                for t, v in _cells(decl, getattr(blk, name)):
+                    out[label if t is None else f"{label}[{t}]"] = v
         return out
 
 
@@ -260,67 +227,59 @@ class _Layer(_Rebuilt):
 class MiddleBlocks(_Rebuilt):
     """Coefficient blocks of one interior layer ``1 < i < L``."""
 
-    w: np.ndarray = _block("d e", "1", slot="scalarsW.W")  # [W]^(i,i-1)
-    ww: np.ndarray = _block("d e", "1", slot="scalarsW.WW")  # [WW]^(i,0)(L,i-1)
-    bw: np.ndarray = _block("d e", "1", slot="scalarsW.bW")  # [bW]^(i)(L,i-1)
-    b_w: np.ndarray = _block("d e n0", "n0", slot="vecsb.W")  # [W]^(i,0)
-    b_ww: np.ndarray = _block("d e n0", "n0", slot="vecsb.WW")  # [WW]^(i,0)(L,0)
-    b_bw: np.ndarray = _block("d e n0", "n0", slot="vecsb.bW")  # [bW]^(i)(L,0)
-    b_wb: Mapping[int, np.ndarray] = _block("d e", "1", "below", "vecsb.Wb")  # [Wb]^(i,t)(t)
-    b_b: np.ndarray = _block("d e", "1", slot="vecsb.b")  # [b]^(i)
+    w: np.ndarray = _block("1", slot="scalarsW.W")  # [d, e]: [W]^(i,i-1)
+    ww: np.ndarray = _block("1", slot="scalarsW.WW")  # [d, e]: [WW]^(i,0)(L,i-1)
+    bw: np.ndarray = _block("1", slot="scalarsW.bW")  # [d, e]: [bW]^(i)(L,i-1)
+    b_w: np.ndarray = _block("n0", slot="vecsb.W")  # [d, e, n0]: [W]^(i,0)
+    b_ww: np.ndarray = _block("n0", slot="vecsb.WW")  # [d, e, n0]: [WW]^(i,0)(L,0)
+    b_bw: np.ndarray = _block("n0", slot="vecsb.bW")  # [d, e, n0]: [bW]^(i)(L,0)
+    # t -> [d, e]: [Wb]^(i,t)(t), 0 < t < i
+    b_wb: Mapping[int, np.ndarray] = _block("1", table=True, slot="vecsb.Wb")
+    b_b: np.ndarray = _block("1", slot="vecsb.b")  # [d, e]: [b]^(i)
 
 
 @dataclass(frozen=True, eq=False)
 class EquivariantParams(_Layer):
     spec: WeightSpec  # input architecture; spec.d is the input channel count
     e: int            # output channel count
-    phiW_L_W: np.ndarray = _block("e d nL nL", "nL")
-    phiW_L_WW: np.ndarray = _block("e d nL nL", "nL")
-    phiW_L_bW: np.ndarray = _block("e d nL nL", "nL")
-    phib_L_WWLL: np.ndarray = _block("e d nL n0 m", "nL n0")
-    phib_L_WL0: np.ndarray = _block("e d nL n0 m", "nL n0")
-    phib_L_bWLL0: np.ndarray = _block("e d nL n0 m", "nL n0")
-    phib_L_trWW: Mapping[int, np.ndarray] = _block("e d m", "nk", "hidden")
-    phib_L_Wb: Mapping[int, np.ndarray] = _block("e d nL m", "nL", "hidden")
-    phib_L_trbW: Mapping[int, np.ndarray] = _block("e d m", "nk", "hidden")
-    phib_L_b: np.ndarray = _block("e d nL m", "nL")
-    phib_L_1: np.ndarray = _block("e m", None)
-    phiW_1_W: np.ndarray = _block("d e n0 n0", "n0")
-    phiW_1_WW: np.ndarray = _block("d e n0 n0", "n0")
-    phiW_1_bW: np.ndarray = _block("d e n0 n0", "n0")
-    phiW_1_b: np.ndarray = _block("d e n0", "1")
-    phib_1_W: np.ndarray = _block("d e n0", "n0")
-    phib_1_WW: np.ndarray = _block("d e n0", "n0")
-    phib_1_bW: np.ndarray = _block("d e n0", "n0")
-    phib_1_b: np.ndarray = _block("d e", "1")
+    phiW_L_W: np.ndarray = _block("nL")  # [e, d, nL, nL]
+    phiW_L_WW: np.ndarray = _block("nL")  # [e, d, nL, nL]
+    phiW_L_bW: np.ndarray = _block("nL")  # [e, d, nL, nL]
+    phib_L_WWLL: np.ndarray = _block("nL n0")  # [e, d, nL, n0, nL]
+    phib_L_WL0: np.ndarray = _block("nL n0")  # [e, d, nL, n0, nL]
+    phib_L_bWLL0: np.ndarray = _block("nL n0")  # [e, d, nL, n0, nL]
+    phib_L_trWW: Mapping[int, np.ndarray] = _block("nk", table=True)  # k -> [e, d, nL], 0 < k < L
+    phib_L_Wb: Mapping[int, np.ndarray] = _block("nL", table=True)  # k -> [e, d, nL, nL], 0 < k < L
+    phib_L_trbW: Mapping[int, np.ndarray] = _block("nk", table=True)  # k -> [e, d, nL], 0 < k < L
+    phib_L_b: np.ndarray = _block("nL")  # [e, d, nL, nL]
+    phib_L_1: np.ndarray = _block(None)  # [e, nL]
+    phiW_1_W: np.ndarray = _block("n0")  # [d, e, n0, n0]
+    phiW_1_WW: np.ndarray = _block("n0")  # [d, e, n0, n0]
+    phiW_1_bW: np.ndarray = _block("n0")  # [d, e, n0, n0]
+    phiW_1_b: np.ndarray = _block("1")  # [d, e, n0]
+    phib_1_W: np.ndarray = _block("n0")  # [d, e, n0]
+    phib_1_WW: np.ndarray = _block("n0")  # [d, e, n0]
+    phib_1_bW: np.ndarray = _block("n0")  # [d, e, n0]
+    phib_1_b: np.ndarray = _block("1")  # [d, e]
     mid: Mapping[int, MiddleBlocks]  # i -> blocks, 1 < i < L
     psi: PsiParams
 
     def __post_init__(self):
         spec, e = self.spec, _count("output channel count e", self.e)
-        nL, interior = spec.n[-1], range(2, spec.L)
-        layout = _layout(EquivariantParams, spec, e, nL)
-        fields, views, mid_views = _equivariant_buffers(spec, e, layout)
-        _checked(self, layout, views)
-        mid = dict(self.mid)
-        if mid.keys() != set(interior):
-            raise ValidationError(f"mid must be keyed by layers {tuple(interior)}")
-        for i in interior:
-            _checked(mid[i], _layout(MiddleBlocks, spec, e, nL, i), mid_views[i], f"mid[{i}].")
+        fields, views, mid_views = _equivariant_buffers(spec, e)
+        _checked(EquivariantParams, self, views)
+        mid = self.mid
+        if not (isinstance(mid, Mapping) and mid.keys() == mid_views.keys()):
+            raise ValidationError(f"mid must be keyed by layers {tuple(mid_views)}")
+        for i, v in mid_views.items():
+            if not isinstance(mid[i], MiddleBlocks):
+                raise ValidationError(f"mid[{i}] must be MiddleBlocks")
+            _checked(MiddleBlocks, mid[i], v, f"mid[{i}].")
         _check_psi_fits(spec, self.psi)
         _assign(self, fields)
 
     def out_spec(self) -> WeightSpec:
         return self._out_spec
-
-    def last_bias_packed(self) -> np.ndarray:
-        """The ``phib_L_*`` blocks as one ``[e, F, n_L]`` tensor in feature order.
-
-        The last-layer bias row is the invariant map of the features with
-        ``d_out = n_L``: ``b^(L)[i, j]`` is ``featurize(U) @ P[i, :, j]``.
-        This is the buffer the ``phib_L_*`` blocks are views of, not a copy.
-        """
-        return self._last_bias
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,68 +287,69 @@ class InvariantParams(_Layer):
     spec: WeightSpec
     e: int        # output channel count
     d_out: int    # embedding width of the output
-    phi_WWLL: np.ndarray = _block("d e nL n0 m", "nL n0")
-    phi_WL0: np.ndarray = _block("d e nL n0 m", "nL n0")
-    phi_trWW: Mapping[int, np.ndarray] = _block("d e m", "nk", "hidden")
-    phi_bWLL0: np.ndarray = _block("d e nL n0 m", "nL n0")
-    phi_Wb: Mapping[int, np.ndarray] = _block("d e nL m", "nL", "hidden")
-    phi_trbW: Mapping[int, np.ndarray] = _block("d e m", "nk", "hidden")
-    phi_b: np.ndarray = _block("d e nL m", "nL")
-    phi_1: np.ndarray = _block("e m", None)
+    phi_WWLL: np.ndarray = _block("nL n0")  # [d, e, nL, n0, d_out]
+    phi_WL0: np.ndarray = _block("nL n0")  # [d, e, nL, n0, d_out]
+    phi_trWW: Mapping[int, np.ndarray] = _block("nk", table=True)  # k -> [d, e, d_out], 0 < k < L
+    phi_bWLL0: np.ndarray = _block("nL n0")  # [d, e, nL, n0, d_out]
+    phi_Wb: Mapping[int, np.ndarray] = _block("nL", table=True)  # k -> [d, e, nL, d_out], 0 < k < L
+    phi_trbW: Mapping[int, np.ndarray] = _block("nk", table=True)  # k -> [d, e, d_out], 0 < k < L
+    phi_b: np.ndarray = _block("nL")  # [d, e, nL, d_out]
+    phi_1: np.ndarray = _block(None)  # [e, d_out]
     psi: PsiParams
 
     def __post_init__(self):
         e = _count("output channel count e", self.e)
         d_out = _count("output width d_out", self.d_out)
-        layout = _layout(InvariantParams, self.spec, e, d_out)
-        fields, views = _invariant_buffers(self.spec, e, d_out, layout)
-        _checked(self, layout, views)
+        fields, views = _invariant_buffers(self.spec, e, d_out)
+        _checked(InvariantParams, self, views)
         _check_psi_fits(self.spec, self.psi)
         _assign(self, fields)
 
-    def packed(self) -> np.ndarray:
-        """All blocks as one ``[e, F, d_out]`` tensor in feature order.
 
-        ``P[i, f, k]`` is the coefficient of feature ``f`` of
-        :func:`magep.stableterms.featurize` in output ``[i, k]``.  This is
-        the buffer the blocks are views of, not a copy.
-        """
-        return self._packed
+def _empty(*shape: int) -> np.ndarray:
+    """``np.empty(shape)``; a shape too large to allocate raises ``ValidationError``."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):
+        raise ValidationError(f"layer sizes too large: no buffer of shape {shape}") from None
 
 
 # Each function below allocates one GEMM buffer of the forward and returns
 # it with the views of the blocks it holds: it reshapes the buffer back into
-# the tensor the blocks concatenate to, then undoes the axis swaps.
+# the tensor the blocks concatenate to, then undoes the axis swaps.  These
+# views are the only statement of each block's shape, and of a table's keys,
+# which they list in ascending order.
 
 
-def _feature_buffer(cls, spec: WeightSpec, prefix: str, layout) -> tuple[np.ndarray, dict]:
+def _feature_buffer(spec: WeightSpec, e: int, m: int, prefix: str) -> tuple[np.ndarray, dict]:
     """``[e, F, m]``: the blocks ``prefix + part`` of an invariant map in
     feature order.  For each channel, the blocks of the feature parts in
-    turn, each flattened to its feature entries (none for a trace), a table
-    in the per-layer order; then the constant row ``prefix + "1"``,
-    ``[e, m]``.  ``[d, e, ...]`` blocks view it with their first two axes
-    swapped."""
-    decls = dict(_declared(cls))
-    cells = {name: c for name, _, c in layout}
-    e, m = cells[prefix + "1"][0][1]
-    buf = np.empty((e, feature_count(spec), m))
+    turn, each an entry of the part's shape per output, a per-layer part a
+    table in the per-layer order; then the constant row ``prefix + "1"``,
+    ``[e, m]``.  The invariant layer's ``phi_`` blocks are ``[d, e, ...]``
+    and view it with their first two axes swapped; the last-layer bias
+    row's are ``[e, d, ...]``."""
+    L = spec.L
+    buf = _empty(e, feature_count(spec), m)
     body = buf[:, :-1].reshape(e, spec.d, -1, m, copy=False)
+    if prefix == "phi_":
+        body = body.swapaxes(0, 1)
     views, start = {prefix + "1": buf[:, -1]}, 0
-    for part, _ in _FEATURE_PARTS:
-        name, entries = prefix + part, {}
-        for k, shape, _ in cells[name][::-1]:
-            stop = start + math.prod(shape[2:-1])
-            view = body[:, :, start:stop].reshape((e, spec.d) + shape[2:], copy=False)
-            entries[k] = view.swapaxes(0, 1) if decls[name].shape[0] == "d" else view
-            start = stop
-        views[name] = entries.pop(None) if None in entries else dict(reversed(entries.items()))
+    for part, shape_of, per_layer in _FEATURE_PARTS:
+        shape, count = shape_of(spec), L - 1 if per_layer else 1
+        stop = start + count * math.prod(shape)
+        entries = body[:, :, start:stop].reshape(body.shape[:2] + (count, *shape, m), copy=False)
+        start = stop
+        views[prefix + part] = (
+            {k: entries[:, :, L - 1 - k] for k in range(1, L)} if per_layer else entries[:, :, 0]
+        )
     return buf, views
 
 
 def _last_weight_buffer(d: int, e: int, nL: int) -> tuple[np.ndarray, dict]:
     """``[e n_L, 3 d n_L]``: the last weight row's blocks ``[e, d, p, q]``
     at row ``(o, q)``, column ``(block, c, p)``."""
-    buf = np.empty((e * nL, 3 * d * nL))
+    buf = _empty(e * nL, 3 * d * nL)
     cols = buf.reshape(e, nL, 3, d, nL, copy=False)
     names = ("phiW_L_W", "phiW_L_WW", "phiW_L_bW")
     return buf, {name: cols[:, :, f].transpose(0, 2, 3, 1) for f, name in enumerate(names)}
@@ -408,7 +368,7 @@ def _row_views(buf: np.ndarray, n0: int, k: tuple) -> list[np.ndarray]:
 
 def _first_rows_buffer(d: int, e: int, n0: int) -> tuple[np.ndarray, dict]:
     """``[d, 3 n0 + 1, e n0 + e]``: the first weight row's, then bias row's."""
-    buf = np.empty((d, 3 * n0 + 1, e * n0 + e))
+    buf = _empty(d, 3 * n0 + 1, e * n0 + e)
     views = _row_views(buf[..., : e * n0], n0, (n0,)) + _row_views(buf[..., e * n0 :], n0, ())
     names = [f"{row}_1_{term}" for row in ("phiW", "phib") for term in ("W", "WW", "bW", "b")]
     return buf, dict(zip(names, views))
@@ -416,14 +376,14 @@ def _first_rows_buffer(d: int, e: int, n0: int) -> tuple[np.ndarray, dict]:
 
 def _interior_rows_buffer(d: int, e: int, n0: int, i: int) -> tuple[np.ndarray, dict]:
     """``[d, 3 n0 + i, e]``: the bias row of interior layer ``i``."""
-    buf = np.empty((d, 3 * n0 + i, e))
+    buf = _empty(d, 3 * n0 + i, e)
     w, ww, bw, *wb, b = _row_views(buf, n0, ())
     return buf, {"b_w": w, "b_ww": ww, "b_bw": bw, "b_wb": dict(enumerate(wb, 1)), "b_b": b}
 
 
 def _scalars_buffer(d: int, e: int) -> tuple[np.ndarray, dict]:
     """``[3 d, e]``: an interior weight row's scalars, read as the transpose."""
-    buf = np.empty((3 * d, e))
+    buf = _empty(3 * d, e)
     return buf, dict(zip(("w", "ww", "bw"), buf.reshape(3, d, e, copy=False)))
 
 
@@ -433,10 +393,10 @@ def _scalars_buffer(d: int, e: int) -> tuple[np.ndarray, dict]:
 # checks it, the initializers draw into them.
 
 
-def _equivariant_buffers(spec: WeightSpec, e: int, layout) -> tuple[dict, dict, dict]:
+def _equivariant_buffers(spec: WeightSpec, e: int) -> tuple[dict, dict, dict]:
     """``(fields, views, mid_views)``, ``mid_views`` per interior layer."""
     d, n0, nL = spec.d, spec.n[0], spec.n[-1]
-    last_bias, views = _feature_buffer(EquivariantParams, spec, "phib_L_", layout)
+    last_bias, views = _feature_buffer(spec, e, nL, "phib_L_")
     last_weight, more = _last_weight_buffer(d, e, nL)
     first_rows, most = _first_rows_buffer(d, e, n0)
     views |= more | most
@@ -458,9 +418,9 @@ def _equivariant_buffers(spec: WeightSpec, e: int, layout) -> tuple[dict, dict, 
     return fields, views, mid_views
 
 
-def _invariant_buffers(spec: WeightSpec, e: int, d_out: int, layout) -> tuple[dict, dict]:
+def _invariant_buffers(spec: WeightSpec, e: int, d_out: int) -> tuple[dict, dict]:
     """``(fields, views)``."""
-    packed, views = _feature_buffer(InvariantParams, spec, "phi_", layout)
+    packed, views = _feature_buffer(spec, e, d_out, "phi_")
     return {"e": e, "d_out": d_out, **_fields(views), "_packed": packed}, views
 
 
@@ -484,12 +444,10 @@ def init_equivariant(
         psi = PsiParams.random(spec, rng.child("psi"))
     else:
         _check_psi_fits(spec, psi)
-    nL = spec.n[-1]
-    layout = _layout(EquivariantParams, spec, e, nL)
-    fields, views, mid_views = _equivariant_buffers(spec, e, layout)
-    _draw(rng, layout, views, scale)
-    for i, v in mid_views.items():
-        _draw(rng, _layout(MiddleBlocks, spec, e, nL, i), v, scale)
+    fields, views, mid_views = _equivariant_buffers(spec, e)
+    _draw(EquivariantParams, rng, spec, views, scale)
+    for v in mid_views.values():
+        _draw(MiddleBlocks, rng, spec, v, scale)
     return _built(EquivariantParams, {"spec": spec, "psi": psi, **fields})
 
 
@@ -508,9 +466,8 @@ def init_invariant(
         psi = PsiParams.random(spec, rng.child("psi"))
     else:
         _check_psi_fits(spec, psi)
-    layout = _layout(InvariantParams, spec, e, d_out)
-    fields, views = _invariant_buffers(spec, e, d_out, layout)
-    _draw(rng, layout, views, scale)
+    fields, views = _invariant_buffers(spec, e, d_out)
+    _draw(InvariantParams, rng, spec, views, scale)
     return _built(InvariantParams, {"spec": spec, "psi": psi, **fields})
 
 
@@ -640,21 +597,7 @@ def _stack_rows(stack, head, U: WeightObject) -> np.ndarray:
     return invariant_forward(head, U)
 
 
-def equivariant_parameter_count(spec: WeightSpec, e: int) -> int:
-    """Count of stored phi scalars of the equivariant layer."""
-    nL = spec.n[-1]
-    return _size(_layout(EquivariantParams, spec, e, nL)) + sum(
-        _size(_layout(MiddleBlocks, spec, e, nL, i)) for i in range(2, spec.L)
-    )
-
-
-def invariant_parameter_count(spec: WeightSpec, e: int, d_out: int) -> int:
-    """Count of stored phi scalars of the invariant layer."""
-    return _size(_layout(InvariantParams, spec, e, d_out))
-
-
 _KINDS = {"equivariant": EquivariantParams, "invariant": InvariantParams}
-
 
 
 def _groups() -> dict[str, dict[str, tuple[str, _Decl]]]:
@@ -677,7 +620,7 @@ _PARAMS_KEYS = {
 
 
 def _to_json(value, decl: _Decl):
-    return value if decl.keys is None else {str(k): v for k, v in value.items()}
+    return value if not decl.table else {str(k): v for k, v in value.items()}
 
 
 def _psi_to_json(psi: PsiParams) -> dict:
@@ -711,8 +654,8 @@ def save_params(params: EquivariantParams | InvariantParams, path) -> None:
 
 def _is_layer(key: str) -> bool:
     """Whether ``key`` is a layer index as :func:`save_params` writes it: no
-    sign, no leading zero, so two keys never name one layer."""
-    return key.isdecimal() and str(int(key)) == key
+    sign, no leading zero, under ten digits: one spelling per layer, which ``int`` takes."""
+    return key.isdecimal() and len(key) < 10 and str(int(key)) == key
 
 
 def _by_layer(name: str, doc) -> dict:
@@ -722,7 +665,7 @@ def _by_layer(name: str, doc) -> dict:
 
 
 def _from_json(name: str, value, decl: _Decl):
-    if decl.keys is None:
+    if not decl.table:
         return jsonio.finite(name, value)
     return {int(k): jsonio.finite(f"{name}[{k}]", v) for k, v in _by_layer(name, value).items()}
 

@@ -24,6 +24,7 @@ equivariant layer shares.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -183,23 +184,29 @@ def all_terms(U: WeightObject, psi: PsiParams) -> StableTermSet:
 
 
 # The seven per-channel parts of the ``magep-feat/1`` order (see
-# :func:`featurize`), each with its width per channel.  A per-layer part
-# lists its entries for layers L-1 down to 1 in turn.  The layers name their
-# packed blocks by these part names.
+# :func:`featurize`), each with the shape of one entry and whether it has
+# one entry per hidden layer.  A per-layer part lists its entries for layers
+# L-1 down to 1 in turn.  The layers name their packed blocks by these part
+# names and shape them from this table.
 _FEATURE_PARTS = (
-    ("WWLL", lambda spec: spec.n[-1] * spec.n[0]),  # [WW]^(L,0)(L,0)
-    ("WL0", lambda spec: spec.n[-1] * spec.n[0]),  # [W]^(L,0)
-    ("trWW", lambda spec: spec.L - 1),  # tr [WW]^(s,0)(L,s), per layer
-    ("bWLL0", lambda spec: spec.n[-1] * spec.n[0]),  # [bW]^(L)(L,0)
-    ("Wb", lambda spec: (spec.L - 1) * spec.n[-1]),  # [Wb]^(L,t)(t), per layer
-    ("trbW", lambda spec: spec.L - 1),  # tr [bW]^(t)(L,t), per layer
-    ("b", lambda spec: spec.n[-1]),  # [b]^(L)
+    ("WWLL", lambda spec: (spec.n[-1], spec.n[0]), False),  # [WW]^(L,0)(L,0)
+    ("WL0", lambda spec: (spec.n[-1], spec.n[0]), False),  # [W]^(L,0)
+    ("trWW", lambda spec: (), True),  # tr [WW]^(s,0)(L,s)
+    ("bWLL0", lambda spec: (spec.n[-1], spec.n[0]), False),  # [bW]^(L)(L,0)
+    ("Wb", lambda spec: (spec.n[-1],), True),  # [Wb]^(L,t)(t)
+    ("trbW", lambda spec: (), True),  # tr [bW]^(t)(L,t)
+    ("b", lambda spec: (spec.n[-1],), False),  # [b]^(L)
 )
 
 
 def feature_count(spec: WeightSpec) -> int:
     """Number of invariant features, the trailing constant included."""
-    return spec.d * sum(width(spec) for _, width in _FEATURE_PARTS) + 1
+    hidden = spec.L - 1
+    per_channel = sum(
+        math.prod(shape(spec)) * (hidden if per_layer else 1)
+        for _, shape, per_layer in _FEATURE_PARTS
+    )
+    return spec.d * per_channel + 1
 
 
 def _chains(U: WeightObject) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
@@ -259,6 +266,6 @@ def _features(U: WeightObject, psi: PsiParams, suffix, prefix) -> np.ndarray:
     out = np.empty(lead + (feature_count(spec),))
     # The parts are written straight into the flat result, one copy.
     body = out[..., :-1].reshape(lead + (spec.d, -1), copy=False)
-    np.concatenate([parts[name] for name, _ in _FEATURE_PARTS], axis=-1, out=body)
+    np.concatenate([parts[name] for name, *_ in _FEATURE_PARTS], axis=-1, out=body)
     out[..., -1] = 1.0
     return out

@@ -139,7 +139,7 @@ def test_last_bias_row_is_the_invariant_map_of_the_features(batch):
     U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0), batch=batch)
     got = layers.equivariant_forward(params, U).bias(spec.L)
     X = featurize(U, params.psi)
-    P = params.last_bias_packed()
+    P = params._last_bias
     assert P.shape == (e, X.shape[-1], nL)
     P_b = P.swapaxes(1, 2).reshape(e * nL, -1)  # row i * n_L + j feeds b^(L)[i, j]
     want = (X @ P_b.T).reshape(X.shape[:-1] + (e, nL))

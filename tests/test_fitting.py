@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -208,10 +209,11 @@ def _part_columns(spec, names):
     """Columns of the named feature parts in every channel, then the constant."""
     cols, start = [], 0
     for _ in range(spec.d):
-        for name, width in _FEATURE_PARTS:
+        for name, shape, per_layer in _FEATURE_PARTS:
+            width = math.prod(shape(spec)) * (spec.L - 1 if per_layer else 1)
             if name in names:
-                cols += range(start, start + width(spec))
-            start += width(spec)
+                cols += range(start, start + width)
+            start += width
     return cols + [start]
 
 

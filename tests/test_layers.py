@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 from collections.abc import Mapping
 
 import numpy as np
@@ -309,11 +310,9 @@ def test_parameter_count_matches_closed_form():
     ]:
         params = layers.init_equivariant(spec, e, Rng(0))
         stored = sum(v.size for v in params.blocks().values())
-        assert stored == layers.equivariant_parameter_count(spec, e)
         assert stored == _equivariant_closed_form(spec, e)
         inv = layers.init_invariant(spec, e, 3, Rng(1))
         stored = sum(v.size for v in inv.blocks().values())
-        assert stored == layers.invariant_parameter_count(spec, e, 3)
         assert stored == _invariant_closed_form(spec, e, 3)
 
 
@@ -508,8 +507,8 @@ def _old_buffers(p):
 
 def _buffers(p):
     if isinstance(p, layers.InvariantParams):
-        return [p.packed()]
-    out = [p.last_bias_packed(), p._last_weight, p._first_rows]
+        return [p._packed]
+    out = [p._last_bias, p._last_weight, p._first_rows]
     for scalars, rows in p._interior.values():
         out += [scalars, rows]
     return out
@@ -525,7 +524,7 @@ def test_buffers_equal_the_old_packing_bit_for_bit(spec, e):
     p = layers.init_equivariant(spec, e, Rng(31))
     inv = layers.init_invariant(spec, e, 3, Rng(32))
     pairs = list(zip(_buffers(p), _old_buffers(p)))
-    pairs.append((inv.packed(), _old_pack_features(inv, "phi_")))
+    pairs.append((inv._packed, _old_pack_features(inv, "phi_")))
     assert len(pairs) == 2 * spec.L
     for got, want in pairs:
         assert got.flags.c_contiguous and got.shape == want.shape
@@ -602,6 +601,37 @@ def test_construction_copies_the_given_blocks():
         for k, v in q.blocks().items():
             assert np.array_equal(v, before[k]), k
             assert not any(np.shares_memory(v, buf) for buf in _buffers(p)), k
+
+
+# Each case gives one field of a layer at WeightSpec(3, (2, 3, 2, 2), 2),
+# e = 2, d_out = 3, a value of the wrong type, keys or shape.
+_WRONG_FIELDS = [
+    ("invariant", "phi_trWW", lambda p: np.zeros((1, 2, 3)), "phi_trWW must be keyed by layers (1, 2)"),
+    ("invariant", "phi_WL0", lambda p: {1: np.zeros(1)}, "phi_WL0 is not a numeric array"),
+    ("equivariant", "mid", lambda p: [1, 2], "mid must be keyed by layers (2,)"),
+    ("equivariant", "mid", lambda p: {2: np.zeros(1)}, "mid[2] must be MiddleBlocks"),
+    ("invariant", "phi_1", lambda p: "x", "phi_1 is not a numeric array"),
+    ("invariant", "phi_Wb", lambda p: {1: p.phi_Wb[1]}, "phi_Wb must be keyed by layers (1, 2)"),
+    (
+        "equivariant", "phiW_L_W", lambda p: np.zeros(1),
+        "phiW_L_W has shape (1,), expected (2, 2, 2, 2)",
+    ),
+    (
+        "equivariant", "mid", lambda p: {2: dataclasses.replace(p.mid[2], b_wb={1: np.zeros(3)})},
+        "mid[2].b_wb[1] has shape (3,), expected (2, 2)",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, name, value, message", _WRONG_FIELDS)
+def test_constructor_names_the_wrong_field(kind, name, value, message):
+    spec = WeightSpec(3, (2, 3, 2, 2), 2)
+    if kind == "equivariant":
+        p = layers.init_equivariant(spec, 2, Rng(44))
+    else:
+        p = layers.init_invariant(spec, 2, 3, Rng(44))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        dataclasses.replace(p, **{name: value(p)})
 
 
 @pytest.mark.parametrize("kind", ["equivariant", "invariant"])

@@ -1,14 +1,16 @@
 """Loaders reject non-finite, missing-key and unknown-key documents with a MagepError."""
 
+import copy
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magep import cli, fitting, jsonio, layers, weightspace
 from magep.dense import Rng
-from magep.errors import ParseError, ValidationError
+from magep.errors import MagepError, ParseError, ValidationError
 from magep.stableterms import PsiParams
 from magep.weightspace import WeightSpec, random_weights
 
@@ -241,10 +243,16 @@ BAD_PARAMS = [
     (_invariant_file, _alias("psi", "ww", "1,0", "1,00"), "psi.ww key '1,00'"),
     (_equivariant_file, _alias("scalarsW", "2", "02"), "scalarsW must map"),
     (_equivariant_file, _alias("vecsb", "2", "Wb", "1", "+1"), "vecsb[2].Wb must map"),
+    (_invariant_file, _alias("phi_trWW", "1", "1" * 5000), "phi_trWW must map"),
+    (_invariant_file, _alias("psi", "bw", "1,0", "1" * 5000 + ",0"), "is not an 's,t' pair"),
     (_invariant_file, _set("phi_1", [[True]]), "phi_1 is not a numeric"),
     (_invariant_file, _set("phi_1", [[0.5, 0.25, 0.0], [0.5, False, 0.0]]), "phi_1 is not a numeric"),
     (_invariant_file, _set("phi_1", [["1.5"]]), "phi_1 is not a numeric"),
     (_equivariant_file, _set("vecsb", "2", "Wb", "1", [[True]]), "vecsb[2].Wb[1] is not a numeric"),
+    # Sizes no buffer can hold, which numpy refuses with MemoryError or ValueError.
+    (_invariant_file, _set("e", 10**12), "layer sizes too large"),
+    (_invariant_file, _set("d_out", 2**70), "layer sizes too large"),
+    (_equivariant_file, _set("spec", "d", 10**12), "layer sizes too large"),
 ]
 
 
@@ -315,3 +323,57 @@ def test_loaders_reject_boolean_counts(tmp_path, make, load, key):
     _edit(path, _set(key, True))
     with pytest.raises(ValidationError, match=key):
         load(path)
+
+
+# Any JSON value: a number, string, bool, null, list or object.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root's ``()`` first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _nodes(value, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def params_docs(tmp_path_factory):
+    spec = WeightSpec(3, (1, 2, 1, 2), 1)
+    workdir = tmp_path_factory.mktemp("fuzz")
+    docs = []
+    for params in (
+        layers.init_equivariant(spec, 2, Rng(50)),
+        layers.init_invariant(spec, 2, 2, Rng(51)),
+    ):
+        layers.save_params(params, workdir / "p.mgp.json")
+        docs.append(json.loads((workdir / "p.mgp.json").read_text()))
+    return workdir, docs
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_params_with_one_node_replaced_loads_or_raises_a_magep_error(params_docs, data):
+    workdir, docs = params_docs
+    doc = copy.deepcopy(data.draw(st.sampled_from(docs)))
+    where = data.draw(st.sampled_from(list(_nodes(doc))))
+    value = data.draw(JSON_VALUES)
+    if where:
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+    else:
+        doc = value
+    path = workdir / "fuzzed.mgp.json"
+    path.write_text(json.dumps(doc))
+    try:
+        layers.load_params(path)
+    except MagepError:
+        pass

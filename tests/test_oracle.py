@@ -137,15 +137,22 @@ def test_width_one_collapse_columns_identical():
     assert sv[-1] / sv[0] < 1e-6  # rank 1 of 3
 
 
-def test_independence_report_generic_full_rank():
-    spec = WeightSpec(3, (2, 2, 2, 2), 1)
+# The rank suite draws d = 1 only; (L-1)*d at d > 1 is pinned here.
+@pytest.mark.parametrize("n, d, deficiency", [
+    ((2, 2, 2, 2), 1, 2),
+    ((2, 3, 3, 2), 2, 4),
+    ((1, 2, 1), 3, 3),
+    ((3, 2, 2, 1, 2), 2, 6),
+])
+def test_independence_report_generic_full_rank(n, d, deficiency):
+    spec = WeightSpec(len(n) - 1, n, d)
     psi = PsiParams.random(spec, Rng(12))
     rep = oracle.independence_report(spec, psi, Rng(13))
     assert rep["asserted_independent"]["full_rank"]
     assert rep["asserted_independent"]["sigma_ratio"] >= 1e-6
     # the coupled families carry (L-1)*d structural trace relations for every psi
     for c in rep["coupled"]:
-        assert c["deficiency"] == c["expected_deficiency"] == 2
+        assert c["deficiency"] == c["expected_deficiency"] == deficiency
 
 
 def test_coupled_trace_relations_hold_for_generic_psi():

@@ -28,8 +28,8 @@ def test_every_exported_name_resolves(name):
 
 
 def test_declared_blocks_are_the_coefficient_fields():
-    # An undeclared block field would drop out of save/load, blocks() and
-    # the parameter counts.
+    # An undeclared block field would drop out of the checks, the
+    # initialization, save/load and blocks().
     for cls in (EquivariantParams, InvariantParams):
         declared = [f.name for f in fields(cls) if "block" in f.metadata]
         assert declared == [f.name for f in fields(cls) if f.name.startswith("phi")]
