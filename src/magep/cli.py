@@ -250,26 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def validate_report(doc: dict) -> None:
-    """Raise if ``doc`` does not match the report/1 schema."""
-    if doc.get("format") != "report/1":
-        raise MagepError(f"report format must be 'report/1', got {doc.get('format')!r}")
-    if doc.get("command") not in ("check", "fit"):
-        raise MagepError(f"unknown report command {doc.get('command')!r}")
-    if doc["command"] == "check":
-        for key in ("seed", "trials", "suites", "pass"):
-            if key not in doc:
-                raise MagepError(f"check report lacks key {key!r}")
-        for rec in doc["suites"]:
-            for key in ("suite", "trials", "max_residual", "tolerance", "pass"):
-                if key not in rec:
-                    raise MagepError(f"suite record lacks key {key!r}")
-    else:
-        for key in ("train_mse", "test_mse", "prediction_invariance_residual"):
-            if key not in doc:
-                raise MagepError(f"fit report lacks key {key!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -55,27 +55,30 @@ constructor checks the given blocks against their views and copies each in
 once; the initializers draw each block straight into its view, in field
 order, at an architecture the constructor would accept.  So a write to a
 block reaches the next forward and nothing packed can go stale; the tables
-and ``mid`` are read-only mappings, so no block can be swapped out.
+and ``mid`` are read-only mappings, so no block can be swapped out.  The
+connection matrices ``psi`` are declared the same way, as the two tables
+of :class:`magep.stableterms.PsiParams`, which also defines the
+declaration machinery; ``.mgp.json`` saves them as one nested object of
+its declared fields.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field, fields
-from functools import cache
+from dataclasses import dataclass, fields
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import jsonio
 from .activations import Activation
-from .dense import Rng, serial_matmul, tensor
+from .dense import Rng, serial_matmul
 from .errors import ConfigurationError, ValidationError
 from .stableterms import (
-    _FEATURE_PARTS, PsiParams, _chains, _check_psi_fits, _features, feature_count, featurize,
-    psi_indices,
+    _FEATURE_PARTS, PsiParams, _assign, _block, _built, _cells, _chains, _check_psi_fits,
+    _checked, _Decl, _declared, _draw, _empty, _features, _fields, _is_spec, _Rebuilt,
+    feature_count, featurize,
 )
 from .weightspace import WeightObject, WeightSpec, _count
 
@@ -106,99 +109,6 @@ PARAMS_FORMAT = "magep-params/1"
 # the peak RSS; after one set-up, 8-row blocks have taken none or about 16K
 # depending only on what was allocated and freed before.
 ROW_BLOCK = 8
-
-
-class _Decl(NamedTuple):
-    """A block field's declaration: its fan-in lookup, whether it is a table
-    over layers, and its file slot."""
-
-    fan_of: Callable | None
-    table: bool
-    slot: tuple[str, str] | None
-
-
-def _block(fan: str | None, table: bool = False, slot: str | None = None):
-    """Declare a coefficient block field.
-
-    ``fan`` names the factors of the block's fan-in, the input scalars
-    summed into one output scalar, besides the channel count ``d`` (``None``
-    for a pure bias).  The factors are ``n0``, ``nL``, ``nk`` (the width of
-    a table entry's layer ``k``) and ``1``.  ``table`` makes the block a
-    table over layers.  The block's shape, and a table's keys, are those of
-    its view of its buffer.  ``slot`` is the ``group.key`` an interior block
-    is saved under.
-    """
-    fan_of = None if fan is None else operator.itemgetter("d", *fan.split())
-    return field(metadata={"block": _Decl(fan_of, table, slot and tuple(slot.split(".")))})
-
-
-@cache
-def _declared(cls) -> tuple[tuple[str, _Decl], ...]:
-    """``(name, declaration)`` of every block field of ``cls``, in field order."""
-    return tuple((f.name, f.metadata["block"]) for f in fields(cls) if "block" in f.metadata)
-
-
-def _cells(decl: _Decl, value):
-    """``(key, entry)`` of every entry of a table, or ``(None, value)``."""
-    return value.items() if decl.table else ((None, value),)
-
-
-def _checked(cls, obj, views: dict, where: str = "") -> None:
-    """Check each block of ``obj``, in field order, against the shape and
-    keys of its view, and copy it into the view."""
-    for name, decl in _declared(cls):
-        value, view, label = getattr(obj, name), views[name], where + name
-        if decl.table and not (isinstance(value, Mapping) and value.keys() == view.keys()):
-            raise ValidationError(f"{label} must be keyed by layers {tuple(view)}")
-        for k, cell in _cells(decl, view):
-            at = label + ("" if k is None else f"[{k}]")
-            try:
-                arr = tensor(value if k is None else value[k])
-            except (TypeError, ValueError):
-                raise ValidationError(f"{at} is not a numeric array") from None
-            if arr.shape != cell.shape:
-                raise ValidationError(f"{at} has shape {arr.shape}, expected {cell.shape}")
-            cell[...] = arr
-
-
-def _draw(cls, rng: Rng, spec: WeightSpec, views: dict, scale: float) -> None:
-    """Fill the view of every block of ``cls`` with uniform(-a, a), ``a =
-    scale / sqrt(d * fan)``: one draw per block, in field order, a table's
-    entries in ascending key order."""
-    sizes = {"1": 1, "d": spec.d, "n0": spec.n[0], "nL": spec.n[-1]}
-    for name, decl in _declared(cls):
-        for k, cell in _cells(decl, views[name]):
-            if k is not None:
-                sizes["nk"] = spec.n[k]
-            a = scale if decl.fan_of is None else scale / math.sqrt(math.prod(decl.fan_of(sizes)))
-            cell[...] = rng.uniform(-a, a, cell.shape)
-
-
-def _assign(obj, values: dict) -> None:
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-
-
-def _fields(views: dict) -> dict:
-    """Block views as field values: a table as a read-only mapping."""
-    return {name: MappingProxyType(v) if type(v) is dict else v for name, v in views.items()}
-
-
-def _built(cls, fields: dict):
-    """A ``cls`` object holding ``fields``, which an initializer filled at a
-    checked architecture: no checks, no copies."""
-    obj = object.__new__(cls)
-    _assign(obj, fields)
-    return obj
-
-
-class _Rebuilt:
-    def __reduce__(self):
-        # Copies and unpickled objects are rebuilt by the constructor, so
-        # their blocks are again views of their own buffers.  A read-only
-        # table can be neither pickled nor copied: it is handed over as a dict.
-        values = (getattr(self, f.name) for f in fields(self))
-        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
 
 
 class _Layer(_Rebuilt):
@@ -265,7 +175,7 @@ class EquivariantParams(_Layer):
     psi: PsiParams
 
     def __post_init__(self):
-        spec, e = self.spec, _count("output channel count e", self.e)
+        spec, e = _is_spec(self.spec), _count("output channel count e", self.e)
         fields, views, mid_views = _equivariant_buffers(spec, e)
         _checked(EquivariantParams, self, views)
         mid = self.mid
@@ -298,20 +208,12 @@ class InvariantParams(_Layer):
     psi: PsiParams
 
     def __post_init__(self):
-        e = _count("output channel count e", self.e)
+        spec, e = _is_spec(self.spec), _count("output channel count e", self.e)
         d_out = _count("output width d_out", self.d_out)
-        fields, views = _invariant_buffers(self.spec, e, d_out)
+        fields, views = _invariant_buffers(spec, e, d_out)
         _checked(InvariantParams, self, views)
-        _check_psi_fits(self.spec, self.psi)
+        _check_psi_fits(spec, self.psi)
         _assign(self, fields)
-
-
-def _empty(*shape: int) -> np.ndarray:
-    """``np.empty(shape)``; a shape too large to allocate raises ``ValidationError``."""
-    try:
-        return np.empty(shape)
-    except (MemoryError, ValueError):
-        raise ValidationError(f"layer sizes too large: no buffer of shape {shape}") from None
 
 
 # Each function below allocates one GEMM buffer of the forward and returns
@@ -619,15 +521,13 @@ _PARAMS_KEYS = {
 }
 
 
+def _key_text(k) -> str:
+    """A table key as :func:`save_params` writes it: ``str(k)``, or ``"s,t"`` for a pair."""
+    return ",".join(map(str, k)) if type(k) is tuple else str(k)
+
+
 def _to_json(value, decl: _Decl):
-    return value if not decl.table else {str(k): v for k, v in value.items()}
-
-
-def _psi_to_json(psi: PsiParams) -> dict:
-    return {
-        "bw": {f"{s},{t}": psi.bw[(s, t)] for s, t in psi_indices(psi.spec.L)},
-        "ww": {f"{s},{t}": psi.ww[(s, t)] for s, t in psi_indices(psi.spec.L)},
-    }
+    return value if not decl.table else {_key_text(k): v for k, v in value.items()}
 
 
 def save_params(params: EquivariantParams | InvariantParams, path) -> None:
@@ -640,7 +540,7 @@ def save_params(params: EquivariantParams | InvariantParams, path) -> None:
         if f.name == "spec":
             doc["spec"] = {"L": value.L, "n": list(value.n), "d": value.d}
         elif f.name == "psi":
-            doc["psi"] = _psi_to_json(value)
+            doc["psi"] = {n: _to_json(getattr(value, n), decl) for n, decl in _declared(PsiParams)}
         elif f.name == "mid":
             for group, slots in _GROUPS.items():
                 doc[group] = {
@@ -658,20 +558,33 @@ def _is_layer(key: str) -> bool:
     return key.isdecimal() and len(key) < 10 and str(int(key)) == key
 
 
-def _by_layer(name: str, doc) -> dict:
-    if not isinstance(doc, dict) or not all(_is_layer(k) for k in doc):
-        raise ValidationError(f"{name} must map layer indices to values")
-    return doc
+def _keyed(name: str, doc, arity: int = 1) -> dict:
+    """``doc`` with its keys parsed back by the inverse of :func:`_key_text`:
+    layer indices, or ``"s,t"`` pairs of them when ``arity`` is 2, each part
+    as :func:`_is_layer` takes it."""
+    one, many = {1: ("a layer index", "layer indices"), 2: ("an 's,t' pair", "'s,t' pairs")}[arity]
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{name} must map {many} to values")
+    out = {}
+    for text, value in doc.items():
+        parts = text.split(",")
+        if len(parts) != arity or not all(map(_is_layer, parts)):
+            raise ValidationError(
+                f"{name} key {text!r} is not {one}: {name} must map {many} to values"
+            )
+        out[tuple(map(int, parts)) if arity == 2 else int(text)] = value
+    return out
 
 
-def _from_json(name: str, value, decl: _Decl):
+def _from_json(name: str, value, decl: _Decl, arity: int = 1):
     if not decl.table:
         return jsonio.finite(name, value)
-    return {int(k): jsonio.finite(f"{name}[{k}]", v) for k, v in _by_layer(name, value).items()}
+    table = _keyed(name, value, arity)
+    return {k: jsonio.finite(f"{name}[{_key_text(k)}]", v) for k, v in table.items()}
 
 
 def _mid_from_json(doc: dict) -> dict[int, MiddleBlocks]:
-    groups = {group: _by_layer(group, doc[group]) for group in _GROUPS}
+    groups = {group: _keyed(group, doc[group]) for group in _GROUPS}
     first, *rest = groups.values()
     if any(g.keys() != first.keys() for g in rest):
         raise ValidationError(f"{' and '.join(groups)} must cover the same layers")
@@ -682,26 +595,8 @@ def _mid_from_json(doc: dict) -> dict[int, MiddleBlocks]:
             entry = jsonio.exact_keys(f"{group}[{i}]", groups[group][i], slots)
             for key, (name, decl) in slots.items():
                 values[name] = _from_json(f"{group}[{i}].{key}", entry[key], decl)
-        mid[int(i)] = MiddleBlocks(**values)
+        mid[i] = MiddleBlocks(**values)
     return mid
-
-
-def _psi_from_json(spec: WeightSpec, doc) -> PsiParams:
-    doc = jsonio.exact_keys("psi", doc, ("bw", "ww"))
-
-    def parse(family):
-        table = doc[family]
-        if not isinstance(table, dict):
-            raise ValidationError(f"psi.{family} must map 's,t' pairs to arrays")
-        out = {}
-        for key, val in table.items():
-            s, comma, t = key.partition(",")
-            if not (comma and _is_layer(s) and _is_layer(t)):
-                raise ValidationError(f"psi.{family} key {key!r} is not an 's,t' pair")
-            out[(int(s), int(t))] = jsonio.finite(f"psi.{family}[{key}]", val)
-        return out
-
-    return PsiParams(spec, parse("bw"), parse("ww"))
 
 
 def load_params(path) -> EquivariantParams | InvariantParams:
@@ -726,7 +621,11 @@ def load_params(path) -> EquivariantParams | InvariantParams:
         if f.name == "spec":
             values["spec"] = spec
         elif f.name == "psi":
-            values["psi"] = _psi_from_json(spec, doc["psi"])
+            psi = jsonio.exact_keys("psi", doc["psi"], dict(_declared(PsiParams)))
+            tables = {
+                n: _from_json(f"psi.{n}", psi[n], decl, 2) for n, decl in _declared(PsiParams)
+            }
+            values["psi"] = PsiParams(spec, **tables)
         elif f.name == "mid":
             values["mid"] = _mid_from_json(doc)
         elif f.name in decls:

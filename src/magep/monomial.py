@@ -152,11 +152,6 @@ class MonomialElement:
         mat = tensor(mat)
         return mat[..., self.inv_perm] / self.scales
 
-    def as_matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        m[np.arange(self.n), self.inv_perm] = self.scales
-        return m
-
     def to_json(self) -> dict:
         """Report form: scales plus the 1-based permutation."""
         return {

@@ -26,7 +26,6 @@ from .weightspace import Uniform, WeightObject, WeightSpec, random_weights
 __all__ = [
     "naive_equivariant_forward",
     "naive_invariant_forward",
-    "feature_design_matrix",
     "independence_report",
     "RANK_THRESHOLD",
 ]
@@ -357,18 +356,6 @@ def _design(spec, psi, families, rng, samples_for) -> np.ndarray:
         raise ValidationError(f"need samples >= F={F}, got {samples}")
     rows += [_feature_row(draw(k), psi, families) for k in range(1, samples)]
     return np.stack(rows)
-
-
-def feature_design_matrix(
-    spec: WeightSpec,
-    psi: PsiParams,
-    families: Sequence[str],
-    samples: int,
-    rng: Rng,
-) -> np.ndarray:
-    """Rows are the selected stable-term features of i.i.d. uniform(-1, 1)
-    weight objects; needs at least as many samples as features."""
-    return _design(spec, psi, families, rng, lambda F: samples)
 
 
 def independence_report(

@@ -13,7 +13,11 @@ the building blocks of the equivariant and invariant layers:
 All products act per channel (and per batch row); channels never mix.  The
 connection matrices ``Psi`` bridge the mismatched chain endpoints: the
 ``[bW]`` one is a row vector of width ``n_L``, the ``[WW]`` one an
-``n_0 x n_L`` matrix, both shared across channels.
+``n_0 x n_L`` matrix, both shared across channels.  :class:`PsiParams`
+holds each family in one buffer, its entries read-only mappings of views
+into it, and is declared like the layers' coefficient blocks: its
+constructor checks the given entries and copies them into the views, and
+its draw fills the views, by the block machinery defined here.
 
 :func:`all_terms` is the one evaluator of every family at every index pair;
 the stability suite, the oracle's rank reports and the tests read it.
@@ -25,8 +29,11 @@ equivariant layer shares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+import operator
+from dataclasses import dataclass, field, fields
+from functools import cache
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -64,68 +71,158 @@ def psi_indices(L: int) -> list[tuple[int, int]]:
     return [(s, t) for s in range(1, L + 1) for t in range(L)]
 
 
-@dataclass(frozen=True)
-class PsiParams:
+class _Decl(NamedTuple):
+    """A block field's declaration: its fan-in lookup, whether it is a table
+    over layers, and its file slot."""
+
+    fan_of: Callable | None
+    table: bool
+    slot: tuple[str, str] | None
+
+
+def _block(fan: str | None, table: bool = False, slot: str | None = None):
+    """Declare a coefficient block field.
+
+    ``fan`` names the factors of the block's fan-in, the input scalars
+    summed into one output scalar, besides the channel count ``d`` (``None``
+    for a pure bias).  The factors are ``n0``, ``nL``, ``nk`` (the width of
+    a table entry's layer ``k``) and ``1``.  ``table`` makes the block a
+    table over layers, or over pairs of layers.  The block's shape, and a
+    table's keys, are those of its view of its buffer.  ``slot`` is the
+    ``group.key`` an interior block is saved under.
+    """
+    fan_of = None if fan is None else operator.itemgetter("d", *fan.split())
+    return field(metadata={"block": _Decl(fan_of, table, slot and tuple(slot.split(".")))})
+
+
+@cache
+def _declared(cls) -> tuple[tuple[str, _Decl], ...]:
+    """``(name, declaration)`` of every block field of ``cls``, in field order."""
+    return tuple((f.name, f.metadata["block"]) for f in fields(cls) if "block" in f.metadata)
+
+
+def _cells(decl: _Decl, value):
+    """``(key, entry)`` of every entry of a table, or ``(None, value)``."""
+    return value.items() if decl.table else ((None, value),)
+
+
+def _checked(cls, obj, views: dict, where: str = "") -> None:
+    """Check each block of ``obj``, in field order, against the shape and
+    keys of its view, and copy it into the view."""
+    for name, decl in _declared(cls):
+        value, view, label = getattr(obj, name), views[name], where + name
+        if decl.table and not (isinstance(value, Mapping) and value.keys() == view.keys()):
+            raise ValidationError(f"{label} must be keyed by layers {tuple(view)}")
+        for k, cell in _cells(decl, view):
+            at = label + ("" if k is None else f"[{k}]")
+            try:
+                arr = tensor(value if k is None else value[k])
+            except (TypeError, ValueError):
+                raise ValidationError(f"{at} is not a numeric array") from None
+            if arr.shape != cell.shape:
+                raise ValidationError(f"{at} has shape {arr.shape}, expected {cell.shape}")
+            cell[...] = arr
+
+
+def _draw(cls, rng: Rng, spec: WeightSpec, views: dict, scale: float) -> None:
+    """Fill the view of every block of ``cls`` with uniform(-a, a), ``a =
+    scale / sqrt(d * fan)``: one draw per block, in field order, a table's
+    entries in ascending key order.  Only a block with a fan-in reads the
+    sizes, so a table without one may be keyed by pairs."""
+    sizes = {"1": 1, "d": spec.d, "n0": spec.n[0], "nL": spec.n[-1]}
+    for name, decl in _declared(cls):
+        for k, cell in _cells(decl, views[name]):
+            if k is not None and decl.fan_of is not None:
+                sizes["nk"] = spec.n[k]
+            a = scale if decl.fan_of is None else scale / math.sqrt(math.prod(decl.fan_of(sizes)))
+            cell[...] = rng.uniform(-a, a, cell.shape)
+
+
+def _assign(obj, values: dict) -> None:
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
+def _fields(views: dict) -> dict:
+    """Block views as field values: a table as a read-only mapping."""
+    return {name: MappingProxyType(v) if type(v) is dict else v for name, v in views.items()}
+
+
+def _built(cls, fields: dict):
+    """A ``cls`` object holding ``fields``, which an initializer filled at a
+    checked architecture: no checks, no copies."""
+    obj = object.__new__(cls)
+    _assign(obj, fields)
+    return obj
+
+
+class _Rebuilt:
+    def __reduce__(self):
+        # Copies and unpickled objects are rebuilt by the constructor, so
+        # their blocks are again views of their own buffers.  A read-only
+        # table can be neither pickled nor copied: it is handed over as a dict.
+        values = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v for v in values)
+
+
+def _empty(*shape: int) -> np.ndarray:
+    """``np.empty(shape)``; a shape too large to allocate raises ``ValidationError``."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError):
+        raise ValidationError(f"layer sizes too large: no buffer of shape {shape}") from None
+
+
+def _is_spec(spec) -> WeightSpec:
+    """``spec`` if it is a :class:`WeightSpec`; anything else raises ``ValidationError``."""
+    if not isinstance(spec, WeightSpec):
+        raise ValidationError(f"spec must be a WeightSpec, got {type(spec).__name__}")
+    return spec
+
+
+@dataclass(frozen=True, eq=False)
+class PsiParams(_Rebuilt):
     """Connection matrices for the ``[bW]`` and ``[WW]`` families.
 
     ``bw[(s, t)]`` has shape ``[1, n_L]`` and ``ww[(s, t)]`` shape
-    ``[n_0, n_L]``, for every pair in :func:`psi_indices`.
+    ``[n_0, n_L]``, for every pair in :func:`psi_indices`.  Each entry is a
+    view of its family's buffer, ``[L^2, 1, n_L]`` or ``[L^2, n_0, n_L]``,
+    laid out in :func:`psi_indices` order by :func:`_psi_buffers`; the
+    tables are read-only mappings.  The constructor checks the given
+    entries against the views and copies them in.
     """
 
     spec: WeightSpec
-    bw: Mapping[tuple[int, int], np.ndarray]
-    ww: Mapping[tuple[int, int], np.ndarray]
+    bw: Mapping[tuple[int, int], np.ndarray] = _block(None, table=True)
+    ww: Mapping[tuple[int, int], np.ndarray] = _block(None, table=True)
 
     def __post_init__(self):
-        spec = self.spec
-        keys = set(psi_indices(spec.L))
-        bw = {k: tensor(v) for k, v in self.bw.items()}
-        ww = {k: tensor(v) for k, v in self.ww.items()}
-        object.__setattr__(self, "bw", bw)
-        object.__setattr__(self, "ww", ww)
-        if set(bw) != keys or set(ww) != keys:
-            raise ValidationError(
-                f"psi maps must cover exactly the pairs {sorted(keys)}"
-            )
-        n0, nL = spec.n[0], spec.n[spec.L]
-        for k, v in bw.items():
-            if v.shape != (1, nL):
-                raise ValidationError(f"psi_bw{k} has shape {v.shape}, expected (1, {nL})")
-        for k, v in ww.items():
-            if v.shape != (n0, nL):
-                raise ValidationError(
-                    f"psi_ww{k} has shape {v.shape}, expected ({n0}, {nL})"
-                )
+        views = _psi_buffers(_is_spec(self.spec))[1]
+        _checked(PsiParams, self, views)
+        _assign(self, views)
 
     @classmethod
     def random(cls, spec: WeightSpec, rng: Rng) -> "PsiParams":
         """I.i.d. uniform(-1, 1) entries; the default (frozen) initialization."""
-        n0, nL = spec.n[0], spec.n[spec.L]
-        keys = psi_indices(spec.L)
-        return cls._derived(
-            spec,
-            {k: rng.uniform(-1.0, 1.0, (1, nL)) for k in keys},
-            {k: rng.uniform(-1.0, 1.0, (n0, nL)) for k in keys},
-        )
-
-    @classmethod
-    def _derived(cls, spec: WeightSpec, bw: dict, ww: dict) -> "PsiParams":
-        """Maps this package drew as float64 arrays at ``spec``'s shapes, for
-        exactly the pairs of :func:`psi_indices`: no checks, no copies."""
-        psi = object.__new__(cls)
-        for name, value in (("spec", spec), ("bw", bw), ("ww", ww)):
-            object.__setattr__(psi, name, value)
-        return psi
+        views = _psi_buffers(spec)[1]
+        _draw(cls, rng, spec, views, 1.0)
+        return _built(cls, {"spec": spec, **views})
 
     @classmethod
     def constant(cls, spec: WeightSpec, value: float) -> "PsiParams":
-        n0, nL = spec.n[0], spec.n[spec.L]
-        keys = psi_indices(spec.L)
-        return cls(
-            spec,
-            {k: np.full((1, nL), float(value)) for k in keys},
-            {k: np.full((n0, nL), float(value)) for k in keys},
-        )
+        buffers, views = _psi_buffers(spec)
+        for buf in buffers:
+            buf.fill(float(value))
+        return _built(cls, {"spec": spec, **views})
+
+
+def _psi_buffers(spec: WeightSpec) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
+    """The ``[L^2, 1, n_L]`` and ``[L^2, n_0, n_L]`` buffers of Psi, with the
+    fields ``bw`` and ``ww``: read-only mappings of their entries' views,
+    keyed in :func:`psi_indices` order."""
+    keys, n0, nL = psi_indices(spec.L), spec.n[0], spec.n[-1]
+    bw, ww = _empty(len(keys), 1, nL), _empty(len(keys), n0, nL)
+    return (bw, ww), _fields({"bw": dict(zip(keys, bw)), "ww": dict(zip(keys, ww))})
 
 
 @dataclass(frozen=True)
@@ -145,6 +242,8 @@ class StableTermSet:
 
 
 def _check_psi_fits(spec: WeightSpec, psi: PsiParams) -> None:
+    if not isinstance(psi, PsiParams):
+        raise ValidationError(f"psi must be PsiParams, got {type(psi).__name__}")
     if psi.spec.n != spec.n or psi.spec.L != spec.L:
         raise ValidationError("psi was built for a different architecture")
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from magep import checks, fitting, layers, monomial, netfunc
 from magep.activations import relu
-from magep.cli import validate_report
 from magep.dense import Rng, rel_residual
 from magep.stableterms import PsiParams
 from magep.weightspace import (
@@ -24,6 +23,8 @@ from magep.weightspace import (
     random_weights,
     save,
 )
+
+from report_schema import assert_report
 
 TRIALS = 200
 SEED = 20250811
@@ -217,7 +218,7 @@ def test_criterion_11_formats_and_cli(tmp_path):
         text=True,
     )
     report = json.loads((tmp_path / "report.json").read_text())
-    validate_report(report)
+    assert_report(report)
     mutated = subprocess.run(
         [sys.executable, "-m", "magep", "check", "--suite", "all", "--trials", "6",
          "--seed", "1", "--corrupt-sharing"],

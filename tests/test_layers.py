@@ -634,6 +634,31 @@ def test_constructor_names_the_wrong_field(kind, name, value, message):
         dataclasses.replace(p, **{name: value(p)})
 
 
+# A spec that is not a WeightSpec, or a psi that is not PsiParams, given to
+# a layer or to PsiParams.
+_WRONG_TYPES = [
+    ("equivariant", "spec", (2, (1, 2, 1), 1), "spec must be a WeightSpec, got tuple"),
+    ("equivariant", "psi", None, "psi must be PsiParams, got NoneType"),
+    ("invariant", "spec", (2, (1, 2, 1), 1), "spec must be a WeightSpec, got tuple"),
+    ("invariant", "psi", None, "psi must be PsiParams, got NoneType"),
+    ("invariant", "psi", {"bw": {}, "ww": {}}, "psi must be PsiParams, got dict"),
+    ("psi", "spec", (2, (1, 2, 1), 1), "spec must be a WeightSpec, got tuple"),
+]
+
+
+@pytest.mark.parametrize("kind, name, value, message", _WRONG_TYPES)
+def test_wrong_typed_spec_or_psi_names_the_field(kind, name, value, message):
+    spec, r = WeightSpec(2, (1, 2, 1), 1), Rng(45)
+    if kind == "equivariant":
+        p = layers.init_equivariant(spec, 2, r)
+    elif kind == "invariant":
+        p = layers.init_invariant(spec, 2, 3, r)
+    else:
+        p = PsiParams.random(spec, r)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        dataclasses.replace(p, **{name: value})
+
+
 @pytest.mark.parametrize("kind", ["equivariant", "invariant"])
 def test_copies_own_their_buffers(kind):
     spec = WeightSpec(3, (2, 3, 2, 2), 2)

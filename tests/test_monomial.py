@@ -85,13 +85,20 @@ def test_permutation_only_action_swaps_rows_and_columns():
     assert np.array_equal(out.bias(1), [[6.0, 5.0]])
 
 
+def _matrix(m: MonomialElement) -> np.ndarray:
+    """``D @ P``: row ``i`` holds ``scales[i]`` in column ``inv_perm[i]``."""
+    out = np.zeros((m.n, m.n))
+    out[np.arange(m.n), m.inv_perm] = m.scales
+    return out
+
+
 def test_permutation_composition_by_hand():
     # pi = (1 2 3 -> 2 3 1), sigma = swap(1, 2); matrices multiply as P_pi P_sigma
     pi = MonomialElement(np.ones(3), np.array([1, 2, 0]))
     sigma = MonomialElement(np.ones(3), np.array([1, 0, 2]))
     got = pi.compose(sigma)
-    want = pi.as_matrix() @ sigma.as_matrix()
-    assert np.array_equal(got.as_matrix(), want)
+    want = _matrix(pi) @ _matrix(sigma)
+    assert np.array_equal(_matrix(got), want)
     assert np.array_equal(got.perm, pi.perm[sigma.perm])
 
 

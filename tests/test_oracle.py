@@ -99,10 +99,15 @@ def test_naive_scalar_spec_hand_check():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _design_matrix(spec, psi, families, samples, rng):
+    """Rows of the selected families at ``samples`` uniform(-1, 1) weight objects."""
+    return oracle._design(spec, psi, families, rng, lambda F: samples)
+
+
 def test_design_matrix_bias_family_full_rank():
     spec = WeightSpec(3, (2, 2, 2, 2), 1)
     psi = PsiParams.random(spec, Rng(5))
-    X = oracle.feature_design_matrix(spec, psi, ["b"], samples=30, rng=Rng(6))
+    X = _design_matrix(spec, psi, ["b"], samples=30, rng=Rng(6))
     assert X.shape[1] == 6  # n_1 + n_2 + n_3
     sv = np.linalg.svd(X, compute_uv=False)
     assert sv[-1] / sv[0] >= 1e-6
@@ -111,7 +116,7 @@ def test_design_matrix_bias_family_full_rank():
 def test_design_matrix_eq17_feature_count():
     spec = WeightSpec(2, (1, 2, 1), 1)
     psi = PsiParams.random(spec, Rng(7))
-    X = oracle.feature_design_matrix(spec, psi, ["eq17"], samples=24, rng=Rng(8))
+    X = _design_matrix(spec, psi, ["eq17"], samples=24, rng=Rng(8))
     assert X.shape == (24, 8)
 
 
@@ -119,7 +124,7 @@ def test_design_matrix_requires_enough_samples():
     spec = WeightSpec(2, (1, 2, 1), 1)
     psi = PsiParams.random(spec, Rng(9))
     with pytest.raises(ValidationError, match="samples"):
-        oracle.feature_design_matrix(spec, psi, ["eq17"], samples=4, rng=Rng(10))
+        _design_matrix(spec, psi, ["eq17"], samples=4, rng=Rng(10))
 
 
 def test_width_one_collapse_columns_identical():
@@ -127,9 +132,7 @@ def test_width_one_collapse_columns_identical():
     # every [WW](s,0)(L,s) column
     spec = WeightSpec(3, (1, 1, 1, 1), 1)
     psi = PsiParams.constant(spec, 1.0)
-    X = oracle.feature_design_matrix(
-        spec, psi, ["w_L0", "ww_diag"], samples=12, rng=Rng(11)
-    )
+    X = _design_matrix(spec, psi, ["w_L0", "ww_diag"], samples=12, rng=Rng(11))
     assert X.shape[1] == 3
     assert np.max(np.abs(X[:, 0] - X[:, 1])) <= 1e-12
     assert np.max(np.abs(X[:, 0] - X[:, 2])) <= 1e-12
@@ -194,4 +197,4 @@ def test_unknown_family_rejected():
     spec = WeightSpec(2, (1, 1, 1), 1)
     psi = PsiParams.random(spec, Rng(16))
     with pytest.raises(ValidationError, match="family"):
-        oracle.feature_design_matrix(spec, psi, ["nope"], samples=10, rng=Rng(17))
+        _design_matrix(spec, psi, ["nope"], samples=10, rng=Rng(17))

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from magep.stableterms import (
     PsiParams,
     _w_chains,
     all_terms,
+    featurize,
     psi_indices,
     w_indices,
     wb_indices,
@@ -172,6 +176,88 @@ def test_random_psi_is_what_the_checking_constructor_builds():
                 want = getattr(checked, family)[k]
                 assert v.dtype == want.dtype == np.float64
                 assert v.shape == want.shape and np.array_equal(v, want)
+
+
+# (spec, seed): d = 1 and d = 2, and one spec with L = 4.
+_PSI_DRAWS = [
+    (SPEC_121, 21),
+    (WeightSpec(3, (2, 3, 3, 4), 2), 22),
+    (WeightSpec(4, (3, 2, 1, 2, 2), 1), 23),
+]
+
+
+@pytest.mark.parametrize("spec, seed", _PSI_DRAWS)
+def test_random_psi_draws_each_entry_in_index_order(spec, seed):
+    # The frozen draw: uniform(-1, 1) for every [bW] entry in psi_indices
+    # order, then for every [WW] entry; fixed-seed .mgp.json bytes depend on it.
+    rng, n0, nL = Rng(seed), spec.n[0], spec.n[-1]
+    keys = psi_indices(spec.L)
+    want_bw = {k: rng.uniform(-1.0, 1.0, (1, nL)) for k in keys}
+    want_ww = {k: rng.uniform(-1.0, 1.0, (n0, nL)) for k in keys}
+    psi = PsiParams.random(spec, Rng(seed))
+    for got, want in ((psi.bw, want_bw), (psi.ww, want_ww)):
+        assert list(got) == keys
+        for k in keys:
+            assert got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes(), k
+
+
+def _assert_views_in_index_order(psi):
+    """Every entry of each family is its row of one buffer, in psi_indices order."""
+    keys = psi_indices(psi.spec.L)
+    for table, width in ((psi.bw, 1), (psi.ww, psi.spec.n[0])):
+        assert list(table) == keys
+        buf = table[keys[0]].base
+        assert buf.shape == (len(keys), width, psi.spec.n[-1])
+        for j, k in enumerate(keys):
+            assert table[k].base is buf
+            assert table[k].ctypes.data == buf[j].ctypes.data, k
+
+
+def test_psi_entries_are_views_of_two_buffers():
+    spec = WeightSpec(3, (2, 3, 3, 4), 2)
+    psi = PsiParams.random(spec, Rng(24))
+    built = (
+        psi, PsiParams(spec, psi.bw, psi.ww), PsiParams.constant(spec, 0.5),
+        copy.copy(psi), copy.deepcopy(psi), pickle.loads(pickle.dumps(psi)),
+    )
+    for q in built:
+        _assert_views_in_index_order(q)
+    for q in built[1:]:
+        for k in psi.bw:
+            assert not np.shares_memory(q.bw[k], psi.bw[k])
+            assert not np.shares_memory(q.ww[k], psi.ww[k])
+    for q in built[3:]:
+        for k in psi.bw:
+            assert np.array_equal(q.bw[k], psi.bw[k]) and np.array_equal(q.ww[k], psi.ww[k])
+
+
+def test_psi_copies_the_given_entries():
+    spec = WeightSpec(3, (2, 3, 3, 4), 2)
+    src = PsiParams.random(spec, Rng(25))
+    bw = {k: v.copy() for k, v in src.bw.items()}
+    ww = {k: v.copy() for k, v in src.ww.items()}
+    psi = PsiParams(spec, bw, ww)
+    for table in (bw, ww):
+        for v in table.values():
+            v[...] = 7.0
+    for k in src.bw:
+        assert np.array_equal(psi.bw[k], src.bw[k]) and np.array_equal(psi.ww[k], src.ww[k])
+
+
+def test_psi_tables_are_read_only_and_entries_writable():
+    spec = WeightSpec(3, (2, 3, 3, 4), 2)
+    psi = PsiParams.random(spec, Rng(26))
+    U = random_weights(spec, Rng(27))
+    for table in (psi.bw, psi.ww):
+        with pytest.raises(TypeError):
+            table[(9, 9)] = np.zeros((1, 4))
+        with pytest.raises(TypeError):
+            table[(1, 0)] = table[(1, 0)]
+    assert list(psi.bw) == list(psi.ww) == psi_indices(spec.L)
+    before = featurize(U, psi)
+    psi.ww[(3, 0)][0, 0] += 1.0  # an entry in place: read by the [WW]^(L,0)(L,0) feature
+    assert psi.ww[(3, 0)].base is psi.ww[(1, 0)].base
+    assert not np.array_equal(featurize(U, psi), before)
 
 
 def test_chain_composition_identities():

@@ -14,6 +14,7 @@ import pytest
 import magep
 from magep import errors
 from magep.layers import EquivariantParams, InvariantParams, MiddleBlocks
+from magep.stableterms import PsiParams
 
 MODULES = [
     m.name for m in pkgutil.iter_modules(magep.__path__, "magep.") if m.name != "magep.__main__"
@@ -34,6 +35,7 @@ def test_declared_blocks_are_the_coefficient_fields():
         declared = [f.name for f in fields(cls) if "block" in f.metadata]
         assert declared == [f.name for f in fields(cls) if f.name.startswith("phi")]
     assert all("block" in f.metadata for f in fields(MiddleBlocks))
+    assert [f.name for f in fields(PsiParams) if "block" in f.metadata] == ["bw", "ww"]
 
 
 def test_traced_functions_resolve():
