@@ -90,13 +90,15 @@ def _variant_for(trial: int) -> str:
 
 
 def _record(name, trials, worst, tol, ok, **details) -> dict:
-    """One suite's report record, in the key order of ``report/1``."""
+    """One suite's report record, in the key order of ``report/1``.  A worst
+    residual that is not finite fails and reads ``None``, like an error's."""
+    finite = worst is not None and math.isfinite(worst)
     return {
         "suite": name,
         "trials": trials,
-        "max_residual": worst,
+        "max_residual": worst if finite else None,
         "tolerance": tol,
-        "pass": bool(ok),
+        "pass": bool(ok and finite),
         "details": details,
     }
 
@@ -209,7 +211,8 @@ def _suite_chains(trials, rng, grid, tol):
                     exact = _chain_identities(U, chains, s, t, rr, row)
                     bounds = _chain_identities(absU, abs_chains, s, t, rr, np.abs(row))
                     for (got, want), (bound, _) in zip(exact, bounds):
-                        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(bound)))
+                        ratio = float(np.max(np.abs(got - want)) / np.max(bound))
+                        worst = max(worst, math.inf if math.isnan(ratio) else ratio)
     return _record(
         "chains", trials, worst, tol, worst <= tol and exact_specialization,
         one_step_chain_exact=exact_specialization,

@@ -103,7 +103,10 @@ def cmd_check(args) -> int:
     for rec in report["suites"]:
         status = "pass" if rec["pass"] else "FAIL"
         residual = rec["max_residual"]
-        shown = "error" if residual is None else f"{residual:.3e}"
+        if residual is None:
+            shown = "error" if "error" in rec["details"] else "non-finite"
+        else:
+            shown = f"{residual:.3e}"
         print(
             f"[{status}] {rec['suite']:<10} trials={rec['trials']:<4} "
             f"max_residual={shown} tol={rec['tolerance']:.1e}",

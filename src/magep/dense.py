@@ -11,6 +11,7 @@ which keeps each BLAS call small enough to run on the calling thread.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -63,7 +64,9 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     """Max-norm relative residual between two arrays of equal shape.
 
     Returns ``max|a - b| / max(max|a|, max|b|)``, or 0 when both arrays
-    vanish.  Used by every property suite in the package.
+    vanish, or ``inf`` when the ratio is NaN (a NaN or infinite entry), so
+    that a ``max`` over residuals cannot drop it.  Used by every property
+    suite in the package.
     """
     a = tensor(a)
     b = tensor(b)
@@ -74,8 +77,9 @@ def rel_residual(a: np.ndarray, b: np.ndarray) -> float:
     num = float(np.abs(a - b).max())
     den = float(max(np.abs(a).max(), np.abs(b).max()))
     if den == 0.0:
-        return 0.0 if num == 0.0 else np.inf
-    return num / den
+        return 0.0 if num == 0.0 else math.inf
+    ratio = num / den
+    return math.inf if math.isnan(ratio) else ratio
 
 
 class Rng:

@@ -341,7 +341,7 @@ def init_equivariant(
     into its view of the forward's buffers.  The connection matrices default
     to the frozen uniform(-1, 1) initialization.
     """
-    e = _count("output channel count e", e)
+    spec, e = _is_spec(spec), _count("output channel count e", e)
     if psi is None:
         psi = PsiParams.random(spec, rng.child("psi"))
     else:
@@ -362,7 +362,7 @@ def init_invariant(
     psi: PsiParams | None = None,
 ) -> InvariantParams:
     """Random invariant-layer blocks; same initialization rule as above."""
-    e = _count("output channel count e", e)
+    spec, e = _is_spec(spec), _count("output channel count e", e)
     d_out = _count("output width d_out", d_out)
     if psi is None:
         psi = PsiParams.random(spec, rng.child("psi"))

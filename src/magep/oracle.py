@@ -3,24 +3,27 @@ rank checks of stable-term feature families.
 
 The naive forwards evaluate the layer formulas summation by summation on
 nested Python lists, with no contraction library, so they can certify the
-BLAS-based forwards.  The rank machinery realizes "linear independence
-of stable polynomial terms as functions" numerically: a family of terms is
-independent iff its design matrix of random evaluations has full column
-rank, which we certify through the singular-value ratio of a 3x-oversampled
-matrix, and a family's known linear relations show as that many null
-singular values.
+BLAS-based forwards.  Each formula is one nested loop.  The invariant
+layer and the equivariant layer's last bias row are one eight-term sum,
+the latter with ``d_out = n_L``; the first weight row, the first bias row
+and every interior bias row are one loop over the input width.
+
+The rank machinery realizes "linear independence of stable polynomial
+terms as functions" numerically: a family of terms is independent iff its
+design matrix of random evaluations has full column rank, which we certify
+through the singular-value ratio of a 3x-oversampled matrix, and a
+family's known linear relations show as that many null singular values.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dense import Rng
-from .errors import ValidationError
 from .layers import EquivariantParams, InvariantParams
-from .stableterms import PsiParams, all_terms, featurize, psi_indices, w_indices, wb_indices
+from .stableterms import PsiParams, all_terms, psi_indices, w_indices, wb_indices
 from .weightspace import Uniform, WeightObject, WeightSpec, random_weights
 
 __all__ = [
@@ -91,229 +94,176 @@ def _naive_terms(spec: WeightSpec, Wl, bl, psi_bw, psi_ww):
     return chains, wb, bw, ww
 
 
-def _unbatch(U: WeightObject):
-    if U.batch is None:
-        return [U], False
-    rows = []
-    for r in range(U.batch):
-        rows.append(
-            WeightObject(
-                U.spec,
-                tuple(w[r] for w in U.W),
-                tuple(v[r] for v in U.b),
-                batch=None,
-            )
-        )
-    return rows, True
+def _trace(mat):
+    return sum(mat[p][p] for p in range(len(mat)))
 
 
-def _naive_equivariant_single(params: EquivariantParams, U: WeightObject):
-    spec, e = params.spec, params.e
-    L, d = spec.L, spec.d
-    Wl = [U.weight(i).tolist() for i in range(1, L + 1)]
-    bl = [U.bias(i).tolist() for i in range(1, L + 1)]
-    psi_bw = {k: v.tolist() for k, v in params.psi.bw.items()}
-    psi_ww = {k: v.tolist() for k, v in params.psi.ww.items()}
-    chains, wb, bw, ww = _naive_terms(spec, Wl, bl, psi_bw, psi_ww)
+def _invariant_sum(spec: WeightSpec, terms, bl, coefs, e: int, m: int):
+    """``[e][m]``: the eight-term invariant combination of one object.
 
-    def trace(mat_c):
-        return sum(mat_c[p][p] for p in range(len(mat_c)))
-
-    W_out = []
-    b_out = []
-
-    # i = 1
-    p_w = params.phiW_1_W.tolist()
-    p_ww = params.phiW_1_WW.tolist()
-    p_bw = params.phiW_1_bW.tolist()
-    p_b = params.phiW_1_b.tolist()
-    n0, n1 = spec.n[0], spec.n[1]
-    EW1 = [[[0.0] * n0 for _ in range(n1)] for _ in range(e)]
+    ``coefs`` are the blocks of the parts WWLL, WL0, trWW, bWLL0, Wb, trbW
+    and b, laid out ``[d][e][...][m]`` (a per-layer part as a table), then
+    the constant ``[e][m]``.
+    """
+    chains, wb, bw, ww = terms
+    L, n0, nL = spec.L, spec.n[0], spec.n[-1]
+    c_wwll, c_wl0, c_trww, c_bwll0, c_wb, c_trbw, c_b, c_1 = coefs
+    out = [[0.0] * m for _ in range(e)]
     for co in range(e):
-        for j in range(n1):
-            for k in range(n0):
-                acc = 0.0
-                for c in range(d):
-                    for q in range(n0):
-                        acc += chains[(1, 0)][c][j][q] * p_w[c][co][q][k]
-                        acc += ww[(1, 0)][c][j][q] * p_ww[c][co][q][k]
-                        acc += bw[(1, 0)][c][j][q] * p_bw[c][co][q][k]
-                    acc += bl[0][c][j] * p_b[c][co][k]
-                EW1[co][j][k] = acc
-    q_w = params.phib_1_W.tolist()
-    q_ww = params.phib_1_WW.tolist()
-    q_bw = params.phib_1_bW.tolist()
-    q_b = params.phib_1_b.tolist()
-    Eb1 = [[0.0] * n1 for _ in range(e)]
-    for co in range(e):
-        for j in range(n1):
-            acc = 0.0
-            for c in range(d):
-                for q in range(n0):
-                    acc += chains[(1, 0)][c][j][q] * q_w[c][co][q]
-                    acc += ww[(1, 0)][c][j][q] * q_ww[c][co][q]
-                    acc += bw[(1, 0)][c][j][q] * q_bw[c][co][q]
-                acc += bl[0][c][j] * q_b[c][co]
-            Eb1[co][j] = acc
-    W_out.append(EW1)
-    b_out.append(Eb1)
-
-    # 1 < i < L
-    for i in range(2, L):
-        blk = params.mid[i]
-        s_w, s_ww, s_bw = blk.w.tolist(), blk.ww.tolist(), blk.bw.tolist()
-        v_w, v_ww, v_bw = blk.b_w.tolist(), blk.b_ww.tolist(), blk.b_bw.tolist()
-        v_wb = {t: v.tolist() for t, v in blk.b_wb.items()}
-        v_b = blk.b_b.tolist()
-        ni, nim1 = spec.n[i], spec.n[i - 1]
-        EWi = [[[0.0] * nim1 for _ in range(ni)] for _ in range(e)]
-        for co in range(e):
-            for j in range(ni):
-                for k in range(nim1):
-                    acc = 0.0
-                    for c in range(d):
-                        acc += chains[(i, i - 1)][c][j][k] * s_w[c][co]
-                        acc += ww[(i, i - 1)][c][j][k] * s_ww[c][co]
-                        acc += bw[(i, i - 1)][c][j][k] * s_bw[c][co]
-                    EWi[co][j][k] = acc
-        Ebi = [[0.0] * ni for _ in range(e)]
-        for co in range(e):
-            for j in range(ni):
-                acc = 0.0
-                for c in range(d):
-                    for q in range(n0):
-                        acc += chains[(i, 0)][c][j][q] * v_w[c][co][q]
-                        acc += ww[(i, 0)][c][j][q] * v_ww[c][co][q]
-                        acc += bw[(i, 0)][c][j][q] * v_bw[c][co][q]
-                    for t in range(1, i):
-                        acc += wb[(i, t)][c][j] * v_wb[t][c][co]
-                    acc += bl[i - 1][c][j] * v_b[c][co]
-                Ebi[co][j] = acc
-        W_out.append(EWi)
-        b_out.append(Ebi)
-
-    # i = L
-    nL, nLm1 = spec.n[L], spec.n[L - 1]
-    r_w = params.phiW_L_W.tolist()
-    r_ww = params.phiW_L_WW.tolist()
-    r_bw = params.phiW_L_bW.tolist()
-    EWL = [[[0.0] * nLm1 for _ in range(nL)] for _ in range(e)]
-    for co in range(e):
-        for j in range(nL):
-            for k in range(nLm1):
-                acc = 0.0
-                for c in range(d):
-                    for p in range(nL):
-                        acc += r_w[co][c][p][j] * chains[(L, L - 1)][c][p][k]
-                        acc += r_ww[co][c][p][j] * ww[(L, L - 1)][c][p][k]
-                        acc += r_bw[co][c][p][j] * bw[(L, L - 1)][c][p][k]
-                EWL[co][j][k] = acc
-    g_wwll = params.phib_L_WWLL.tolist()
-    g_wl0 = params.phib_L_WL0.tolist()
-    g_bwll0 = params.phib_L_bWLL0.tolist()
-    g_trww = {s: v.tolist() for s, v in params.phib_L_trWW.items()}
-    g_wb = {t: v.tolist() for t, v in params.phib_L_Wb.items()}
-    g_trbw = {t: v.tolist() for t, v in params.phib_L_trbW.items()}
-    g_b = params.phib_L_b.tolist()
-    g_1 = params.phib_L_1.tolist()
-    EbL = [[0.0] * nL for _ in range(e)]
-    for co in range(e):
-        for j in range(nL):
-            acc = g_1[co][j]
-            for c in range(d):
+        for k in range(m):
+            acc = c_1[co][k]
+            for c in range(spec.d):
                 for p in range(nL):
                     for q in range(n0):
-                        acc += g_wwll[co][c][p][q][j] * ww[(L, 0)][c][p][q]
-                        acc += g_wl0[co][c][p][q][j] * chains[(L, 0)][c][p][q]
-                        acc += g_bwll0[co][c][p][q][j] * bw[(L, 0)][c][p][q]
-                    acc += g_b[co][c][p][j] * bl[L - 1][c][p]
+                        acc += ww[(L, 0)][c][p][q] * c_wwll[c][co][p][q][k]
+                        acc += chains[(L, 0)][c][p][q] * c_wl0[c][co][p][q][k]
+                        acc += bw[(L, 0)][c][p][q] * c_bwll0[c][co][p][q][k]
+                    acc += bl[L - 1][c][p] * c_b[c][co][p][k]
                 for s in range(1, L):
-                    acc += g_trww[s][co][c][j] * trace(ww[(s, s)][c])
+                    acc += _trace(ww[(s, s)][c]) * c_trww[s][c][co][k]
                 for t in range(1, L):
                     for p in range(nL):
-                        acc += g_wb[t][co][c][p][j] * wb[(L, t)][c][p]
-                    acc += g_trbw[t][co][c][j] * trace(bw[(t, t)][c])
-            EbL[co][j] = acc
-    W_out.append(EWL)
-    b_out.append(EbL)
+                        acc += wb[(L, t)][c][p] * c_wb[t][c][co][p][k]
+                    acc += _trace(bw[(t, t)][c]) * c_trbw[t][c][co][k]
+            out[co][k] = acc
+    return out
 
-    return WeightObject(
-        params.out_spec(),
-        tuple(np.asarray(w, dtype=np.float64) for w in W_out),
-        tuple(np.asarray(v, dtype=np.float64) for v in b_out),
-        batch=None,
-    )
+
+def _column_rows(spec: WeightSpec, terms, bl, i: int, coefs, e: int, m: int):
+    """``[e][n_i][m]``: the rows of layer ``i`` that mix ``[W]^(i,0)``,
+    ``[WW]^(i,0)(L,0)`` and ``[bW]^(i)(L,0)`` over their column index, then
+    ``[Wb]^(i,t)(t)`` for ``0 < t < i``, then ``b^(i)``.
+
+    ``coefs`` are the three ``[d][e][n0][m]`` blocks, the table ``t ->
+    [d][e][m]`` and the ``[d][e][m]`` bias block.
+    """
+    chains, wb, bw, ww = terms
+    c_w, c_ww, c_bw, c_wb, c_b = coefs
+    out = [[[0.0] * m for _ in range(spec.n[i])] for _ in range(e)]
+    for co in range(e):
+        for j in range(spec.n[i]):
+            for k in range(m):
+                acc = 0.0
+                for c in range(spec.d):
+                    for q in range(spec.n[0]):
+                        acc += chains[(i, 0)][c][j][q] * c_w[c][co][q][k]
+                        acc += ww[(i, 0)][c][j][q] * c_ww[c][co][q][k]
+                        acc += bw[(i, 0)][c][j][q] * c_bw[c][co][q][k]
+                    for t in range(1, i):
+                        acc += wb[(i, t)][c][j] * c_wb[t][c][co][k]
+                    acc += bl[i - 1][c][j] * c_b[c][co][k]
+                out[co][j][k] = acc
+    return out
+
+
+def _invariant_coefs(params, prefix: str, swap: bool) -> list:
+    """The blocks ``prefix + part`` of :func:`_invariant_sum` as nested
+    lists, each ``[e, d, ...]`` block swapped to ``[d, e, ...]`` if ``swap``."""
+    lists = lambda a: (a.swapaxes(0, 1) if swap else a).tolist()
+    coefs = []
+    for part in ("WWLL", "WL0", "trWW", "bWLL0", "Wb", "trbW", "b"):
+        v = getattr(params, prefix + part)
+        coefs.append({k: lists(a) for k, a in v.items()} if isinstance(v, Mapping) else lists(v))
+    return coefs + [getattr(params, prefix + "1").tolist()]
+
+
+def _rows(U: WeightObject) -> list:
+    """Each row of ``U`` as the nested lists ``(W^1..W^L, b^1..b^L)``."""
+    W, b = [w.tolist() for w in U.W], [v.tolist() for v in U.b]
+    if U.batch is None:
+        return [(W, b)]
+    return [([w[r] for w in W], [v[r] for v in b]) for r in range(U.batch)]
+
+
+def _psi_lists(psi: PsiParams):
+    return {k: v.tolist() for k, v in psi.bw.items()}, {k: v.tolist() for k, v in psi.ww.items()}
 
 
 def naive_equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObject:
     """Literal nested-loop evaluation of the equivariant layer."""
-    rows, batched = _unbatch(U)
-    outs = [_naive_equivariant_single(params, r) for r in rows]
-    if not batched:
-        return outs[0]
+    spec, e = params.spec, params.e
+    L, d, n = spec.L, spec.d, spec.n
+    psi = _psi_lists(params.psi)
+    unit = lambda a: a[..., None].tolist()  # a bias row's blocks, as m = 1
+    first_w = [params.phiW_1_W.tolist(), params.phiW_1_WW.tolist(), params.phiW_1_bW.tolist()]
+    first_w += [{}, params.phiW_1_b.tolist()]
+    first_b = [unit(params.phib_1_W), unit(params.phib_1_WW), unit(params.phib_1_bW)]
+    first_b += [{}, unit(params.phib_1_b)]
+    scalars, mid_b = {}, {}
+    for i, blk in params.mid.items():
+        scalars[i] = (blk.w.tolist(), blk.ww.tolist(), blk.bw.tolist())
+        mid_b[i] = [unit(blk.b_w), unit(blk.b_ww), unit(blk.b_bw)]
+        mid_b[i] += [{t: unit(v) for t, v in blk.b_wb.items()}, unit(blk.b_b)]
+    last_w = (params.phiW_L_W.tolist(), params.phiW_L_WW.tolist(), params.phiW_L_bW.tolist())
+    last_b = _invariant_coefs(params, "phib_L_", swap=True)
+    outs = []
+    for Wl, bl in _rows(U):
+        terms = _naive_terms(spec, Wl, bl, *psi)
+        chains, _, bw, ww = terms
+
+        def bias(i, coefs):  # a bias row: the column rows at m = 1
+            return [[v[0] for v in r] for r in _column_rows(spec, terms, bl, i, coefs, e, 1)]
+
+        W_out = [_column_rows(spec, terms, bl, 1, first_w, e, n[0])]
+        b_out = [bias(1, first_b)]
+        # 1 < i < L: the weight row has scalar coefficients.
+        for i in range(2, L):
+            s_w, s_ww, s_bw = scalars[i]
+            EWi = [[[0.0] * n[i - 1] for _ in range(n[i])] for _ in range(e)]
+            for co in range(e):
+                for j in range(n[i]):
+                    for k in range(n[i - 1]):
+                        acc = 0.0
+                        for c in range(d):
+                            acc += chains[(i, i - 1)][c][j][k] * s_w[c][co]
+                            acc += ww[(i, i - 1)][c][j][k] * s_ww[c][co]
+                            acc += bw[(i, i - 1)][c][j][k] * s_bw[c][co]
+                        EWi[co][j][k] = acc
+            W_out.append(EWi)
+            b_out.append(bias(i, mid_b[i]))
+        # i = L: the weight row mixes over the row index; the bias row is the
+        # invariant sum with m = n_L.
+        r_w, r_ww, r_bw = last_w
+        EWL = [[[0.0] * n[L - 1] for _ in range(n[L])] for _ in range(e)]
+        for co in range(e):
+            for j in range(n[L]):
+                for k in range(n[L - 1]):
+                    acc = 0.0
+                    for c in range(d):
+                        for p in range(n[L]):
+                            acc += r_w[co][c][p][j] * chains[(L, L - 1)][c][p][k]
+                            acc += r_ww[co][c][p][j] * ww[(L, L - 1)][c][p][k]
+                            acc += r_bw[co][c][p][j] * bw[(L, L - 1)][c][p][k]
+                    EWL[co][j][k] = acc
+        W_out.append(EWL)
+        b_out.append(_invariant_sum(spec, terms, bl, last_b, e, n[L]))
+        outs.append(W_out + b_out)
+    pick = (lambda k: [o[k] for o in outs]) if U.batch is not None else (lambda k: outs[0][k])
     return WeightObject(
         params.out_spec(),
-        tuple(np.stack([o.W[i] for o in outs]) for i in range(params.spec.L)),
-        tuple(np.stack([o.b[i] for o in outs]) for i in range(params.spec.L)),
+        tuple(np.asarray(pick(k), dtype=np.float64) for k in range(L)),
+        tuple(np.asarray(pick(k), dtype=np.float64) for k in range(L, 2 * L)),
         batch=U.batch,
     )
 
 
-def _naive_invariant_single(params: InvariantParams, U: WeightObject) -> np.ndarray:
-    spec, e, dp = params.spec, params.e, params.d_out
-    L, d = spec.L, spec.d
-    n0, nL = spec.n[0], spec.n[L]
-    Wl = [U.weight(i).tolist() for i in range(1, L + 1)]
-    bl = [U.bias(i).tolist() for i in range(1, L + 1)]
-    psi_bw = {k: v.tolist() for k, v in params.psi.bw.items()}
-    psi_ww = {k: v.tolist() for k, v in params.psi.ww.items()}
-    chains, wb, bw, ww = _naive_terms(spec, Wl, bl, psi_bw, psi_ww)
-
-    def trace(mat_c):
-        return sum(mat_c[p][p] for p in range(len(mat_c)))
-
-    p_wwll = params.phi_WWLL.tolist()
-    p_wl0 = params.phi_WL0.tolist()
-    p_trww = {s: v.tolist() for s, v in params.phi_trWW.items()}
-    p_bwll0 = params.phi_bWLL0.tolist()
-    p_wb = {t: v.tolist() for t, v in params.phi_Wb.items()}
-    p_trbw = {t: v.tolist() for t, v in params.phi_trbW.items()}
-    p_b = params.phi_b.tolist()
-    p_1 = params.phi_1.tolist()
-    out = [[0.0] * dp for _ in range(e)]
-    for co in range(e):
-        for k in range(dp):
-            acc = p_1[co][k]
-            for c in range(d):
-                for p in range(nL):
-                    for q in range(n0):
-                        acc += ww[(L, 0)][c][p][q] * p_wwll[c][co][p][q][k]
-                        acc += chains[(L, 0)][c][p][q] * p_wl0[c][co][p][q][k]
-                        acc += bw[(L, 0)][c][p][q] * p_bwll0[c][co][p][q][k]
-                    acc += bl[L - 1][c][p] * p_b[c][co][p][k]
-                for s in range(1, L):
-                    acc += trace(ww[(s, s)][c]) * p_trww[s][c][co][k]
-                for t in range(1, L):
-                    for p in range(nL):
-                        acc += wb[(L, t)][c][p] * p_wb[t][c][co][p][k]
-                    acc += trace(bw[(t, t)][c]) * p_trbw[t][c][co][k]
-            out[co][k] = acc
-    return np.asarray(out, dtype=np.float64)
-
-
 def naive_invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndarray:
     """Literal nested-loop evaluation of the invariant layer."""
-    rows, batched = _unbatch(U)
-    outs = [_naive_invariant_single(params, r) for r in rows]
-    return np.stack(outs) if batched else outs[0]
+    spec = params.spec
+    psi = _psi_lists(params.psi)
+    coefs = _invariant_coefs(params, "phi_", swap=False)
+    outs = [
+        _invariant_sum(spec, _naive_terms(spec, Wl, bl, *psi), bl, coefs, params.e, params.d_out)
+        for Wl, bl in _rows(U)
+    ]
+    return np.asarray(outs if U.batch is not None else outs[0], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
 # Design matrices and rank checks
 
 # Each family token names a StableTermSet table and its keys at depth L, in
-# column order.  "eq17" (the canonical invariant feature vector, constant
-# included) and "const" (the constant 1) are no such table.
+# column order.  "const" (the constant 1) is no such table.
 _FAMILIES = {
     "w_noL0": ("w", lambda L: [p for p in w_indices(L) if p != (L, 0)]),
     "w_L0": ("w", lambda L: [(L, 0)]),
@@ -322,7 +272,6 @@ _FAMILIES = {
     "wb_L": ("wb", lambda L: [(L, t) for t in range(1, L)]),
     "bw_diag": ("bw", lambda L: [(t, t) for t in range(1, L)]),
     "ww_diag": ("ww", lambda L: [(s, s) for s in range(1, L)]),
-    "eq17": (None, None),
     "const": (None, None),
 }
 
@@ -333,28 +282,19 @@ def _feature_row(U: WeightObject, psi: PsiParams, families: Sequence[str]) -> np
     parts = []
     for fam in families:
         table, keys = _FAMILIES[fam]
-        if fam == "eq17":
-            parts.append(featurize(U, psi))
-        elif fam == "const":
+        if fam == "const":
             parts.append(np.ones(1))
         else:
             parts += [getattr(terms, table)[key].ravel() for key in keys(U.spec.L)]
-    return np.concatenate(parts or [np.zeros(0)])
+    return np.concatenate(parts)
 
 
-def _design(spec, psi, families, rng, samples_for) -> np.ndarray:
-    """Feature rows of ``samples_for(F)`` i.i.d. uniform(-1, 1) weight
+def _design(spec, psi, families, rng) -> np.ndarray:
+    """Feature rows of ``OVERSAMPLE * F`` i.i.d. uniform(-1, 1) weight
     objects ``rng.child("design", k)``, F being the feature count."""
-    unknown = [fam for fam in families if fam not in _FAMILIES]
-    if unknown:
-        raise ValidationError(f"unknown feature family {unknown[0]!r}")
     draw = lambda k: random_weights(spec, rng.child("design", k), Uniform(-1.0, 1.0))
     rows = [_feature_row(draw(0), psi, families)]
-    F = rows[0].size
-    samples = samples_for(F)
-    if samples < F:
-        raise ValidationError(f"need samples >= F={F}, got {samples}")
-    rows += [_feature_row(draw(k), psi, families) for k in range(1, samples)]
+    rows += [_feature_row(draw(k), psi, families) for k in range(1, OVERSAMPLE * rows[0].size)]
     return np.stack(rows)
 
 
@@ -383,7 +323,7 @@ def independence_report(
     """
 
     def sigma_ratios(families):
-        X = _design(spec, psi, families, rng, lambda F: OVERSAMPLE * F)
+        X = _design(spec, psi, families, rng)
         sv = np.linalg.svd(X, compute_uv=False)
         return sv / sv[0]
 

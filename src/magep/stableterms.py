@@ -187,7 +187,7 @@ class PsiParams(_Rebuilt):
     ``bw[(s, t)]`` has shape ``[1, n_L]`` and ``ww[(s, t)]`` shape
     ``[n_0, n_L]``, for every pair in :func:`psi_indices`.  Each entry is a
     view of its family's buffer, ``[L^2, 1, n_L]`` or ``[L^2, n_0, n_L]``,
-    laid out in :func:`psi_indices` order by :func:`_psi_buffers`; the
+    laid out in :func:`psi_indices` order by :func:`_psi_views`; the
     tables are read-only mappings.  The constructor checks the given
     entries against the views and copies them in.
     """
@@ -197,32 +197,25 @@ class PsiParams(_Rebuilt):
     ww: Mapping[tuple[int, int], np.ndarray] = _block(None, table=True)
 
     def __post_init__(self):
-        views = _psi_buffers(_is_spec(self.spec))[1]
+        views = _psi_views(_is_spec(self.spec))
         _checked(PsiParams, self, views)
         _assign(self, views)
 
     @classmethod
     def random(cls, spec: WeightSpec, rng: Rng) -> "PsiParams":
         """I.i.d. uniform(-1, 1) entries; the default (frozen) initialization."""
-        views = _psi_buffers(spec)[1]
+        views = _psi_views(_is_spec(spec))
         _draw(cls, rng, spec, views, 1.0)
         return _built(cls, {"spec": spec, **views})
 
-    @classmethod
-    def constant(cls, spec: WeightSpec, value: float) -> "PsiParams":
-        buffers, views = _psi_buffers(spec)
-        for buf in buffers:
-            buf.fill(float(value))
-        return _built(cls, {"spec": spec, **views})
 
-
-def _psi_buffers(spec: WeightSpec) -> tuple[tuple[np.ndarray, np.ndarray], dict]:
-    """The ``[L^2, 1, n_L]`` and ``[L^2, n_0, n_L]`` buffers of Psi, with the
-    fields ``bw`` and ``ww``: read-only mappings of their entries' views,
-    keyed in :func:`psi_indices` order."""
+def _psi_views(spec: WeightSpec) -> dict:
+    """The fields ``bw`` and ``ww`` of Psi: read-only mappings of views into
+    its ``[L^2, 1, n_L]`` and ``[L^2, n_0, n_L]`` buffers, keyed in
+    :func:`psi_indices` order."""
     keys, n0, nL = psi_indices(spec.L), spec.n[0], spec.n[-1]
     bw, ww = _empty(len(keys), 1, nL), _empty(len(keys), n0, nL)
-    return (bw, ww), _fields({"bw": dict(zip(keys, bw)), "ww": dict(zip(keys, ww))})
+    return _fields({"bw": dict(zip(keys, bw)), "ww": dict(zip(keys, ww))})
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,16 @@
+"""Helpers shared by the tests."""
+
+import numpy as np
+
+from magep.stableterms import PsiParams, psi_indices
+
+
+def constant_psi(spec, value: float) -> PsiParams:
+    """Connection matrices with every entry equal to ``value``, through the
+    checking constructor."""
+    keys, n0, nL = psi_indices(spec.L), spec.n[0], spec.n[-1]
+    return PsiParams(
+        spec,
+        {k: np.full((1, nL), float(value)) for k in keys},
+        {k: np.full((n0, nL), float(value)) for k in keys},
+    )

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from magep import checks, oracle
+from magep import checks, cli, layers, oracle
 from magep.errors import ValidationError
+
+from report_schema import assert_report
 
 
 def test_chains_suite_passes_where_cancellation_shrank_the_chain():
@@ -139,6 +143,36 @@ def test_a_raising_suite_yields_an_error_record(monkeypatch):
     for other in report["suites"]:
         if other is not rec:
             assert other["pass"] and other["max_residual"] is not None, other["suite"]
+
+
+@pytest.fixture
+def nan_forwards(monkeypatch):
+    """Both fast forwards with a NaN in their output."""
+    equivariant, invariant = layers.equivariant_forward, layers.invariant_forward
+
+    def nan_equivariant(params, U):
+        out = equivariant(params, U)
+        out.flat[..., 0] = np.nan
+        return out
+
+    monkeypatch.setattr(layers, "equivariant_forward", nan_equivariant)
+    monkeypatch.setattr(layers, "invariant_forward", lambda p, U: invariant(p, U) * np.nan)
+
+
+@pytest.mark.parametrize("suite", ["equiv", "inv", "stack", "oracle"])
+def test_a_nan_output_fails_its_suite(nan_forwards, suite):
+    # max(worst, nan) keeps worst, so a NaN residual must count as infinite.
+    rec = checks.run_suite(suite, 10, 1)
+    assert rec["pass"] is False and rec["max_residual"] is None, rec
+
+
+def test_check_reports_a_nan_output_and_exits_one(nan_forwards, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--suite", "equiv", "--trials", "10", "--seed", "1", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert_report(report)
+    assert report["pass"] is False and report["suites"][0]["max_residual"] is None
+    assert "max_residual=non-finite" in capsys.readouterr().err
 
 
 def test_run_suites_rejects_an_unknown_selector():

@@ -73,3 +73,10 @@ def test_rel_residual_edge_cases():
     assert rel_residual(z, z) == 0.0
     assert rel_residual(np.ones(3), np.ones(3)) == 0.0
     assert rel_residual(np.ones(3), -np.ones(3)) == 2.0
+    # A NaN or infinite entry reads inf: a NaN would vanish from max(worst, r).
+    nan, inf = np.nan, np.inf
+    cases = [([1, nan], [1, 2]), ([1, 2], [nan, 2]), ([nan], [0]), ([inf], [inf]), ([inf, 1], [1, 1])]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for a, b in cases:
+            assert rel_residual(np.array(a), np.array(b)) == inf, (a, b)
+

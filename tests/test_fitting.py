@@ -11,6 +11,8 @@ from magep.errors import ValidationError
 from magep.stableterms import _FEATURE_PARTS, PsiParams
 from magep.weightspace import Uniform, WeightObject, WeightSpec, random_weights
 
+from helpers import constant_psi
+
 SPEC = WeightSpec(2, (1, 2, 1), 1)
 
 
@@ -133,7 +135,7 @@ def test_duplicate_rows_equal_weighted_normal_equations():
 def test_lambda_zero_minimum_norm_flags_rank_deficiency():
     # width-one collapse makes two features exactly collinear
     spec = WeightSpec(2, (1, 1, 1), 1)
-    psi = PsiParams.constant(spec, 1.0)
+    psi = constant_psi(spec, 1.0)
     data = _dataset(spec, psi, 30, 10, lambda objs: np.ones((len(objs), 1)))
     result = fitting.fit_ridge(data, psi, 0.0)
     assert result.rank_deficient

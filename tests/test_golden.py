@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from magep import fitting, layers, weightspace
+from magep import fitting, layers, oracle, weightspace
 from magep.dense import Rng
 from magep.weightspace import Gaussian, Uniform, WeightSpec, random_weights
 
@@ -89,3 +89,32 @@ def test_fit_bytes(tmp_path):
     phi = Rng(13).uniform(-1.0, 1.0, (9, 3))
     fitting.save_fit(fitting.FitResult(phi, 1e-3, 0.125, 1 / 3, True), path)
     assert _sha(path) == FIT
+
+
+# The naive-loop reference forwards add Python floats in a fixed order, on
+# PCG64 draws, so their outputs do not depend on the BLAS build.  One spec
+# has an interior layer and two channels; both inputs are batched.
+NAIVE_SPECS = {
+    "interior-d2": (WeightSpec(3, (2, 3, 2, 2), 2), 2, 2),
+    "shallow-d1": (WeightSpec(2, (3, 1, 2), 1), 3, 3),
+}
+NAIVE = {
+    ("equivariant", "interior-d2"): "c761955cca7fca4375e60e1a8841c368e37f68eab6c9effbaf5e8ff893041efd",
+    ("invariant", "interior-d2"): "86386e85666ab236a37988065ee7b8104ee6443c2637c74a8e1380df456b5198",
+    ("equivariant", "shallow-d1"): "e05c7d9373ce2df6265893cc2f0173dca949c93ab17b602d5bbfc1b94bdffb4c",
+    ("invariant", "shallow-d1"): "2c2e6e893b4f2ad02a2010ddef20acaccfb8f75197f3d71e4447116163cd1df8",
+}
+
+
+@pytest.mark.parametrize("kind, name", list(NAIVE))
+def test_naive_forward_bytes(kind, name):
+    spec, e, batch = NAIVE_SPECS[name]
+    r = Rng(16).child(kind, name)
+    U = random_weights(spec, r.child("U"), batch=batch)
+    if kind == "equivariant":
+        params = layers.init_equivariant(spec, e, r.child("params"))
+        out = oracle.naive_equivariant_forward(params, U).flat.tobytes()
+    else:
+        params = layers.init_invariant(spec, e, 3, r.child("params"))
+        out = oracle.naive_invariant_forward(params, U).tobytes()
+    assert hashlib.sha256(out).hexdigest() == NAIVE[(kind, name)]

@@ -16,6 +16,8 @@ from magep.errors import ConfigurationError, ValidationError
 from magep.stableterms import PsiParams
 from magep.weightspace import Uniform, WeightObject, WeightSpec, random_weights
 
+from helpers import constant_psi
+
 
 def _random_setup(seed, L=3, n=(2, 3, 2, 2), d=2, e=3):
     spec = WeightSpec(L, n, d)
@@ -63,7 +65,7 @@ def _ones_equivariant(spec):
             )
             for i in range(2, L)
         },
-        psi=PsiParams.constant(spec, 1.0),
+        psi=constant_psi(spec, 1.0),
     )
 
 
@@ -635,7 +637,7 @@ def test_constructor_names_the_wrong_field(kind, name, value, message):
 
 
 # A spec that is not a WeightSpec, or a psi that is not PsiParams, given to
-# a layer or to PsiParams.
+# a layer, to PsiParams, or to an initializer.
 _WRONG_TYPES = [
     ("equivariant", "spec", (2, (1, 2, 1), 1), "spec must be a WeightSpec, got tuple"),
     ("equivariant", "psi", None, "psi must be PsiParams, got NoneType"),
@@ -643,12 +645,27 @@ _WRONG_TYPES = [
     ("invariant", "psi", None, "psi must be PsiParams, got NoneType"),
     ("invariant", "psi", {"bw": {}, "ww": {}}, "psi must be PsiParams, got dict"),
     ("psi", "spec", (2, (1, 2, 1), 1), "spec must be a WeightSpec, got tuple"),
+    ("init_equivariant", "spec", (2, (1, 2, 1), 1), "spec must be a WeightSpec, got tuple"),
+    ("init_equivariant", "psi", {"bw": {}, "ww": {}}, "psi must be PsiParams, got dict"),
+    ("init_invariant", "spec", (2, (1, 2, 1), 1), "spec must be a WeightSpec, got tuple"),
+    ("init_invariant", "psi", {"bw": {}, "ww": {}}, "psi must be PsiParams, got dict"),
+    ("PsiParams.random", "spec", (2, (1, 2, 1), 1), "spec must be a WeightSpec, got tuple"),
 ]
+
+_BUILDERS = {
+    "init_equivariant": lambda spec, rng, psi=None: layers.init_equivariant(spec, 2, rng, psi=psi),
+    "init_invariant": lambda spec, rng, psi=None: layers.init_invariant(spec, 2, 3, rng, psi=psi),
+    "PsiParams.random": PsiParams.random,
+}
 
 
 @pytest.mark.parametrize("kind, name, value, message", _WRONG_TYPES)
 def test_wrong_typed_spec_or_psi_names_the_field(kind, name, value, message):
     spec, r = WeightSpec(2, (1, 2, 1), 1), Rng(45)
+    if kind in _BUILDERS:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            _BUILDERS[kind](**{"spec": spec, "rng": r, name: value})
+        return
     if kind == "equivariant":
         p = layers.init_equivariant(spec, 2, r)
     elif kind == "invariant":

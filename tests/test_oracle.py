@@ -3,9 +3,10 @@ import pytest
 
 from magep import layers, oracle
 from magep.dense import Rng, rel_residual
-from magep.errors import ValidationError
 from magep.stableterms import PsiParams
 from magep.weightspace import Uniform, WeightObject, WeightSpec, random_weights
+
+from helpers import constant_psi
 
 
 def test_naive_matches_optimized_on_random_instances():
@@ -99,41 +100,22 @@ def test_naive_scalar_spec_hand_check():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def _design_matrix(spec, psi, families, samples, rng):
-    """Rows of the selected families at ``samples`` uniform(-1, 1) weight objects."""
-    return oracle._design(spec, psi, families, rng, lambda F: samples)
-
-
 def test_design_matrix_bias_family_full_rank():
     spec = WeightSpec(3, (2, 2, 2, 2), 1)
     psi = PsiParams.random(spec, Rng(5))
-    X = _design_matrix(spec, psi, ["b"], samples=30, rng=Rng(6))
-    assert X.shape[1] == 6  # n_1 + n_2 + n_3
+    X = oracle._design(spec, psi, ["b"], Rng(6))
+    assert X.shape == (18, 6)  # 3 rows per column; n_1 + n_2 + n_3 columns
     sv = np.linalg.svd(X, compute_uv=False)
     assert sv[-1] / sv[0] >= 1e-6
-
-
-def test_design_matrix_eq17_feature_count():
-    spec = WeightSpec(2, (1, 2, 1), 1)
-    psi = PsiParams.random(spec, Rng(7))
-    X = _design_matrix(spec, psi, ["eq17"], samples=24, rng=Rng(8))
-    assert X.shape == (24, 8)
-
-
-def test_design_matrix_requires_enough_samples():
-    spec = WeightSpec(2, (1, 2, 1), 1)
-    psi = PsiParams.random(spec, Rng(9))
-    with pytest.raises(ValidationError, match="samples"):
-        _design_matrix(spec, psi, ["eq17"], samples=4, rng=Rng(10))
 
 
 def test_width_one_collapse_columns_identical():
     # all widths 1 with unit connection matrices: the [W](L,0) column equals
     # every [WW](s,0)(L,s) column
     spec = WeightSpec(3, (1, 1, 1, 1), 1)
-    psi = PsiParams.constant(spec, 1.0)
-    X = _design_matrix(spec, psi, ["w_L0", "ww_diag"], samples=12, rng=Rng(11))
-    assert X.shape[1] == 3
+    psi = constant_psi(spec, 1.0)
+    X = oracle._design(spec, psi, ["w_L0", "ww_diag"], Rng(11))
+    assert X.shape == (9, 3)
     assert np.max(np.abs(X[:, 0] - X[:, 1])) <= 1e-12
     assert np.max(np.abs(X[:, 0] - X[:, 2])) <= 1e-12
     sv = np.linalg.svd(X, compute_uv=False)
@@ -186,15 +168,8 @@ def test_independence_report_detects_width_one_witness():
     # make [WW]^(1,0)(2,1) equal [W]^(2,0) and [bW]^(1)(2,1) equal [Wb]^(2,1)(1):
     # one null direction per pair, no more.
     spec = WeightSpec(2, (1, 1, 1), 1)
-    rep = oracle.independence_report(spec, PsiParams.constant(spec, 1.0), Rng(14))
+    rep = oracle.independence_report(spec, constant_psi(spec, 1.0), Rng(14))
     assert rep["asserted_independent"]["full_rank"]
     for c in rep["coupled"]:
         assert c["features"] == 2
         assert c["deficiency"] == c["expected_deficiency"] == 1
-
-
-def test_unknown_family_rejected():
-    spec = WeightSpec(2, (1, 1, 1), 1)
-    psi = PsiParams.random(spec, Rng(16))
-    with pytest.raises(ValidationError, match="family"):
-        _design_matrix(spec, psi, ["nope"], samples=10, rng=Rng(17))

@@ -18,6 +18,8 @@ from magep.stableterms import (
 )
 from magep.weightspace import Uniform, WeightObject, WeightSpec, random_weights
 
+from helpers import constant_psi
+
 SPEC_121 = WeightSpec(2, (1, 2, 1), 1)
 
 
@@ -76,36 +78,36 @@ def test_bw_scalar_case():
         (np.array([[[2.0]]]), np.array([[[1.0]]])),  # chain (2,0) = 2 = omega
         (np.array([[1.0]]), np.array([[beta]])),
     )
-    got = all_terms(U, PsiParams.constant(spec, psi_val)).bw[(2, 0)]
+    got = all_terms(U, constant_psi(spec, psi_val)).bw[(2, 0)]
     assert np.allclose(got, beta * psi_val * omega)
 
 
 def test_bw_zero_cases():
     spec = WeightSpec(2, (1, 2, 1), 1)
     U = random_weights(spec, Rng(1))
-    assert np.all(all_terms(U, PsiParams.constant(spec, 0.0)).bw[(1, 0)] == 0.0)
+    assert np.all(all_terms(U, constant_psi(spec, 0.0)).bw[(1, 0)] == 0.0)
     zero_bias = WeightObject(spec, U.W, tuple(np.zeros_like(b) for b in U.b))
-    assert np.all(all_terms(zero_bias, PsiParams.constant(spec, 1.0)).bw[(1, 0)] == 0.0)
+    assert np.all(all_terms(zero_bias, constant_psi(spec, 1.0)).bw[(1, 0)] == 0.0)
 
 
 def test_ww_zero_psi():
     spec = WeightSpec(2, (2, 2, 2), 1)
     U = random_weights(spec, Rng(3))
-    assert np.all(all_terms(U, PsiParams.constant(spec, 0.0)).ww[(1, 0)] == 0.0)
+    assert np.all(all_terms(U, constant_psi(spec, 0.0)).ww[(1, 0)] == 0.0)
 
 
 def test_ww_width_one_collapse():
     # with every width 1 and psi = 1, [WW]^(s,0)(L,s) equals [W]^(L,0) exactly
     spec = WeightSpec(3, (1, 1, 1, 1), 1)
     U = random_weights(spec, Rng(4))
-    terms = all_terms(U, PsiParams.constant(spec, 1.0))
+    terms = all_terms(U, constant_psi(spec, 1.0))
     for s in (1, 2):
         assert np.allclose(terms.ww[(s, s)], terms.w[(3, 0)], atol=1e-15)
 
 
 def test_ww_hand_value():
     U = _toy_object()
-    got = all_terms(U, PsiParams.constant(SPEC_121, 1.0)).ww[(1, 1)]
+    got = all_terms(U, constant_psi(SPEC_121, 1.0)).ww[(1, 1)]
     assert np.array_equal(got, np.array([[[1.0, 1.0], [1.0, 1.0]]]))
 
 
@@ -217,7 +219,7 @@ def test_psi_entries_are_views_of_two_buffers():
     spec = WeightSpec(3, (2, 3, 3, 4), 2)
     psi = PsiParams.random(spec, Rng(24))
     built = (
-        psi, PsiParams(spec, psi.bw, psi.ww), PsiParams.constant(spec, 0.5),
+        psi, PsiParams(spec, psi.bw, psi.ww), constant_psi(spec, 0.5),
         copy.copy(psi), copy.deepcopy(psi), pickle.loads(pickle.dumps(psi)),
     )
     for q in built:
