@@ -469,6 +469,8 @@ def run_suites(
     names = SUITE_NAMES if selector == "all" else (selector,)
     overrides = tolerance_overrides or {}
     for name, tol in overrides.items():
+        if name not in _SUITE_FNS:
+            raise ValidationError(f"unknown suite {name!r} in tolerance_overrides")
         _require_tolerance(name, tol)
     records = []
     for name in names:

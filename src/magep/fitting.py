@@ -100,6 +100,8 @@ class FitResult:
         object.__setattr__(self, "phi", np.asarray(self.phi, dtype=np.float64))
         if self.phi.ndim != 2:
             raise ValidationError("phi must be a [features, targets] matrix")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.train_mse < 0 or (self.test_mse is not None and self.test_mse < 0):
             raise ValidationError("mean squared errors cannot be negative")
 

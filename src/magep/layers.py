@@ -58,8 +58,9 @@ block reaches the next forward and nothing packed can go stale; the tables
 and ``mid`` are read-only mappings, so no block can be swapped out.  The
 connection matrices ``psi`` are declared the same way, as the two tables
 of :class:`magep.stableterms.PsiParams`, which also defines the
-declaration machinery; ``.mgp.json`` saves them as one nested object of
-its declared fields.
+declaration machinery.  The loader allocates the layer a ``.mgp.json``
+header sizes and fills its views from the file, which must match that
+layer's own document, as :func:`save_params` writes it, key for key.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ from .dense import Rng, serial_matmul
 from .errors import ConfigurationError, ValidationError
 from .stableterms import (
     _FEATURE_PARTS, PsiParams, _assign, _block, _built, _cells, _chains, _check_psi_fits,
-    _checked, _Decl, _declared, _draw, _empty, _features, _fields, _is_spec, _Rebuilt,
-    feature_count, featurize,
+    _checked, _Decl, _declared, _draw, _empty, _features, _fields, _is_spec, _psi_views,
+    _Rebuilt, feature_count, featurize,
 )
 from .weightspace import WeightObject, WeightSpec, _count
 
@@ -502,25 +503,6 @@ def _stack_rows(stack, head, U: WeightObject) -> np.ndarray:
 _KINDS = {"equivariant": EquivariantParams, "invariant": InvariantParams}
 
 
-def _groups() -> dict[str, dict[str, tuple[str, _Decl]]]:
-    """The file groups of the interior blocks: group -> key -> ``(field name, declaration)``."""
-    groups: dict = {}
-    for name, decl in _declared(MiddleBlocks):
-        groups.setdefault(decl.slot[0], {})[decl.slot[1]] = (name, decl)
-    return groups
-
-
-_GROUPS = _groups()
-
-# Top-level keys of a .mgp.json document, per layer kind: the fields in
-# order, with ``mid`` saved as its groups.
-_PARAMS_KEYS = {
-    kind: ("format", "kind")
-    + tuple(key for f in fields(cls) for key in (_GROUPS if f.name == "mid" else (f.name,)))
-    for kind, cls in _KINDS.items()
-}
-
-
 def _key_text(k) -> str:
     """A table key as :func:`save_params` writes it: ``str(k)``, or ``"s,t"`` for a pair."""
     return ",".join(map(str, k)) if type(k) is tuple else str(k)
@@ -530,8 +512,10 @@ def _to_json(value, decl: _Decl):
     return value if not decl.table else {_key_text(k): v for k, v in value.items()}
 
 
-def save_params(params: EquivariantParams | InvariantParams, path) -> None:
-    """Write layer parameters as a ``.mgp.json`` document, keys in field order."""
+def _document(params: EquivariantParams | InvariantParams) -> dict:
+    """The ``.mgp.json`` document of ``params``, keys in field order: each
+    block is its view, each table an object keyed by :func:`_key_text`, and
+    ``mid`` is written as its groups."""
     kind = "equivariant" if isinstance(params, EquivariantParams) else "invariant"
     decls = dict(_declared(type(params)))
     doc: dict = {"format": PARAMS_FORMAT, "kind": kind}
@@ -542,68 +526,44 @@ def save_params(params: EquivariantParams | InvariantParams, path) -> None:
         elif f.name == "psi":
             doc["psi"] = {n: _to_json(getattr(value, n), decl) for n, decl in _declared(PsiParams)}
         elif f.name == "mid":
-            for group, slots in _GROUPS.items():
-                doc[group] = {
-                    str(i): {k: _to_json(getattr(blk, n), decl) for k, (n, decl) in slots.items()}
-                    for i, blk in value.items()
-                }
+            for name, decl in _declared(MiddleBlocks):
+                group, key = decl.slot
+                rows = doc.setdefault(group, {})
+                for i, blk in value.items():
+                    rows.setdefault(str(i), {})[key] = _to_json(getattr(blk, name), decl)
         else:
             doc[f.name] = _to_json(value, decls[f.name]) if f.name in decls else value
-    jsonio.dump_path(doc, path)
+    return doc
 
 
-def _is_layer(key: str) -> bool:
-    """Whether ``key`` is a layer index as :func:`save_params` writes it: no
-    sign, no leading zero, under ten digits: one spelling per layer, which ``int`` takes."""
-    return key.isdecimal() and len(key) < 10 and str(int(key)) == key
+def save_params(params: EquivariantParams | InvariantParams, path) -> None:
+    """Write layer parameters as a ``.mgp.json`` document, keys in field order."""
+    jsonio.dump_path(_document(params), path)
 
 
-def _keyed(name: str, doc, arity: int = 1) -> dict:
-    """``doc`` with its keys parsed back by the inverse of :func:`_key_text`:
-    layer indices, or ``"s,t"`` pairs of them when ``arity`` is 2, each part
-    as :func:`_is_layer` takes it."""
-    one, many = {1: ("a layer index", "layer indices"), 2: ("an 's,t' pair", "'s,t' pairs")}[arity]
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{name} must map {many} to values")
-    out = {}
-    for text, value in doc.items():
-        parts = text.split(",")
-        if len(parts) != arity or not all(map(_is_layer, parts)):
-            raise ValidationError(
-                f"{name} key {text!r} is not {one}: {name} must map {many} to values"
-            )
-        out[tuple(map(int, parts)) if arity == 2 else int(text)] = value
-    return out
-
-
-def _from_json(name: str, value, decl: _Decl, arity: int = 1):
-    if not decl.table:
-        return jsonio.finite(name, value)
-    table = _keyed(name, value, arity)
-    return {k: jsonio.finite(f"{name}[{_key_text(k)}]", v) for k, v in table.items()}
-
-
-def _mid_from_json(doc: dict) -> dict[int, MiddleBlocks]:
-    groups = {group: _keyed(group, doc[group]) for group in _GROUPS}
-    first, *rest = groups.values()
-    if any(g.keys() != first.keys() for g in rest):
-        raise ValidationError(f"{' and '.join(groups)} must cover the same layers")
-    mid = {}
-    for i in first:
-        values = {}
-        for group, slots in _GROUPS.items():
-            entry = jsonio.exact_keys(f"{group}[{i}]", groups[group][i], slots)
-            for key, (name, decl) in slots.items():
-                values[name] = _from_json(f"{group}[{i}].{key}", entry[key], decl)
-        mid[i] = MiddleBlocks(**values)
-    return mid
+def _fill(where: str, template, value) -> None:
+    """Copy ``value``, the part of a read document at ``where``, into the
+    blocks of ``template``, the same part of a :func:`_document`: an object
+    must have exactly the template's keys and a block its view's shape.
+    Scalars are skipped; the header was checked before allocation."""
+    if isinstance(template, np.ndarray):
+        template[...] = jsonio.finite(where, value, template.shape)
+    elif isinstance(template, dict):
+        jsonio.exact_keys(where or "top-level", value, template)
+        for key, part in template.items():
+            at = f"{where}[{key}]" if key[0].isdigit() else f"{where}.{key}" if where else key
+            _fill(at, part, value[key])
 
 
 def load_params(path) -> EquivariantParams | InvariantParams:
     """Read a ``.mgp.json`` document; inverse of :func:`save_params` bit-exactly.
 
-    Unknown or missing keys, wrong types and non-finite values raise
-    ``ValidationError`` naming where they sit.
+    The header (``format``, ``kind``, ``spec``, ``e`` and an invariant
+    layer's ``d_out``) sizes a layer, allocated as the initializers allocate
+    it.  The document :func:`save_params` would write for that layer is the
+    template the file must match: the same keys in every object, each block
+    of its view's shape, read straight into the view.  Anything else, and
+    non-finite values, raise ``ValidationError`` naming where they sit.
     """
     doc = jsonio.load_path(path)
     if doc.get("format") != PARAMS_FORMAT:
@@ -611,25 +571,14 @@ def load_params(path) -> EquivariantParams | InvariantParams:
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(f"unknown params kind {kind!r}")
-    cls = _KINDS[kind]
-    jsonio.exact_keys("top-level", doc, _PARAMS_KEYS[kind])
-    raw = jsonio.exact_keys("spec", doc["spec"], ("L", "n", "d"))
+    raw = jsonio.exact_keys("spec", doc.get("spec"), ("L", "n", "d"))
     spec = WeightSpec(raw["L"], raw["n"], raw["d"])
-    decls = dict(_declared(cls))
-    values = {}
-    for f in fields(cls):
-        if f.name == "spec":
-            values["spec"] = spec
-        elif f.name == "psi":
-            psi = jsonio.exact_keys("psi", doc["psi"], dict(_declared(PsiParams)))
-            tables = {
-                n: _from_json(f"psi.{n}", psi[n], decl, 2) for n, decl in _declared(PsiParams)
-            }
-            values["psi"] = PsiParams(spec, **tables)
-        elif f.name == "mid":
-            values["mid"] = _mid_from_json(doc)
-        elif f.name in decls:
-            values[f.name] = _from_json(f.name, doc[f.name], decls[f.name])
-        else:
-            values[f.name] = doc[f.name]
-    return cls(**values)
+    e = _count("output channel count e", doc.get("e"))
+    if kind == "equivariant":
+        values = _equivariant_buffers(spec, e)[0]
+    else:
+        values = _invariant_buffers(spec, e, _count("output width d_out", doc.get("d_out")))[0]
+    psi = _built(PsiParams, {"spec": spec, **_psi_views(spec)})
+    params = _built(_KINDS[kind], {"spec": spec, "psi": psi, **values})
+    _fill("", _document(params), doc)
+    return params

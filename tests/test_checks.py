@@ -189,6 +189,12 @@ def test_run_suites_rejects_a_non_finite_tolerance_before_any_suite(tol, monkeyp
         checks.run_suite("equiv", 2, 0, tolerance=tol)
 
 
+def test_run_suites_rejects_an_unknown_suite_in_the_overrides_before_any_suite(monkeypatch):
+    monkeypatch.setitem(checks._SUITE_FNS, "inv", lambda *a, **k: pytest.fail("suite ran"))
+    with pytest.raises(ValidationError, match="unknown suite 'bogus'"):
+        checks.run_suites("inv", 2, 0, tolerance_overrides={"bogus": 1.0})
+
+
 @pytest.mark.parametrize(
     "bad",
     [

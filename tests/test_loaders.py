@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magep import cli, fitting, jsonio, layers, weightspace
+from magep import cli, fitting, jsonio, layers, stableterms, weightspace
 from magep.dense import Rng
 from magep.errors import MagepError, ParseError, ValidationError
 from magep.stableterms import PsiParams
@@ -222,29 +222,29 @@ def _alias(*path_and_keys):
 
 
 BAD_PARAMS = [
-    (_invariant_file, _rename_psi_key, "psi.bw key '1'"),
-    (_invariant_file, _set("psi", "bw", [1.0]), "psi.bw must map"),
+    (_invariant_file, _rename_psi_key, "unknown psi.bw keys: ['1']"),
+    (_invariant_file, _set("psi", "bw", [1.0]), "psi.bw must be an object with the keys"),
     (_invariant_file, _set("psi", "extra", {}), "unknown psi keys"),
     (_invariant_file, _set("spec", [3, [2, 3, 2, 2], 2]), "spec must be an object"),
     (_invariant_file, _set("spec", "extra", 1), "unknown spec keys"),
     (_invariant_file, _set("e", "x"), "e must be an integer"),
     (_invariant_file, _set("d_out", 2.5), "d_out must be an integer"),
-    (_invariant_file, _set("phi_trWW", [1.0]), "phi_trWW must map"),
-    (_invariant_file, _set("phi_trWW", "x", [1.0]), "phi_trWW must map"),
+    (_invariant_file, _set("phi_trWW", [1.0]), "phi_trWW must be an object with the keys"),
+    (_invariant_file, _set("phi_trWW", "x", [1.0]), "unknown phi_trWW keys: ['x']"),
     (_equivariant_file, _set("e", True), "e must be an integer"),
     (_equivariant_file, _set("scalarsW", "2", [1.0]), "scalarsW[2] must be an object"),
     (_equivariant_file, _set("scalarsW", "2", "extra", [1.0]), "unknown scalarsW[2] keys"),
     (_equivariant_file, _set("vecsb", "2", "extra", [1.0]), "unknown vecsb[2] keys"),
-    (_equivariant_file, _set("vecsb", "9", {}), "same layers"),
+    (_equivariant_file, _set("vecsb", "9", {}), "unknown vecsb keys: ['9']"),
     (_equivariant_file, _set("vecsb", "2", "Wb", "1", "x"), "vecsb[2].Wb[1] is not a numeric"),
     (_equivariant_file, _set("mid", {}), "unknown top-level keys"),
-    (_invariant_file, _alias("phi_trWW", "1", "01"), "phi_trWW must map"),
-    (_invariant_file, _alias("psi", "bw", "1,0", "01,0"), "psi.bw key '01,0'"),
-    (_invariant_file, _alias("psi", "ww", "1,0", "1,00"), "psi.ww key '1,00'"),
-    (_equivariant_file, _alias("scalarsW", "2", "02"), "scalarsW must map"),
-    (_equivariant_file, _alias("vecsb", "2", "Wb", "1", "+1"), "vecsb[2].Wb must map"),
-    (_invariant_file, _alias("phi_trWW", "1", "1" * 5000), "phi_trWW must map"),
-    (_invariant_file, _alias("psi", "bw", "1,0", "1" * 5000 + ",0"), "is not an 's,t' pair"),
+    (_invariant_file, _alias("phi_trWW", "1", "01"), "unknown phi_trWW keys: ['01']"),
+    (_invariant_file, _alias("psi", "bw", "1,0", "01,0"), "unknown psi.bw keys: ['01,0']"),
+    (_invariant_file, _alias("psi", "ww", "1,0", "1,00"), "unknown psi.ww keys: ['1,00']"),
+    (_equivariant_file, _alias("scalarsW", "2", "02"), "unknown scalarsW keys: ['02']"),
+    (_equivariant_file, _alias("vecsb", "2", "Wb", "1", "+1"), "unknown vecsb[2].Wb keys: ['+1']"),
+    (_invariant_file, _alias("phi_trWW", "1", "1" * 5000), "unknown phi_trWW keys: ['1111"),
+    (_invariant_file, _alias("psi", "bw", "1,0", "1" * 5000 + ",0"), "unknown psi.bw keys: ['1111"),
     (_invariant_file, _set("phi_1", [[True]]), "phi_1 is not a numeric"),
     (_invariant_file, _set("phi_1", [[0.5, 0.25, 0.0], [0.5, False, 0.0]]), "phi_1 is not a numeric"),
     (_invariant_file, _set("phi_1", [["1.5"]]), "phi_1 is not a numeric"),
@@ -264,6 +264,33 @@ def test_load_params_rejects_wrong_types_and_nested_keys(tmp_path, make, edit, w
         layers.load_params(path)
 
 
+def test_load_params_sets_every_buffer_element(tmp_path, monkeypatch):
+    # Every buffer starts as NaN, so an element the loader leaves unset stays NaN.
+    spec = WeightSpec(4, (2, 3, 2, 3, 2), 2)  # interior layers 2 and 3
+    paths = [tmp_path / "eq.mgp.json", tmp_path / "inv.mgp.json"]
+    layers.save_params(layers.init_equivariant(spec, 2, Rng(60)), paths[0])
+    layers.save_params(layers.init_invariant(spec, 2, 3, Rng(61)), paths[1])
+
+    def nan_empty(*shape):
+        return np.full(shape, np.nan)
+
+    monkeypatch.setattr(stableterms, "_empty", nan_empty)
+    monkeypatch.setattr(layers, "_empty", nan_empty)
+    for path in paths:
+        loaded = layers.load_params(path)
+        buffers = [loaded.psi.bw[(1, 0)].base, loaded.psi.ww[(1, 0)].base]
+        assert [buf.shape for buf in buffers] == [(16, 1, 2), (16, 2, 2)]
+        if path is paths[0]:
+            assert sorted(loaded._interior) == [2, 3]
+            buffers += [loaded._last_bias, loaded._last_weight, loaded._first_rows]
+            buffers += [buf for pair in loaded._interior.values() for buf in pair]
+        else:
+            buffers.append(loaded._packed)
+        assert all(np.isfinite(buf).all() for buf in buffers)
+        layers.save_params(loaded, tmp_path / "again.mgp.json")
+        assert (tmp_path / "again.mgp.json").read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize("key, value", [
     ("L", "x"), ("L", 2.0), ("n", "ab"), ("n", 3), ("n", [2, None, 2, 2]), ("d", None), ("d", True),
     ("batch", True), ("batch", 2.0), ("batch", 0),
@@ -277,7 +304,7 @@ def test_weights_load_rejects_non_integer_spec(tmp_path, key, value):
 
 @pytest.mark.parametrize("key, value", [
     ("lambda", "x"), ("lambda", [1.0]), ("train_mse", None), ("test_mse", "0.5"), ("phi", "x"),
-    ("lambda", True), ("width", True), ("width", 2.0), ("width", "2"),
+    ("lambda", True), ("width", True), ("width", 2.0), ("width", "2"), ("lambda", -1.0),
 ])
 def test_load_fit_rejects_wrong_typed_scalars(tmp_path, key, value):
     path = _fit_file(tmp_path)
@@ -344,24 +371,40 @@ def _nodes(doc, path=()):
 
 
 @pytest.fixture(scope="module")
-def params_docs(tmp_path_factory):
+def saved_docs(tmp_path_factory):
+    """Documents of each format, as their writers save them, keyed by loader."""
     spec = WeightSpec(3, (1, 2, 1, 2), 1)
     workdir = tmp_path_factory.mktemp("fuzz")
-    docs = []
-    for params in (
-        layers.init_equivariant(spec, 2, Rng(50)),
-        layers.init_invariant(spec, 2, 2, Rng(51)),
-    ):
-        layers.save_params(params, workdir / "p.mgp.json")
-        docs.append(json.loads((workdir / "p.mgp.json").read_text()))
+
+    def saved(save, obj):
+        save(obj, workdir / "saved.json")
+        return json.loads((workdir / "saved.json").read_text())
+
+    docs = {
+        layers.load_params: [
+            saved(layers.save_params, layers.init_equivariant(spec, 2, Rng(50))),
+            saved(layers.save_params, layers.init_invariant(spec, 2, 2, Rng(51))),
+        ],
+        weightspace.load: [
+            saved(weightspace.save, random_weights(spec, Rng(52))),
+            saved(weightspace.save, random_weights(spec, Rng(53), batch=2)),
+        ],
+        fitting.load_fit: [
+            saved(fitting.save_fit, fitting.FitResult(Rng(54).uniform(-1.0, 1.0, (3, 2)), 1e-3, 0.5)),
+            saved(fitting.save_fit, fitting.FitResult(np.ones((2, 1)), 0.0, 0.0, 0.25, True)),
+        ],
+    }
     return workdir, docs
 
 
+@pytest.mark.parametrize(
+    "load", [layers.load_params, weightspace.load, fitting.load_fit], ids=["mgp", "mgw", "mgfit"]
+)
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
-def test_load_params_with_one_node_replaced_loads_or_raises_a_magep_error(params_docs, data):
-    workdir, docs = params_docs
-    doc = copy.deepcopy(data.draw(st.sampled_from(docs)))
+def test_loader_with_one_node_replaced_loads_or_raises_a_magep_error(saved_docs, load, data):
+    workdir, docs = saved_docs
+    doc = copy.deepcopy(data.draw(st.sampled_from(docs[load])))
     where = data.draw(st.sampled_from(list(_nodes(doc))))
     value = data.draw(JSON_VALUES)
     if where:
@@ -371,9 +414,9 @@ def test_load_params_with_one_node_replaced_loads_or_raises_a_magep_error(params
         node[where[-1]] = value
     else:
         doc = value
-    path = workdir / "fuzzed.mgp.json"
+    path = workdir / "fuzzed.json"
     path.write_text(json.dumps(doc))
     try:
-        layers.load_params(path)
+        load(path)
     except MagepError:
         pass
