@@ -11,6 +11,7 @@ the public contract.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,6 +101,12 @@ class FitResult:
         object.__setattr__(self, "phi", np.asarray(self.phi, dtype=np.float64))
         if self.phi.ndim != 2:
             raise ValidationError("phi must be a [features, targets] matrix")
+        scalars = {"lambda": self.lam, "train_mse": self.train_mse}
+        if self.test_mse is not None:
+            scalars["test_mse"] = self.test_mse
+        for label, x in scalars.items():
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValidationError(f"{label} must be a number, got {type(x).__name__}")
         if not 0.0 <= self.lam < np.inf:
             raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.train_mse < 0 or (self.test_mse is not None and self.test_mse < 0):

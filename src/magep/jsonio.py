@@ -131,12 +131,14 @@ def load_path(path) -> dict:
 
 def exact_keys(where: str, value, keys) -> dict:
     """``value`` if it is an object with exactly ``keys``; otherwise a
-    ``ValidationError`` naming ``where`` and the unknown or missing keys."""
+    ``ValidationError`` naming ``where`` and the unknown or missing keys, an
+    unknown key cut to 40 characters and ``…``."""
     if not isinstance(value, dict):
         raise ValidationError(f"{where} must be an object with the keys {list(keys)}")
     unknown = value.keys() - set(keys)
     if unknown:
-        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+        shown = [k[:40] + "…" if len(k) > 40 else k for k in sorted(unknown)]
+        raise ValidationError(f"unknown {where} keys: {shown}")
     missing = set(keys) - value.keys()
     if missing:
         raise ValidationError(f"missing {where} keys: {sorted(missing)}")

@@ -17,9 +17,10 @@ row mixes ``[W]^(i,0)``, ``[WW]^(i,0)(L,0)``, ``[bW]^(i)(L,0)`` over the
 input-width index plus per-``t`` ``[Wb]`` terms and the bias.
 
 The forward reads only the O(L) terms these rows need, from the suffix
-chains ``[W]^(L,t)`` and prefix chains ``[W]^(s,0)`` that the featurizer
-builds, once per call, with or without a leading batch axis; ``[Wb]^(i,t)``
-comes by the recursion ``W^(i) [Wb]^(i-1,t)``.  The last-layer bias row is
+chains ``[W]^(L,t)`` that the featurizer reads too and the prefix chains
+``[W]^(s,0)`` that only the first-layer and interior rows read, each built
+once per call, with or without a leading batch axis; ``[Wb]^(i,t)`` comes
+by the recursion ``W^(i) [Wb]^(i-1,t)``.  The last-layer bias row is
 the invariant map with ``d_out = n_L``: the feature rows times the
 ``phib_L_*`` blocks packed in feature order, each block named after its
 feature part.  The other rows are batched BLAS products of their terms,
@@ -77,9 +78,9 @@ from .activations import Activation
 from .dense import Rng, serial_matmul
 from .errors import ConfigurationError, ValidationError
 from .stableterms import (
-    _FEATURE_PARTS, PsiParams, _assign, _block, _built, _cells, _chains, _check_psi_fits,
+    _FEATURE_PARTS, PsiParams, _assign, _block, _built, _cells, _check_psi_fits,
     _checked, _Decl, _declared, _draw, _empty, _features, _fields, _is_spec, _psi_views,
-    _Rebuilt, feature_count, featurize,
+    _Rebuilt, _suffix, feature_count, featurize,
 )
 from .weightspace import WeightObject, WeightSpec, _count
 
@@ -387,7 +388,10 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
     spec, psi, e = params.spec, params.psi, params.e
     L, n, d = spec.L, spec.n, spec.d
     lead = U.flat.shape[:-1]
-    suffix, prefix = _chains(U)
+    suffix = _suffix(U)
+    prefix = {1: U.weight(1), L: suffix[0]}  # [W]^(s,0)
+    for s in range(2, L):
+        prefix[s] = np.matmul(U.weight(s), prefix[s - 1])
 
     def ww(s, t):  # [WW]^(s,0)(L,t)
         return np.matmul(np.matmul(prefix[s], psi.ww[(s, t)]), suffix[t])
@@ -411,7 +415,7 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
     phi_b = np.matmul(coef[:, 2 * dn :].reshape(-1, d, n[L]).swapaxes(0, 1), U.bias(L)[..., None])
     out += by_channel(phi_b[..., 0], psi_w(L, L - 1))
     W_out[L - 1] = out.reshape(lead + (e, n[L], n[L - 1]))
-    X = _features(U, psi, suffix, prefix)
+    X = _features(U, psi, suffix)
     b_out[L - 1] = serial_matmul(X, params._last_bias).swapaxes(0, -2)
 
     # First layer: the weight and bias rows share one GEMM over [W]^(1,0) and

@@ -22,7 +22,7 @@ its draw fills the views, by the block machinery defined here.
 :func:`all_terms` is the one evaluator of every family at every index pair;
 the stability suite, the oracle's rank reports and the tests read it.
 :func:`featurize` evaluates only the invariant scalars the invariant layer
-and the ridge fit read, from O(L) prefix and suffix chains, which the
+and the ridge fit read, from the L suffix chains ``[W]^(L,t)``, which the
 equivariant layer shares.
 """
 
@@ -301,19 +301,13 @@ def feature_count(spec: WeightSpec) -> int:
     return spec.d * per_channel + 1
 
 
-def _chains(U: WeightObject) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Suffix chains ``t -> [W]^(L,t)`` (t = 0..L-1) and prefix chains
-    ``s -> [W]^(s,0)`` (s = 1..L), about 2L products; ``prefix[L]`` is
-    ``suffix[0]``."""
+def _suffix(U: WeightObject) -> dict[int, np.ndarray]:
+    """Suffix chains ``t -> [W]^(L,t)``, t = 0..L-1: L-1 products."""
     L = U.spec.L
     suffix = {L - 1: U.weight(L)}
     for t in range(L - 2, -1, -1):
         suffix[t] = np.matmul(suffix[t + 1], U.weight(t + 1))
-    prefix = {1: U.weight(1)}
-    for s in range(2, L):
-        prefix[s] = np.matmul(U.weight(s), prefix[s - 1])
-    prefix[L] = suffix[0]
-    return suffix, prefix
+    return suffix
 
 
 def featurize(U: WeightObject, psi: PsiParams) -> np.ndarray:
@@ -325,30 +319,31 @@ def featurize(U: WeightObject, psi: PsiParams) -> np.ndarray:
     (5) ``[Wb]^(L,t)(t)`` for t = L-1..1, (6) traces of ``[bW]^(t)(L,t)``
     for t = L-1..1, (7) ``[b]^(L)``; then one trailing constant 1.
 
-    Only the suffix chains ``[W]^(L,t)`` and prefix chains ``[W]^(s,0)`` are
-    formed, about 2L products.  The traces never form their square
-    products: ``tr [WW]^(s,0)(L,s)`` is the entrywise sum of
-    ``([W]^(s,0) Psi) * [W]^(L,s)^T``, and ``tr [bW]^(t)(L,t)`` is
-    ``psi . [Wb]^(L,t)(t)``.
+    Only the suffix chains ``[W]^(L,t)`` are formed, L-1 products.  The
+    traces never form their square products.  The trace is cyclic, so
+    ``tr [WW]^(s,0)(L,s) = tr(Psi^(s,s) [W]^(L,0))``: all of them are one
+    product of the flat ``[W]^(L,0)`` with the diagonal blocks of Psi,
+    stacked afresh on each call.  ``tr [bW]^(t)(L,t)`` is ``psi .
+    [Wb]^(L,t)(t)``.
     """
     _check_psi_fits(U.spec, psi)
-    return _features(U, psi, *_chains(U))
+    return _features(U, psi, _suffix(U))
 
 
-def _features(U: WeightObject, psi: PsiParams, suffix, prefix) -> np.ndarray:
-    """:func:`featurize` on chains already built by :func:`_chains`."""
+def _features(U: WeightObject, psi: PsiParams, suffix) -> np.ndarray:
+    """:func:`featurize` on suffix chains already built by :func:`_suffix`."""
     spec, L, full = U.spec, U.spec.L, suffix[0]
     hidden = range(L - 1, 0, -1)  # the per-layer order of _FEATURE_PARTS
     wb = [np.matmul(suffix[t], U.bias(t)[..., None])[..., 0] for t in hidden]
     b_last = U.bias(L)
     flat = lambda m: m.reshape(m.shape[:-2] + (-1,))
+    # tr [WW]^(s,0)(L,s) = sum_ij Psi^(s,s)_ij [W]^(L,0)_ji: [W]^(L,0) flat
+    # times each Psi^(s,s) transposed and flat.
+    psi_t = np.stack([psi.ww[(s, s)].T for s in hidden]).reshape(L - 1, -1)
     parts = dict(
         WWLL=flat(np.matmul(np.matmul(full, psi.ww[(L, 0)]), full)),
         WL0=flat(full),
-        trWW=np.stack([
-            np.einsum("...ij,...ji->...", np.matmul(prefix[s], psi.ww[(s, s)]), suffix[s])
-            for s in hidden
-        ], axis=-1),
+        trWW=np.matmul(flat(full), psi_t.T),
         bWLL0=flat(b_last[..., :, None] * np.matmul(psi.bw[(L, 0)][0], full)[..., None, :]),
         Wb=np.concatenate(wb, axis=-1),
         trbW=np.stack([np.matmul(v, psi.bw[(t, t)][0]) for t, v in zip(hidden, wb)], axis=-1),

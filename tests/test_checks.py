@@ -35,6 +35,23 @@ def test_chains_suite_fails_on_a_perturbed_chain(monkeypatch):
     assert 0.9e-9 <= rec["max_residual"] <= 1e-8
 
 
+# Seeds whose oracle residual sits nearest the 1e-12 tolerance over seeds
+# 0-1999 at 50 trials: the two largest that pass (9.26e-13 and 7.26e-13) and
+# the only two that fail (3.87e-12 and 3.01e-12).  A verify-grid op draws
+# seed + k, so a change that moves these residuals can flip a benchmark op.
+# The failures are the block-max normalisation of a small interior bias
+# (ROADMAP item 5); they must keep failing until that is mended.
+@pytest.mark.parametrize("seed", [
+    754,
+    852,
+    pytest.param(1374, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
+    pytest.param(1913, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
+])
+def test_oracle_suite_at_its_near_threshold_seeds(seed):
+    rec = checks.run_suite("oracle", 50, seed)
+    assert rec["pass"], rec["max_residual"]
+
+
 def test_stability_suite_fails_when_one_family_breaks_its_law(monkeypatch):
     assert checks.run_suite("stability", 10, 3)["pass"]
     exact = checks.all_terms

@@ -260,8 +260,11 @@ BAD_PARAMS = [
 def test_load_params_rejects_wrong_types_and_nested_keys(tmp_path, make, edit, where):
     path = make(tmp_path)
     _edit(path, edit)
-    with pytest.raises(ValidationError, match=re.escape(where)):
+    with pytest.raises(ValidationError, match=re.escape(where)) as err:
         layers.load_params(path)
+    # An unknown key is quoted cut to 40 characters, so the 5,000-digit keys
+    # give messages as short as the others.
+    assert len(str(err.value)) <= 120
 
 
 def test_load_params_sets_every_buffer_element(tmp_path, monkeypatch):
@@ -305,12 +308,20 @@ def test_weights_load_rejects_non_integer_spec(tmp_path, key, value):
 @pytest.mark.parametrize("key, value", [
     ("lambda", "x"), ("lambda", [1.0]), ("train_mse", None), ("test_mse", "0.5"), ("phi", "x"),
     ("lambda", True), ("width", True), ("width", 2.0), ("width", "2"), ("lambda", -1.0),
+    ("test_mse", "y"), ("train_mse", "0.5"), ("test_mse", [0.5]),
 ])
 def test_load_fit_rejects_wrong_typed_scalars(tmp_path, key, value):
     path = _fit_file(tmp_path)
     _edit(path, _set(key, value))
     with pytest.raises(ValidationError, match=key):
         fitting.load_fit(path)
+    # The constructor rejects the same scalar, named the same way.
+    fields = {"lambda": 1, "train_mse": 2, "test_mse": 3}
+    if key in fields:
+        args = [np.ones((1, 1)), 1e-3, 0.5, 0.25]
+        args[fields[key]] = value
+        with pytest.raises(ValidationError, match=key):
+            fitting.FitResult(*args)
 
 
 @pytest.mark.parametrize("make, load, key", [
