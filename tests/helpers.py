@@ -14,3 +14,12 @@ def constant_psi(spec, value: float) -> PsiParams:
         {k: np.full((1, nL), float(value)) for k in keys},
         {k: np.full((n0, nL), float(value)) for k in keys},
     )
+
+
+def abs_psi(psi: PsiParams) -> PsiParams:
+    """``psi`` with every entry replaced by its absolute value."""
+    return PsiParams(
+        psi.spec,
+        {k: np.abs(v) for k, v in psi.bw.items()},
+        {k: np.abs(v) for k, v in psi.ww.items()},
+    )

@@ -9,6 +9,8 @@ from magep.dense import Rng, rel_residual
 from magep.stableterms import PsiParams, all_terms, feature_count, featurize
 from magep.weightspace import STACK_BLOCK, Uniform, WeightObject, WeightSpec, random_weights
 
+from helpers import abs_psi
+
 
 def _reference_features(U, psi):
     """Feature vector of one unbatched object, read off the full term set."""
@@ -93,14 +95,6 @@ def _trace_columns(X, spec):
     return X[..., :-1].reshape(X.shape[:-1] + (spec.d, -1))[..., start : start + spec.L - 1]
 
 
-def _abs_psi(psi):
-    return PsiParams(
-        psi.spec,
-        {k: np.abs(v) for k, v in psi.bw.items()},
-        {k: np.abs(v) for k, v in psi.ww.items()},
-    )
-
-
 # (n, d, batch): L from 2 to 5, d up to 3, width-1 layers, unbatched and batched.
 TRACE_CASES = [
     ((2, 3, 2), 1, None),
@@ -129,10 +123,10 @@ def test_trace_features_match_the_prefix_chain_and_the_full_term(n, d, batch):
     lead = () if batch is None else (batch,)
     assert got.shape == lead + (d, L - 1)
     tr = lambda m: np.trace(m, axis1=-2, axis2=-1)
-    full, scale = all_terms(U, psi), all_terms(U.map(np.abs), _abs_psi(psi))
+    T, A = all_terms(U, psi), all_terms(U.map(np.abs), abs_psi(psi))
     hidden = range(L - 1, 0, -1)
-    from_terms = np.stack([tr(full.ww[(s, s)]) for s in hidden], axis=-1)
-    scale = np.stack([tr(scale.ww[(s, s)]) for s in hidden], axis=-1)
+    from_terms = np.stack([tr(T.ww[(s, s)]) for s in hidden], axis=-1)
+    scale = np.stack([tr(A.ww[(s, s)]) for s in hidden], axis=-1)
     k = sum(n) + n[0] * n[-1] + 1
     u = np.finfo(np.float64).eps / 2
     gamma = k * u / (1 - k * u)

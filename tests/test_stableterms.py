@@ -18,7 +18,7 @@ from magep.stableterms import (
 )
 from magep.weightspace import Uniform, WeightObject, WeightSpec, random_weights
 
-from helpers import constant_psi
+from helpers import abs_psi, constant_psi
 
 SPEC_121 = WeightSpec(2, (1, 2, 1), 1)
 
@@ -344,12 +344,7 @@ def test_trace_identities(n, d, batch):
     L = spec.L
     U = random_weights(spec, Rng(11), Uniform(-1.0, 1.0), batch=batch)
     psi = PsiParams.random(spec, Rng(12))
-    abs_psi = PsiParams(
-        spec,
-        {key: np.abs(v) for key, v in psi.bw.items()},
-        {key: np.abs(v) for key, v in psi.ww.items()},
-    )
-    T, A = all_terms(U, psi), all_terms(U.map(np.abs), abs_psi)
+    T, A = all_terms(U, psi), all_terms(U.map(np.abs), abs_psi(psi))
     tr = lambda m: np.trace(m, axis1=-2, axis2=-1)
     k = sum(n) + 1
     u = np.finfo(np.float64).eps / 2
