@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from functools import cached_property
 
 import numpy as np
 
@@ -89,13 +90,18 @@ class Rng:
     the same ``(seed, *keys)`` tuple yields the same stream on every
     platform.  Sub-streams are derived with :meth:`child`, which folds the
     given keys (ints, or strings hashed with crc32) into the seed material.
+    The generator is built at the first draw, so a stream that only derives
+    children, or draws nothing, costs no seeding.
     """
 
     def __init__(self, seed: int, _keys: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._keys = _keys
-        entropy = (self.seed & 0xFFFFFFFFFFFFFFFF,) + _keys
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        entropy = (self.seed & 0xFFFFFFFFFFFFFFFF,) + self._keys
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
     def child(self, *keys: int | str) -> "Rng":
         """A new independent stream derived from this seed and ``keys``."""
@@ -111,6 +117,10 @@ class Rng:
         if lo == hi:
             return np.full(() if size is None else size, float(lo))
         return self._gen.uniform(lo, hi, size=size)
+
+    def random(self, size=None) -> np.ndarray:
+        """Uniform in ``[0, 1)``: ``uniform(lo, hi)`` is ``lo + (hi - lo) * random()``."""
+        return self._gen.random(size)
 
     def gaussian(self, mean: float, std: float, size=None) -> np.ndarray:
         if std <= 0:

@@ -107,10 +107,8 @@ class FitResult:
         for label, x in scalars.items():
             if isinstance(x, bool) or not isinstance(x, numbers.Real):
                 raise ValidationError(f"{label} must be a number, got {type(x).__name__}")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.train_mse < 0 or (self.test_mse is not None and self.test_mse < 0):
-            raise ValidationError("mean squared errors cannot be negative")
+            if not 0.0 <= x < np.inf:
+                raise ValidationError(f"{label} must be finite and >= 0, got {x}")
 
     def with_test_mse(self, value: float) -> "FitResult":
         return FitResult(self.phi, self.lam, self.train_mse, value, self.rank_deficient)

@@ -79,7 +79,7 @@ from .dense import Rng, serial_matmul
 from .errors import ConfigurationError, ValidationError
 from .stableterms import (
     _FEATURE_PARTS, PsiParams, _assign, _block, _built, _cells, _check_psi_fits,
-    _checked, _Decl, _declared, _draw, _empty, _features, _fields, _is_spec, _psi_views,
+    _checked, _Decl, _declared, _draw, _empty, _features, _fields, _is_spec, _psi_buffers,
     _Rebuilt, _suffix, feature_count, featurize,
 )
 from .weightspace import WeightObject, WeightSpec, _count
@@ -328,6 +328,19 @@ def _invariant_buffers(spec: WeightSpec, e: int, d_out: int) -> tuple[dict, dict
     return {"e": e, "d_out": d_out, **_fields(views), "_packed": packed}, views
 
 
+def _init_args(spec, e, rng: Rng, scale: float, psi) -> tuple[WeightSpec, int, PsiParams]:
+    """An init's checked ``(spec, e, psi)``, Psi drawn from ``rng.child("psi")``
+    unless given.  ``scale`` is checked before any draw: >= 0, and ``2 * scale``
+    finite, as every block's ``uniform(-a, a)`` is drawn as ``-a + 2a u``."""
+    spec, e = _is_spec(spec), _count("output channel count e", e)
+    if not (scale >= 0.0 and math.isfinite(scale + scale)):
+        raise ValidationError(f"scale must be >= 0 with 2 * scale finite, got {scale}")
+    if psi is None:
+        return spec, e, PsiParams.random(spec, rng.child("psi"))
+    _check_psi_fits(spec, psi)
+    return spec, e, psi
+
+
 def init_equivariant(
     spec: WeightSpec,
     e: int,
@@ -343,11 +356,7 @@ def init_equivariant(
     into its view of the forward's buffers.  The connection matrices default
     to the frozen uniform(-1, 1) initialization.
     """
-    spec, e = _is_spec(spec), _count("output channel count e", e)
-    if psi is None:
-        psi = PsiParams.random(spec, rng.child("psi"))
-    else:
-        _check_psi_fits(spec, psi)
+    spec, e, psi = _init_args(spec, e, rng, scale, psi)
     fields, views, mid_views = _equivariant_buffers(spec, e)
     _draw(EquivariantParams, rng, spec, views, scale)
     for v in mid_views.values():
@@ -364,12 +373,8 @@ def init_invariant(
     psi: PsiParams | None = None,
 ) -> InvariantParams:
     """Random invariant-layer blocks; same initialization rule as above."""
-    spec, e = _is_spec(spec), _count("output channel count e", e)
     d_out = _count("output width d_out", d_out)
-    if psi is None:
-        psi = PsiParams.random(spec, rng.child("psi"))
-    else:
-        _check_psi_fits(spec, psi)
+    spec, e, psi = _init_args(spec, e, rng, scale, psi)
     fields, views = _invariant_buffers(spec, e, d_out)
     _draw(InvariantParams, rng, spec, views, scale)
     return _built(InvariantParams, {"spec": spec, "psi": psi, **fields})
@@ -582,7 +587,7 @@ def load_params(path) -> EquivariantParams | InvariantParams:
         values = _equivariant_buffers(spec, e)[0]
     else:
         values = _invariant_buffers(spec, e, _count("output width d_out", doc.get("d_out")))[0]
-    psi = _built(PsiParams, {"spec": spec, **_psi_views(spec)})
+    psi = _built(PsiParams, {"spec": spec, **_psi_buffers(spec)[1]})
     params = _built(_KINDS[kind], {"spec": spec, "psi": psi, **values})
     _fill("", _document(params), doc)
     return params

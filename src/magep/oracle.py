@@ -17,7 +17,7 @@ family's known linear relations show as that many null singular values.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -276,26 +276,26 @@ _FAMILIES = {
 }
 
 
-def _feature_row(U: WeightObject, psi: PsiParams, families: Sequence[str]) -> np.ndarray:
-    """The selected column groups of ``U``, flattened and joined in order."""
-    terms = all_terms(U, psi)
-    parts = []
-    for fam in families:
-        table, keys = _FAMILIES[fam]
-        if fam == "const":
-            parts.append(np.ones(1))
-        else:
-            parts += [getattr(terms, table)[key].ravel() for key in keys(U.spec.L)]
-    return np.concatenate(parts)
+def _feature_rows(U: WeightObject, psi: PsiParams, sets) -> list[np.ndarray]:
+    """For each family set, the selected column groups of ``U``, flattened
+    and joined in order, from one evaluation of the terms."""
+    terms, L = all_terms(U, psi), U.spec.L
+    cols = {
+        fam: [np.ones(1)] if table is None else [getattr(terms, table)[k].ravel() for k in keys(L)]
+        for fam, (table, keys) in _FAMILIES.items()
+    }
+    return [np.concatenate([c for fam in families for c in cols[fam]]) for families in sets]
 
 
-def _design(spec, psi, families, rng) -> np.ndarray:
-    """Feature rows of ``OVERSAMPLE * F`` i.i.d. uniform(-1, 1) weight
-    objects ``rng.child("design", k)``, F being the feature count."""
+def _design(spec, psi, sets, rng) -> list[np.ndarray]:
+    """For each family set, the feature rows of the first ``OVERSAMPLE * F``
+    i.i.d. uniform(-1, 1) weight objects ``rng.child("design", k)``, F being
+    the set's feature count.  Each object is drawn and evaluated once."""
     draw = lambda k: random_weights(spec, rng.child("design", k), Uniform(-1.0, 1.0))
-    rows = [_feature_row(draw(0), psi, families)]
-    rows += [_feature_row(draw(k), psi, families) for k in range(1, OVERSAMPLE * rows[0].size)]
-    return np.stack(rows)
+    rows = [_feature_rows(draw(0), psi, sets)]
+    counts = [OVERSAMPLE * row.size for row in rows[0]]
+    rows += [_feature_rows(draw(k), psi, sets) for k in range(1, max(counts))]
+    return [np.stack([r[i] for r in rows[:m]]) for i, m in enumerate(counts)]
 
 
 def independence_report(
@@ -306,9 +306,11 @@ def independence_report(
 ) -> dict:
     """Numerical rank of the stable-term families on one design matrix draw.
 
-    Every family is evaluated on the same ``OVERSAMPLE * F`` uniform(-1, 1)
-    weight objects ``rng.child("design", k)``, and a singular value counts
-    as null when its ratio to the largest is below ``threshold``.
+    Each family set is evaluated on the first ``OVERSAMPLE * F`` of the
+    uniform(-1, 1) weight objects ``rng.child("design", k)``, F being its
+    feature count.  The objects are drawn, and their terms evaluated, once
+    for all three sets.  A singular value counts as null when its ratio to
+    the largest is below ``threshold``.
 
     The families asserted independent (all ``[W]^(s,t)`` except ``(L,0)``,
     all biases, all ``[Wb]`` with ``s < L``, and the constant) report their
@@ -321,34 +323,29 @@ def independence_report(
     ``tr [bW]^(s)(L,s) = psi^(s,s) . [Wb]^(L,s)(s)``.  A broken relation
     leaves fewer null directions, and a family that vanishes more.
     """
-
-    def sigma_ratios(families):
-        X = _design(spec, psi, families, rng)
+    asserted = ["w_noL0", "b", "wb_noL", "const"]
+    coupled = (["w_L0", "ww_diag"], ["wb_L", "bw_diag"])
+    ratios = []
+    for X in _design(spec, psi, [asserted, *coupled], rng):
         sv = np.linalg.svd(X, compute_uv=False)
-        return sv / sv[0]
-
-    report: dict = {
+        ratios.append(sv / sv[0])
+    return {
         "spec": {"L": spec.L, "n": list(spec.n), "d": spec.d},
         "threshold": threshold,
         "oversample": OVERSAMPLE,
-    }
-    asserted = ["w_noL0", "b", "wb_noL", "const"]
-    ratios = sigma_ratios(asserted)
-    report["asserted_independent"] = {
-        "families": asserted,
-        "features": ratios.size,
-        "sigma_ratio": float(ratios[-1]),
-        "full_rank": bool(ratios[-1] >= threshold),
-    }
-    report["coupled"] = []
-    for fams in (["w_L0", "ww_diag"], ["wb_L", "bw_diag"]):
-        ratios = sigma_ratios(fams)
-        report["coupled"].append(
+        "asserted_independent": {
+            "families": asserted,
+            "features": ratios[0].size,
+            "sigma_ratio": float(ratios[0][-1]),
+            "full_rank": bool(ratios[0][-1] >= threshold),
+        },
+        "coupled": [
             {
                 "families": fams,
-                "features": ratios.size,
-                "deficiency": int(np.count_nonzero(ratios < threshold)),
+                "features": r.size,
+                "deficiency": int(np.count_nonzero(r < threshold)),
                 "expected_deficiency": (spec.L - 1) * spec.d,
             }
-        )
-    return report
+            for fams, r in zip(coupled, ratios[1:])
+        ],
+    }

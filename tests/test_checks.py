@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from magep import checks, cli, layers, oracle
+from magep.dense import Rng
 from magep.errors import ValidationError
 
 from report_schema import assert_report
@@ -236,3 +238,30 @@ def test_grid_rejects_what_no_suite_can_draw_from(bad):
 def test_grid_normalizes_its_fields():
     grid = checks.Grid(L_values=[np.int64(2)], n_max=np.int32(3), scale_range=[1, 2])
     assert grid == checks.Grid(L_values=(2,), n_max=3, scale_range=(1.0, 2.0))
+
+
+_DRAWS = ("uniform", "random", "gaussian", "log_uniform", "signs", "integers", "permutation", "choice")
+
+
+def test_a_small_grid_builds_and_draws_a_pinned_number_of_times(monkeypatch):
+    # The trials' set-up work as counts: a stream is seeded at its first
+    # draw, small coefficient blocks are drawn in runs, Psi one buffer at a
+    # time, and the rank report draws its design objects once.  A
+    # log_uniform call counts its uniform call too.
+    generators, calls = [], Counter()
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: generators.append(seed) or pcg64(seed))
+
+    def counted(name, method):
+        def draw(self, *args, **kwargs):
+            calls[name] += 1
+            return method(self, *args, **kwargs)
+        return draw
+
+    for name in _DRAWS:
+        monkeypatch.setattr(Rng, name, counted(name, getattr(Rng, name)))
+    checks.run_suites("all", 4, seed=1)
+    assert len(generators) == 394
+    assert calls == Counter(
+        uniform=359, random=46, log_uniform=25, signs=33, integers=138, permutation=58, choice=82
+    )

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,22 @@ def test_rng_child_streams_are_independent_and_reproducible():
     again = Rng(9).child("suite", 0).uniform(0.0, 1.0, 4)
     assert np.array_equal(c1, again)
     assert not np.array_equal(c1, c2)
+
+
+def test_a_lazily_seeded_child_draws_the_stream_of_its_entropy():
+    # The generator is built at the first draw; deriving siblings and
+    # children first, and drawing from them, must not move the stream.
+    base = Rng(-7)
+    child = base.child("suite", 3)
+    for other in (base.child("suite", 4), child.child("x"), base):
+        other.uniform(-1.0, 1.0, 5)
+    entropy = (-7 & 0xFFFFFFFFFFFFFFFF, zlib.crc32(b"suite"), 3)
+    fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    assert child.random(16).tobytes() == fresh.random(16).tobytes()
+    # uniform(lo, hi) is lo + (hi - lo) * random() on the same draws, the
+    # identity the coefficient runs rely on.
+    a = 0.37
+    assert Rng(8).uniform(-a, a, 16).tobytes() == (-a + (a + a) * Rng(8).random(16)).tobytes()
 
 
 def test_rng_log_uniform_degenerate_and_bounds():

@@ -280,3 +280,13 @@ def test_fit_round_trip_bit_exact(tmp_path):
     assert loaded.lam == fit.lam
     assert loaded.train_mse == fit.train_mse
     assert loaded.test_mse == fit.test_mse
+
+
+@pytest.mark.parametrize("label, at", [("train_mse", 2), ("test_mse", 3)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+def test_fit_result_rejects_a_non_finite_or_negative_mse(label, at, value):
+    # save_fit cannot write a non-finite number: the constructor stops it first.
+    args = [np.ones((1, 1)), 0.0, 0.5, 0.25]
+    args[at] = value
+    with pytest.raises(ValidationError, match=f"{label} must be finite and >= 0"):
+        fitting.FitResult(*args)

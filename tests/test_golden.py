@@ -2,7 +2,8 @@
 
 A refactor of how coefficient blocks are declared, drawn, validated or
 saved must leave the ``.mgp.json``/``.mgw.json`` bytes and the ``blocks()``
-key order exactly as they were; these digests pin them.  The
+key order exactly as they were; these digests pin them.  A small check
+report pins every suite's streams and draw order too.  The
 ``.mgfit.json`` digest is of a fixed ``phi``, not of a fit, so it pins the
 writer alone: a fit's ``phi`` may move whenever the feature arithmetic is
 reassociated.
@@ -12,7 +13,7 @@ import hashlib
 
 import pytest
 
-from magep import fitting, layers, oracle, weightspace
+from magep import checks, fitting, jsonio, layers, oracle, weightspace
 from magep.dense import Rng
 from magep.weightspace import Gaussian, Uniform, WeightSpec, random_weights
 
@@ -118,3 +119,14 @@ def test_naive_forward_bytes(kind, name):
         params = layers.init_invariant(spec, e, 3, r.child("params"))
         out = oracle.naive_invariant_forward(params, U).tobytes()
     assert hashlib.sha256(out).hexdigest() == NAIVE[(kind, name)]
+
+
+# Every suite at 20 trials: a change to any stream, any draw order, or the
+# rank suite's shared design draws moves it.  Its residuals come from BLAS
+# products, so a BLAS build that differs in the last digits moves it too.
+REPORT = "8d3dd58e12cf11eb1e8f88d3737147c6a8f171d85dd4e14359b9cd3453abd754"
+
+
+def test_check_report_bytes():
+    text = jsonio.dumps(checks.run_suites("all", 20, seed=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT

@@ -1,6 +1,7 @@
 
 import copy
 import dataclasses
+import math
 import pickle
 import re
 from collections.abc import Mapping
@@ -13,7 +14,7 @@ from magep.checks import Grid
 from magep.activations import abs_act, relu, sin, tanh
 from magep.dense import Rng, rel_residual
 from magep.errors import ConfigurationError, ValidationError
-from magep.stableterms import PsiParams
+from magep.stableterms import RUN_CAP, PsiParams, _cells, _declared, psi_indices
 from magep.weightspace import Uniform, WeightObject, WeightSpec, random_weights
 
 from helpers import constant_psi
@@ -758,3 +759,78 @@ def test_zero_scale_init_gives_negative_zero_blocks_and_draws_nothing():
         blocks = init(r).blocks()
         assert all(np.all(v == 0.0) and np.all(np.signbit(v)) for v in blocks.values())
         assert np.array_equal(r.uniform(0.0, 1.0, 8), Rng(44).uniform(0.0, 1.0, 8))
+
+
+def _draw_per_block(cls, rng, spec, views, scale):
+    """The reference draw: one ``rng.uniform(-a, a, shape)`` per block, in
+    field order, a table's entries in ascending key order."""
+    sizes = {"1": 1, "d": spec.d, "n0": spec.n[0], "nL": spec.n[-1]}
+    for name, decl in _declared(cls):
+        for k, cell in _cells(decl, views[name]):
+            if k is not None:
+                sizes["nk"] = spec.n[k]
+            a = scale if decl.fan_of is None else scale / math.sqrt(math.prod(decl.fan_of(sizes)))
+            cell[...] = rng.uniform(-a, a, cell.shape)
+
+
+def _psi_per_entry(spec, rng):
+    """The reference Psi: one uniform(-1, 1) draw per entry, every [bW] one
+    in psi_indices order, then every [WW] one."""
+    keys, n0, nL = psi_indices(spec.L), spec.n[0], spec.n[-1]
+    bw = {k: rng.uniform(-1.0, 1.0, (1, nL)) for k in keys}
+    return PsiParams(spec, bw, {k: rng.uniform(-1.0, 1.0, (n0, nL)) for k in keys})
+
+
+# Blocks of RUN_CAP entries or more among smaller ones (n = 32), runs cut at
+# the cap (n = 8), interior layers (L = 4), and width-1 layers.
+_DRAW_SPECS = [
+    (WeightSpec(2, (32, 32, 32), 2), 4),
+    (WeightSpec(3, (8, 8, 8, 8), 2), 3),
+    (WeightSpec(4, (3, 2, 4, 2, 3), 2), 3),
+    (WeightSpec(3, (1, 2, 1, 1), 1), 1),
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, 0.0])
+@pytest.mark.parametrize("spec, e", _DRAW_SPECS, ids=str)
+def test_run_draw_equals_one_uniform_draw_per_block(monkeypatch, spec, e, scale):
+    inits = {
+        "equivariant": lambda r, psi=None: layers.init_equivariant(spec, e, r, scale, psi),
+        "invariant": lambda r, psi=None: layers.init_invariant(spec, e, 3, r, scale, psi),
+    }
+    got, runs, random = {}, [], Rng.random
+    monkeypatch.setattr(Rng, "random", lambda self, size: runs.append(size) or random(self, size))
+    for kind, init in inits.items():
+        r = Rng(47)
+        got[kind] = init(r), r.random(4)
+    # A run longer than the cap would hold a second copy of a whole layer.
+    assert max(runs) < RUN_CAP
+    monkeypatch.setattr(layers, "_draw", _draw_per_block)
+    psi = _psi_per_entry(spec, Rng(47).child("psi"))
+    for kind, init in inits.items():
+        r = Rng(47)
+        (p, after), want = got[kind], init(r, psi)
+        assert list(p.blocks()) == list(want.blocks())
+        for name, block in want.blocks().items():
+            assert p.blocks()[name].tobytes() == block.tobytes(), (kind, name)
+        for table, ref in ((p.psi.bw, psi.bw), (p.psi.ww, psi.ww)):
+            assert all(table[k].tobytes() == ref[k].tobytes() for k in ref), kind
+        # Both draws leave the stream at the same place.
+        assert after.tobytes() == r.random(4).tobytes(), kind
+        if scale == 0.0:
+            assert all(np.all(v == 0.0) & np.all(np.signbit(v)) for v in p.blocks().values())
+            assert after.tobytes() == Rng(47).random(4).tobytes()
+    if spec.n[0] == 32:
+        assert any(v.size >= RUN_CAP for v in want.blocks().values())
+
+
+@pytest.mark.parametrize("init", [
+    lambda spec, r, scale: layers.init_equivariant(spec, 2, r, scale),
+    lambda spec, r, scale: layers.init_invariant(spec, 2, 3, r, scale),
+], ids=["equivariant", "invariant"])
+@pytest.mark.parametrize("scale", [-1.0, -1e-300, math.nan, math.inf, -math.inf, 1e308])
+def test_init_rejects_a_scale_it_cannot_draw_from(init, scale):
+    # uniform(-a, a) is drawn as -a + (a + a) u: a negative scale would draw
+    # silently, and a scale whose double overflows would give inf and NaN.
+    with pytest.raises(ValidationError, match="scale must be >= 0"):
+        init(WeightSpec(3, (2, 3, 2, 2), 2), Rng(48), scale)

@@ -103,18 +103,32 @@ def test_naive_scalar_spec_hand_check():
 def test_design_matrix_bias_family_full_rank():
     spec = WeightSpec(3, (2, 2, 2, 2), 1)
     psi = PsiParams.random(spec, Rng(5))
-    X = oracle._design(spec, psi, ["b"], Rng(6))
+    (X,) = oracle._design(spec, psi, [["b"]], Rng(6))
     assert X.shape == (18, 6)  # 3 rows per column; n_1 + n_2 + n_3 columns
     sv = np.linalg.svd(X, compute_uv=False)
     assert sv[-1] / sv[0] >= 1e-6
 
+
+
+def test_shared_design_gives_each_set_the_rows_of_its_own_draw():
+    # The rank report draws its design objects once for all family sets;
+    # each set must still read exactly the first OVERSAMPLE * F objects, as
+    # a draw for that set alone would.
+    spec = WeightSpec(3, (2, 1, 2, 2), 2)
+    psi = PsiParams.random(spec, Rng(12))
+    sets = [["w_noL0", "b", "wb_noL", "const"], ["w_L0", "ww_diag"], ["wb_L", "bw_diag"]]
+    shared = oracle._design(spec, psi, sets, Rng(13))
+    assert [X.shape[0] for X in shared] == [oracle.OVERSAMPLE * X.shape[1] for X in shared]
+    for families, X in zip(sets, shared):
+        (alone,) = oracle._design(spec, psi, [families], Rng(13))
+        assert X.tobytes() == alone.tobytes(), families
 
 def test_width_one_collapse_columns_identical():
     # all widths 1 with unit connection matrices: the [W](L,0) column equals
     # every [WW](s,0)(L,s) column
     spec = WeightSpec(3, (1, 1, 1, 1), 1)
     psi = constant_psi(spec, 1.0)
-    X = oracle._design(spec, psi, ["w_L0", "ww_diag"], Rng(11))
+    (X,) = oracle._design(spec, psi, [["w_L0", "ww_diag"]], Rng(11))
     assert X.shape == (9, 3)
     assert np.max(np.abs(X[:, 0] - X[:, 1])) <= 1e-12
     assert np.max(np.abs(X[:, 0] - X[:, 2])) <= 1e-12
