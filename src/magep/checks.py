@@ -2,18 +2,22 @@
 
 Each suite draws random instances from an architecture grid, measures the
 worst relative residual of one identity, and reports it against a pinned
-tolerance.  All randomness flows from one seed: trial k of suite ``name``
-uses the stream ``Rng(seed).child(name, k)``.  A record reports the worst
-residual but not yet the trial that gave it, so a failure is located by
-rerunning that suite's trials.
+tolerance.  Every suite but rank is a trial function ``(r, k, grid)`` that
+one loop, :func:`_run_trials`, runs on the stream
+``r = Rng(seed).child(name, k)`` for each trial k, keeping the worst
+residual; rank runs its own loop over a few specs.  A record reports the
+worst residual but not yet the trial that gave it, so a failure is located
+by calling that suite's trial function on each k.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import traceback
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -103,6 +107,22 @@ def _record(name, trials, worst, tol, ok, **details) -> dict:
     }
 
 
+def _run_trials(name, trial, summary, trials, rng, grid, tol, **options) -> dict:
+    """Suite ``name``'s record from ``trial(r, k, grid)`` on each stream
+    ``r = rng.child(name, k)``, k < trials.  A trial returns its residual,
+    or a tuple of the residual and the suite's extras; each position is kept
+    at its max over the trials.  ``summary(rng, grid, *extras)`` gives the
+    pass condition and details the extras add; ``options`` reach both."""
+    worst = None
+    for k in range(trials):
+        out = trial(rng.child(name, k), k, grid, **options)
+        out = out if isinstance(out, tuple) else (out,)
+        worst = out if worst is None else tuple(map(max, worst, out))
+    residual, *extras = worst
+    ok, details = summary(rng, grid, *extras, **options) if summary else (True, {})
+    return _record(name, trials, residual, tol, ok and residual <= tol, **details)
+
+
 def _draw(r: Rng, grid: Grid, variant=None, d=None, n_min=1, batch=None):
     """A trial's spec, uniform(-1, 1) weights ``U`` and group element ``g``
     (``None`` without a variant), from the streams ``r.child("spec"|"U"|"g")``."""
@@ -119,59 +139,53 @@ def _block_residual(A: WeightObject, B: WeightObject) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Trials
 
 
-def _suite_group(trials, rng, grid, tol):
-    worst_action = 0.0
-    worst_scale = 0.0
-    perm_exact = True
-    for k in range(trials):
-        r = rng.child("group", k)
-        variant = _variant_for(k)
-        spec, U, g = _draw(r, grid, variant)
-        h = monomial.sample(spec, r.child("h"), variant, grid.scale_range)
+def _trial_group(r, k, grid):
+    """Action residual, the scale residual of ``g g^-1`` and whether a
+    permutation part came out inexact."""
+    variant = _variant_for(k)
+    spec, U, g = _draw(r, grid, variant)
+    h = monomial.sample(spec, r.child("h"), variant, grid.scale_range)
 
-        gid = monomial.identity(spec, variant)
-        if not monomial.act(gid, U).equal(U):
-            perm_exact = False
-        unit = monomial.compose(g, monomial.invert(g))
-        for m in unit.layers:
-            if not np.array_equal(m.perm, np.arange(m.n)):
-                perm_exact = False
-            worst_scale = max(worst_scale, float(np.max(np.abs(m.scales - 1.0))))
-        lhs = monomial.act(monomial.compose(g, h), U)
-        rhs = monomial.act(g, monomial.act(h, U))
-        worst_action = max(worst_action, _block_residual(lhs, rhs))
-        worst_action = max(worst_action, _block_residual(monomial.act(unit, U), U))
-    ok = perm_exact and worst_scale <= GROUP_SCALE_TOL and worst_action <= tol
-    return _record(
-        "group", trials, worst_action, tol, ok,
-        perm_parts_exact=perm_exact,
-        max_scale_residual=worst_scale,
-        scale_tolerance=GROUP_SCALE_TOL,
+    gid = monomial.identity(spec, variant)
+    unit = monomial.compose(g, monomial.invert(g))
+    perm_inexact = not monomial.act(gid, U).equal(U) or any(
+        not np.array_equal(m.perm, np.arange(m.n)) for m in unit.layers
     )
+    scale = max(float(np.max(np.abs(m.scales - 1.0))) for m in unit.layers)
+    lhs = monomial.act(monomial.compose(g, h), U)
+    rhs = monomial.act(g, monomial.act(h, U))
+    action = max(_block_residual(lhs, rhs), _block_residual(monomial.act(unit, U), U))
+    return action, scale, perm_inexact
 
 
-def _suite_stability(trials, rng, grid, tol):
+def _group_summary(rng, grid, scale, perm_inexact):
+    return not perm_inexact and scale <= GROUP_SCALE_TOL, {
+        "perm_parts_exact": not perm_inexact,
+        "max_scale_residual": scale,
+        "scale_tolerance": GROUP_SCALE_TOL,
+    }
+
+
+def _trial_stability(r, k, grid):
+    spec, U, g = _draw(r, grid, _variant_for(k))
+    psi = PsiParams.random(spec, r.child("psi"))
+    T, gT = all_terms(U, psi), all_terms(monomial.act(g, U), psi)
+    # [W], [bW] and [WW] at (s, t) move by g_s on rows and g_t^-1 on
+    # columns; [b] and [Wb] move by g_s alone.
     worst = 0.0
-    for k in range(trials):
-        r = rng.child("stability", k)
-        spec, U, g = _draw(r, grid, _variant_for(k))
-        psi = PsiParams.random(spec, r.child("psi"))
-        T, gT = all_terms(U, psi), all_terms(monomial.act(g, U), psi)
-        # [W], [bW] and [WW] at (s, t) move by g_s on rows and g_t^-1 on
-        # columns; [b] and [Wb] move by g_s alone.
-        for table, moved in ((T.w, gT.w), (T.bw, gT.bw), (T.ww, gT.ww)):
-            for (s, t), v in table.items():
-                want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(v))
-                worst = max(worst, rel_residual(moved[(s, t)], want))
-        rows = lambda s, v: g.layer(s).apply_rows(v[..., None])[..., 0]
-        for s, v in T.b.items():
-            worst = max(worst, rel_residual(gT.b[s], rows(s, v)))
-        for (s, t), v in T.wb.items():
-            worst = max(worst, rel_residual(gT.wb[(s, t)], rows(s, v)))
-    return _record("stability", trials, worst, tol, worst <= tol)
+    for table, moved in ((T.w, gT.w), (T.bw, gT.bw), (T.ww, gT.ww)):
+        for (s, t), v in table.items():
+            want = g.layer(t).apply_cols_inverse(g.layer(s).apply_rows(v))
+            worst = max(worst, rel_residual(moved[(s, t)], want))
+    rows = lambda s, v: g.layer(s).apply_rows(v[..., None])[..., 0]
+    for s, v in T.b.items():
+        worst = max(worst, rel_residual(gT.b[s], rows(s, v)))
+    for (s, t), v in T.wb.items():
+        worst = max(worst, rel_residual(gT.wb[(s, t)], rows(s, v)))
+    return worst
 
 
 def _chain_identities(V, chains, s, t, rr, row):
@@ -188,35 +202,35 @@ def _chain_identities(V, chains, s, t, rr, row):
     return pairs
 
 
-def _suite_chains(trials, rng, grid, tol):
-    worst = 0.0
-    exact_specialization = True
-    for k in range(trials):
-        r = rng.child("chains", k)
-        spec, U, _ = _draw(r, grid)
-        absU = U.map(np.abs)
-        chains, abs_chains = _w_chains(U), _w_chains(absU)
-        L = spec.L
-        for s in range(1, L + 1):
-            if not np.array_equal(chains[(s, s - 1)], U.weight(s)):
-                exact_specialization = False
-        for s in range(2, L + 1):
-            for t in range(1, s):
-                for rr in range(t):
-                    row = r.child("psirow", s, t, rr).uniform(-1.0, 1.0, (1, spec.n[s]))
-                    # Each residual is measured against the same product over
-                    # the absolute values of its factors, which bounds its
-                    # rounding error; max|product| is no such scale, since
-                    # cancellation can make it arbitrarily small.
-                    exact = _chain_identities(U, chains, s, t, rr, row)
-                    bounds = _chain_identities(absU, abs_chains, s, t, rr, np.abs(row))
-                    for (got, want), (bound, _) in zip(exact, bounds):
-                        ratio = float(np.max(np.abs(got - want)) / np.max(bound))
-                        worst = max(worst, math.inf if math.isnan(ratio) else ratio)
-    return _record(
-        "chains", trials, worst, tol, worst <= tol and exact_specialization,
-        one_step_chain_exact=exact_specialization,
+def _trial_chains(r, k, grid):
+    """Worst chain-identity ratio and whether a one-step chain differs from
+    its weight."""
+    spec, U, _ = _draw(r, grid)
+    absU = U.map(np.abs)
+    chains, abs_chains = _w_chains(U), _w_chains(absU)
+    L = spec.L
+    one_step_inexact = not all(
+        np.array_equal(chains[(s, s - 1)], U.weight(s)) for s in range(1, L + 1)
     )
+    worst = 0.0
+    for s in range(2, L + 1):
+        for t in range(1, s):
+            for rr in range(t):
+                row = r.child("psirow", s, t, rr).uniform(-1.0, 1.0, (1, spec.n[s]))
+                # Each residual is measured against the same product over
+                # the absolute values of its factors, which bounds its
+                # rounding error; max|product| is no such scale, since
+                # cancellation can make it arbitrarily small.
+                exact = _chain_identities(U, chains, s, t, rr, row)
+                bounds = _chain_identities(absU, abs_chains, s, t, rr, np.abs(row))
+                for (got, want), (bound, _) in zip(exact, bounds):
+                    ratio = float(np.max(np.abs(got - want)) / np.max(bound))
+                    worst = max(worst, math.inf if math.isnan(ratio) else ratio)
+    return worst, one_step_inexact
+
+
+def _chains_summary(rng, grid, one_step_inexact):
+    return not one_step_inexact, {"one_step_chain_exact": not one_step_inexact}
 
 
 _NETINV_PAIRS = (
@@ -234,16 +248,15 @@ def _mlp_residual(U, g, x, act):
     )
 
 
-def _suite_netinv(trials, rng, grid, tol):
-    worst = 0.0
-    for k in range(trials):
-        r = rng.child("netinv", k)
-        act, variant = _NETINV_PAIRS[k % len(_NETINV_PAIRS)]
-        spec, U, g = _draw(r, grid, variant, d=1)
-        x = r.child("x").uniform(-1.0, 1.0, spec.n[0])
-        worst = max(worst, _mlp_residual(U, g, x, act))
-    # Vacuity guard: a mismatched activation/variant pair must visibly break
-    # the invariance on at least one instance.
+def _trial_netinv(r, k, grid):
+    act, variant = _NETINV_PAIRS[k % len(_NETINV_PAIRS)]
+    spec, U, g = _draw(r, grid, variant, d=1)
+    return _mlp_residual(U, g, r.child("x").uniform(-1.0, 1.0, spec.n[0]), act)
+
+
+def _netinv_summary(rng, grid):
+    """Vacuity guard: a mismatched activation/variant pair must visibly break
+    the invariance on at least one instance."""
     witness = 0.0
     for k in range(50):
         r = rng.child("netinv-witness", k)
@@ -254,11 +267,10 @@ def _suite_netinv(trials, rng, grid, tol):
         witness = max(witness, _mlp_residual(U, g, x, relu))
         if witness > NETINV_WITNESS_FLOOR:
             break
-    return _record(
-        "netinv", trials, worst, tol, worst <= tol and witness > NETINV_WITNESS_FLOOR,
-        mismatch_witness_residual=witness,
-        witness_floor=NETINV_WITNESS_FLOOR,
-    )
+    return witness > NETINV_WITNESS_FLOOR, {
+        "mismatch_witness_residual": witness,
+        "witness_floor": NETINV_WITNESS_FLOOR,
+    }
 
 
 def _force_hidden_swap(g, variant):
@@ -283,44 +295,37 @@ def _corrupt_equivariant(params, U, out):
     return WeightObject(out.spec, tuple(W), tuple(out.b), out.batch)
 
 
-def _suite_equiv(trials, rng, grid, tol, mutate_sharing=False):
-    worst = 0.0
-    for k in range(trials):
-        r = rng.child("equiv", k)
-        variant = _variant_for(k)
-        batch = 2 if k % 3 == 0 else None
-        spec, U, g = _draw(r, grid, variant, n_min=2 if mutate_sharing else 1, batch=batch)
-        e = r.child("e").choice(grid.e_values)
-        params = layers.init_equivariant(spec, e, r.child("params"))
-        if mutate_sharing:
-            g = _force_hidden_swap(g, variant)
-        gU = monomial.act(g, U)
-        out_U = layers.equivariant_forward(params, U)
-        out_gU = layers.equivariant_forward(params, gU)
-        if mutate_sharing:
-            out_U = _corrupt_equivariant(params, U, out_U)
-            out_gU = _corrupt_equivariant(params, gU, out_gU)
-        # The action is channel-independent, so g acts on the e-channel output.
-        worst = max(worst, _block_residual(out_gU, monomial.act(g, out_U)))
-    return _record("equiv", trials, worst, tol, worst <= tol, sharing_mutation=bool(mutate_sharing))
+def _trial_equiv(r, k, grid, mutate_sharing=False):
+    variant = _variant_for(k)
+    batch = 2 if k % 3 == 0 else None
+    spec, U, g = _draw(r, grid, variant, n_min=2 if mutate_sharing else 1, batch=batch)
+    e = r.child("e").choice(grid.e_values)
+    params = layers.init_equivariant(spec, e, r.child("params"))
+    if mutate_sharing:
+        g = _force_hidden_swap(g, variant)
+    gU = monomial.act(g, U)
+    out_U = layers.equivariant_forward(params, U)
+    out_gU = layers.equivariant_forward(params, gU)
+    if mutate_sharing:
+        out_U = _corrupt_equivariant(params, U, out_U)
+        out_gU = _corrupt_equivariant(params, gU, out_gU)
+    # The action is channel-independent, so g acts on the e-channel output.
+    return _block_residual(out_gU, monomial.act(g, out_U))
 
 
-def _suite_inv(trials, rng, grid, tol):
-    worst = 0.0
-    for k in range(trials):
-        r = rng.child("inv", k)
-        batch = 2 if k % 3 == 0 else None
-        spec, U, g = _draw(r, grid, _variant_for(k), batch=batch)
-        e = r.child("e").choice(grid.e_values)
-        params = layers.init_invariant(spec, e, 3, r.child("params"))
-        worst = max(
-            worst,
-            rel_residual(
-                layers.invariant_forward(params, monomial.act(g, U)),
-                layers.invariant_forward(params, U),
-            ),
-        )
-    return _record("inv", trials, worst, tol, worst <= tol)
+def _equiv_summary(rng, grid, mutate_sharing=False):
+    return True, {"sharing_mutation": bool(mutate_sharing)}
+
+
+def _trial_inv(r, k, grid):
+    batch = 2 if k % 3 == 0 else None
+    spec, U, g = _draw(r, grid, _variant_for(k), batch=batch)
+    e = r.child("e").choice(grid.e_values)
+    params = layers.init_invariant(spec, e, 3, r.child("params"))
+    return rel_residual(
+        layers.invariant_forward(params, monomial.act(g, U)),
+        layers.invariant_forward(params, U),
+    )
 
 
 _STACK_PAIRS = (
@@ -331,47 +336,33 @@ _STACK_PAIRS = (
 )
 
 
-def _suite_stack(trials, rng, grid, tol):
-    worst = 0.0
-    for k in range(trials):
-        r = rng.child("stack", k)
-        act, variant = _STACK_PAIRS[k % len(_STACK_PAIRS)]
-        spec, U, g = _draw(r, grid, variant)
-        re = r.child("e")
-        e1 = re.choice(grid.e_values)
-        e2 = re.choice(grid.e_values)
-        p1 = layers.init_equivariant(spec, e1, r.child("p1"))
-        spec2 = WeightSpec(spec.L, spec.n, e1)
-        p2 = layers.init_equivariant(spec2, e2, r.child("p2"))
-        head = layers.init_invariant(WeightSpec(spec.L, spec.n, e2), 2, 3, r.child("head"))
-        stack = [(p1, act), (p2, act)]
-        worst = max(
-            worst,
-            rel_residual(
-                layers.stack_forward(stack, head, monomial.act(g, U), variant),
-                layers.stack_forward(stack, head, U, variant),
-            ),
-        )
-    return _record("stack", trials, worst, tol, worst <= tol)
+def _trial_stack(r, k, grid):
+    act, variant = _STACK_PAIRS[k % len(_STACK_PAIRS)]
+    spec, U, g = _draw(r, grid, variant)
+    re = r.child("e")
+    e1 = re.choice(grid.e_values)
+    e2 = re.choice(grid.e_values)
+    p1 = layers.init_equivariant(spec, e1, r.child("p1"))
+    spec2 = WeightSpec(spec.L, spec.n, e1)
+    p2 = layers.init_equivariant(spec2, e2, r.child("p2"))
+    head = layers.init_invariant(WeightSpec(spec.L, spec.n, e2), 2, 3, r.child("head"))
+    stack = [(p1, act), (p2, act)]
+    return rel_residual(
+        layers.stack_forward(stack, head, monomial.act(g, U), variant),
+        layers.stack_forward(stack, head, U, variant),
+    )
 
 
-def _suite_oracle(trials, rng, grid, tol):
-    worst = 0.0
-    for k in range(trials):
-        r = rng.child("oracle", k)
-        spec, U, _ = _draw(r, grid)
-        e = r.child("e").choice(grid.e_values)
-        eq = layers.init_equivariant(spec, e, r.child("eq"))
-        inv = layers.init_invariant(spec, e, 2, r.child("inv"))
-        fast = layers.equivariant_forward(eq, U)
-        worst = max(worst, _block_residual(fast, oracle.naive_equivariant_forward(eq, U)))
-        worst = max(
-            worst,
-            rel_residual(
-                layers.invariant_forward(inv, U), oracle.naive_invariant_forward(inv, U)
-            ),
-        )
-    return _record("oracle", trials, worst, tol, worst <= tol)
+def _trial_oracle(r, k, grid):
+    spec, U, _ = _draw(r, grid)
+    e = r.child("e").choice(grid.e_values)
+    eq = layers.init_equivariant(spec, e, r.child("eq"))
+    inv = layers.init_invariant(spec, e, 2, r.child("inv"))
+    fast = layers.equivariant_forward(eq, U)
+    return max(
+        _block_residual(fast, oracle.naive_equivariant_forward(eq, U)),
+        rel_residual(layers.invariant_forward(inv, U), oracle.naive_invariant_forward(inv, U)),
+    )
 
 
 def _suite_rank(trials, rng, grid, tol):
@@ -409,23 +400,34 @@ def _suite_rank(trials, rng, grid, tol):
     )
 
 
+# Each suite's runner, (trials, rng, grid, tol, **options) -> record.
 _SUITE_FNS = {
-    "group": _suite_group,
-    "stability": _suite_stability,
-    "chains": _suite_chains,
-    "netinv": _suite_netinv,
-    "equiv": _suite_equiv,
-    "inv": _suite_inv,
-    "stack": _suite_stack,
-    "oracle": _suite_oracle,
+    "group": partial(_run_trials, "group", _trial_group, _group_summary),
+    "stability": partial(_run_trials, "stability", _trial_stability, None),
+    "chains": partial(_run_trials, "chains", _trial_chains, _chains_summary),
+    "netinv": partial(_run_trials, "netinv", _trial_netinv, _netinv_summary),
+    "equiv": partial(_run_trials, "equiv", _trial_equiv, _equiv_summary),
+    "inv": partial(_run_trials, "inv", _trial_inv, None),
+    "stack": partial(_run_trials, "stack", _trial_stack, None),
+    "oracle": partial(_run_trials, "oracle", _trial_oracle, None),
     "rank": _suite_rank,
 }
 
 
-def _require_trials(trials: int) -> None:
-    """Zero trials would report a pass that checked nothing."""
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+def _require_run(names, trials, seed, mutate_sharing) -> tuple[int, int]:
+    """``trials`` and ``seed`` as ints, checked with the selected ``names``
+    before any suite runs.  Zero trials, or a sharing mutation without the
+    equiv suite that reads it, would report a pass that checked nothing."""
+    for name in names:
+        if name not in _SUITE_FNS:
+            raise ValidationError(f"unknown suite {name!r}")
+    if mutate_sharing and "equiv" not in names:
+        raise ValidationError(f"the sharing mutation needs the equiv suite, got {', '.join(names)}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    return _count("trials", trials, 1), seed
 
 
 def _require_tolerance(name: str, tol: float) -> None:
@@ -442,15 +444,13 @@ def run_suite(
     tolerance: float | None = None,
     mutate_sharing: bool = False,
 ) -> dict:
-    if name not in _SUITE_FNS:
-        raise ValidationError(f"unknown suite {name!r}")
-    _require_trials(trials)
+    trials, seed = _require_run((name,), trials, seed, mutate_sharing)
     grid = grid or Grid()
     tol = DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
     _require_tolerance(name, tol)
-    rng = Rng(seed)
-    kwargs = {"mutate_sharing": mutate_sharing} if name == "equiv" else {}
-    return _SUITE_FNS[name](trials, rng, grid, tol, **kwargs)
+    # Set only for equiv (checked above), the one runner that takes it.
+    options = {"mutate_sharing": True} if mutate_sharing else {}
+    return _SUITE_FNS[name](trials, Rng(seed), grid, tol, **options)
 
 
 def run_suites(
@@ -463,10 +463,8 @@ def run_suites(
 ) -> dict:
     """Run one suite or all of them; returns the full JSON-ready report."""
     # These checks come before the per-suite error records can swallow them.
-    _require_trials(trials)
-    if selector != "all" and selector not in _SUITE_FNS:
-        raise ValidationError(f"unknown suite {selector!r}")
     names = SUITE_NAMES if selector == "all" else (selector,)
+    trials, seed = _require_run(names, trials, seed, mutate_sharing)
     overrides = tolerance_overrides or {}
     for name, tol in overrides.items():
         if name not in _SUITE_FNS:
@@ -474,17 +472,9 @@ def run_suites(
         _require_tolerance(name, tol)
     records = []
     for name in names:
+        sharing = mutate_sharing and name == "equiv"
         try:
-            records.append(
-                run_suite(
-                    name,
-                    trials,
-                    seed,
-                    grid,
-                    overrides.get(name),
-                    mutate_sharing=mutate_sharing,
-                )
-            )
+            records.append(run_suite(name, trials, seed, grid, overrides.get(name), sharing))
         except Exception as exc:  # partial report still emitted
             tol = overrides.get(name, DEFAULT_TOLERANCES[name])
             frames = traceback.extract_tb(exc.__traceback__, limit=-TRACEBACK_FRAMES)
@@ -503,4 +493,3 @@ def run_suites(
         "suites": records,
         "pass": bool(all(rec["pass"] for rec in records)),
     }
-

@@ -214,6 +214,77 @@ def test_run_suites_rejects_an_unknown_suite_in_the_overrides_before_any_suite(m
         checks.run_suites("inv", 2, 0, tolerance_overrides={"bogus": 1.0})
 
 
+@pytest.fixture
+def no_suite_runs(monkeypatch):
+    for name in checks.SUITE_NAMES:
+        monkeypatch.setitem(checks._SUITE_FNS, name, lambda *a, **k: pytest.fail("suite ran"))
+
+
+@pytest.mark.parametrize("selector", ["inv", "stack", "rank"])
+def test_a_sharing_mutation_without_equiv_is_rejected_before_any_suite(no_suite_runs, selector):
+    # Only equiv reads the mutation; any other suite would pass vacuously.
+    with pytest.raises(ValidationError, match="needs the equiv suite"):
+        checks.run_suites(selector, 4, 3, mutate_sharing=True)
+    with pytest.raises(ValidationError, match="needs the equiv suite"):
+        checks.run_suite(selector, 4, 3, mutate_sharing=True)
+
+
+def test_a_sharing_mutation_fails_equiv_alone_in_a_full_run():
+    report = checks.run_suites("all", 4, 3, mutate_sharing=True)
+    failed = [rec["suite"] for rec in report["suites"] if not rec["pass"]]
+    assert failed == ["equiv"] and report["pass"] is False
+    assert [rec["details"].get("sharing_mutation") for rec in report["suites"]] == [
+        True if name == "equiv" else None for name in checks.SUITE_NAMES
+    ]
+
+
+@pytest.mark.parametrize(
+    "trials, seed, match",
+    [
+        (True, 0, "trials must be an integer"),
+        (2.5, 0, "trials must be an integer"),
+        ("2", 0, "trials must be an integer"),
+        (0, 0, "trials must be an integer >= 1"),
+        (2, 1.7, "seed must be an integer"),
+        (2, "1", "seed must be an integer"),
+    ],
+)
+def test_run_suites_rejects_non_integer_trials_and_seed_before_any_suite(no_suite_runs, trials, seed, match):
+    for selector in ("inv", "all"):
+        with pytest.raises(ValidationError, match=match):
+            checks.run_suites(selector, trials, seed)
+    with pytest.raises(ValidationError, match=match):
+        checks.run_suite("inv", trials, seed)
+
+
+def test_run_suites_takes_numpy_integers_as_trials_and_seed():
+    report = checks.run_suites("inv", np.int64(2), np.int32(1))
+    assert type(report["trials"]) is int and type(report["seed"]) is int
+    assert report == checks.run_suites("inv", 2, 1)
+    assert checks.run_suite("inv", np.int64(2), np.int32(1)) == report["suites"][0]
+
+
+TRIAL_SUITES = [name for name in checks.SUITE_NAMES if name != "rank"]
+
+
+@pytest.mark.parametrize("name", TRIAL_SUITES)
+def test_one_trial_replays_the_worst_residual_alone(name):
+    # Trial k of a suite is its trial function on Rng(seed).child(name, k),
+    # whatever the trials around it drew.
+    trials, seed, grid = 6, 4, checks.Grid()
+    trial = getattr(checks, f"_trial_{name}")
+
+    def residual(k):
+        out = trial(Rng(seed).child(name, k), k, grid)
+        return out[0] if isinstance(out, tuple) else out
+
+    residuals = [residual(k) for k in range(trials)]
+    worst = checks.run_suite(name, trials, seed, grid)["max_residual"]
+    assert worst == max(residuals) > 0.0
+    k = residuals.index(worst)
+    assert residual(k).hex() == worst.hex()
+
+
 @pytest.mark.parametrize(
     "bad",
     [

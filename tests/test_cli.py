@@ -83,6 +83,14 @@ def test_check_sharing_mutation_fails(tmp_path):
     assert report["pass"] is False
 
 
+@pytest.mark.parametrize("suite", ["inv", "stack"])
+def test_check_sharing_mutation_without_equiv_is_usage_error(suite):
+    res = run_cli("check", "--suite", suite, "--trials", "4", "--seed", "3", "--corrupt-sharing")
+    assert res.returncode == 2
+    assert "needs the equiv suite" in res.stderr
+    assert "[pass]" not in res.stderr and res.stdout == ""
+
+
 def test_collapse_psi_is_an_unknown_flag(tmp_path):
     # The rank suite asserts the coupled deficiency at every connection
     # matrix, so there is no collapsing mode to select.
@@ -152,7 +160,7 @@ def test_bench_is_an_unknown_command(tmp_path):
 def test_check_without_trials_is_usage_error(trials):
     res = run_cli("check", "--suite", "group", "--trials", trials)
     assert res.returncode == 2
-    assert "trials must be >= 1" in res.stderr
+    assert "trials must be an integer >= 1" in res.stderr
     assert "[pass]" not in res.stderr
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import magep
-from magep import errors
+from magep import checks, errors
 from magep.layers import EquivariantParams, InvariantParams, MiddleBlocks
 from magep.stableterms import PsiParams
 
@@ -38,11 +38,13 @@ def test_declared_blocks_are_the_coefficient_fields():
     assert [f.name for f in fields(PsiParams) if "block" in f.metadata] == ["bw", "ww"]
 
 
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
 def test_traced_functions_resolve():
     # perfbench/tracing.py wraps these by name; a renamed function would
     # drop out of a traced run without an error.
-    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    traced = runpy.run_path(str(tracing))["TRACED"]
+    traced = runpy.run_path(str(TRACING))["TRACED"]
     assert traced
     missing = [
         f"{module}.{name}"
@@ -50,6 +52,23 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(f"magep.{module}"), name, None))
     ]
     assert not missing, f"traced names {missing} do not exist"
+
+
+def test_suites_reach_run_suite_through_the_module_attribute(monkeypatch):
+    # perfbench/tracing.py times suite NAME as checks.suite.NAME.total_s by
+    # rebinding checks.run_suite and reading the name from its first
+    # argument; a run_suites that bypassed the module attribute would report
+    # every suite at 0 s.
+    names, run_suite = [], checks.run_suite
+
+    def spy(*args, **kwargs):
+        names.append(args[0])
+        return run_suite(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "run_suite", spy)
+    checks.run_suites("all", 2, 0)
+    assert names == list(checks.SUITE_NAMES)
+    assert runpy.run_path(str(TRACING))["SUITES"] == checks.SUITE_NAMES
 
 
 def test_every_error_class_is_raised():
