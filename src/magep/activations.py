@@ -39,16 +39,24 @@ class Activation:
         if self.kind == "leaky_relu" and self.alpha <= 0:
             raise ValidationError(f"leaky_relu slope must be > 0, got {self.alpha}")
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The activation of ``x``, written into ``out`` when given; ``out``
+        may be ``x`` itself, which applies it in place."""
         if self.kind == "relu":
-            return np.maximum(x, 0.0)
+            return np.maximum(x, 0.0, out=out)
         if self.kind == "leaky_relu":
-            return np.where(x >= 0, x, self.alpha * x)
+            if out is None:
+                return np.where(x >= 0, x, self.alpha * x)
+            # The entries where ``x >= 0`` fails, negatives and NaN, become
+            # ``alpha * x``; the others, -0.0 included, keep ``x``.
+            if out is not x:
+                np.copyto(out, x)
+            return np.multiply(out, self.alpha, out=out, where=~(out >= 0))
         if self.kind == "tanh":
-            return np.tanh(x)
+            return np.tanh(x, out=out)
         if self.kind == "sin":
-            return np.sin(x)
-        return np.abs(x)
+            return np.sin(x, out=out)
+        return np.abs(x, out=out)
 
     def compatible_with(self, variant: str) -> bool:
         return variant in _COMPATIBLE[self.kind]

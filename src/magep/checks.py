@@ -431,7 +431,11 @@ def _require_run(names, trials, seed, mutate_sharing) -> tuple[int, int]:
 
 
 def _require_tolerance(name: str, tol: float) -> None:
-    """A NaN tolerance fails every residual and an infinite one passes any."""
+    """A tolerance is an integer or float, numpy's included, and not a bool,
+    as the report writes it as given.  A NaN tolerance fails every residual
+    and an infinite one passes any."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"tolerance of suite {name!r} must be a real number, got {tol!r}")
     if not math.isfinite(tol):
         raise ValidationError(f"tolerance of suite {name!r} must be finite, got {tol}")
 

@@ -6,7 +6,10 @@ All numeric state in this package is a row-major ``numpy.ndarray`` of
 are BLAS matrix products (``numpy.matmul``), whose results repeat exactly
 for a fixed BLAS build and thread count, and can differ in the last digits
 across them.  Their largest products go through :func:`serial_matmul`,
-which keeps each BLAS call small enough to run on the calling thread.
+which keeps each BLAS call small enough to run on the calling thread.  The
+parallelism is coarse instead: :func:`magep.layers.stack_forward` runs a
+batch's row blocks on several threads, each block's BLAS calls serial, as
+numpy releases the interpreter lock inside them.
 """
 
 from __future__ import annotations
@@ -38,24 +41,29 @@ def tensor(data) -> np.ndarray:
 SERIAL_MADDS = 1 << 18
 
 
-def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.matmul(a, b)`` issued as BLAS calls of at most ``SERIAL_MADDS``
-    multiply-adds each, so that every call runs on the calling thread.
+def serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.matmul(a, b, out=out)`` issued as BLAS calls of at most
+    ``SERIAL_MADDS`` multiply-adds each, so that every call runs on the
+    calling thread.
 
-    The contracted axis is cut into chunks whose products are summed.  At
-    the layer sizes here a threaded GEMM saves little time but keeps a
-    second core spinning for the whole forward, which doubles its CPU time
-    and ties its speed to the load on that core.  A product whose output
-    rows times columns alone exceed the budget goes to BLAS whole.
+    The contracted axis is cut into chunks whose products are summed into
+    ``out``.  At the layer sizes here a threaded GEMM saves little time but
+    keeps a second core spinning for the whole forward, which doubles its CPU
+    time and ties its speed to the load on that core.  Threads over rows are
+    another matter: :func:`magep.layers.stack_forward` runs row blocks on
+    several threads, each doing its own work with its own BLAS calls kept
+    serial, so no core spins waiting and no BLAS thread pool nests inside
+    them.  A product whose output rows times columns alone exceed the budget
+    goes to BLAS whole.
     """
     if a.ndim == 1:
-        return serial_matmul(a[None], b)[..., 0, :]
+        return serial_matmul(a[None], b, None if out is None else out[..., None, :])[..., 0, :]
     m, k = a.shape[-2:]
     n = b.shape[-1]
     step = SERIAL_MADDS // (m * n)
     if step >= k or step == 0:
-        return np.matmul(a, b)
-    out = np.matmul(a[..., :step], b[..., :step, :])
+        return np.matmul(a, b, out=out)
+    out = np.matmul(a[..., :step], b[..., :step, :], out=out)
     for s in range(step, k, step):
         out += np.matmul(a[..., s:s + step], b[..., s:s + step, :])
     return out

@@ -67,6 +67,8 @@ layer's own document, as :func:`save_params` writes it, key for key.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -82,7 +84,7 @@ from .stableterms import (
     _checked, _Decl, _declared, _draw, _empty, _features, _fields, _is_spec, _psi_buffers,
     _Rebuilt, _suffix, feature_count, featurize,
 )
-from .weightspace import WeightObject, WeightSpec, _count
+from .weightspace import WeightObject, WeightSpec, _count, dim
 
 __all__ = [
     "EquivariantParams",
@@ -109,7 +111,10 @@ PARAMS_FORMAT = "magep-params/1"
 # after the nine set-ups of perfbench/run.py, blocks of 8 and 16 rows took no
 # page faults per call and the unblocked stack about 12K, with half again
 # the peak RSS; after one set-up, 8-row blocks have taken none or about 16K
-# depending only on what was allocated and freed before.
+# depending only on what was allocated and freed before.  These notes were
+# taken on one thread and hold per thread: each thread of the stack holds one
+# block's intermediates at a time, so each adds one block's working set
+# (about 9 MB there) to the peak RSS.
 ROW_BLOCK = 8
 
 
@@ -393,6 +398,8 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
     spec, psi, e = params.spec, params.psi, params.e
     L, n, d = spec.L, spec.n, spec.d
     lead = U.flat.shape[:-1]
+    # Each output row is written straight into its view of one flat array.
+    Y = WeightObject._viewing(params._out_spec, U.batch, np.empty(lead + (dim(params._out_spec),)))
     suffix = _suffix(U)
     prefix = {1: U.weight(1), L: suffix[0]}  # [W]^(s,0)
     for s in range(2, L):
@@ -407,21 +414,18 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
     def by_channel(col, row):  # sum_c col_c (x) row_c: [..., d, m], [..., d, k] -> [..., m, k]
         return np.matmul(col.swapaxes(-2, -1), row)
 
-    W_out: list[np.ndarray] = [None] * L  # type: ignore[list-item]
-    b_out: list[np.ndarray] = [None] * L  # type: ignore[list-item]
-
     # Last layer: [W] and [WW] mix over their row index in one GEMM, and the
     # [bW] blocks meet b^(L) first: (phiW_L_bW b^(L)) (x) psi [W]^(L,L-1).
     # The bias row is the invariant map of the feature rows, [e, ..., n_L]
     # turned into [..., e, n_L].
     dn, coef = d * n[L], params._last_weight
     terms = np.concatenate([U.weight(L), ww(L, L - 1)], axis=-3).reshape(lead + (2 * dn, -1))
-    out = serial_matmul(coef[:, : 2 * dn], terms)
+    out = Y.weight(L).reshape(lead + (e * n[L], -1), copy=False)
+    serial_matmul(coef[:, : 2 * dn], terms, out)
     phi_b = np.matmul(coef[:, 2 * dn :].reshape(-1, d, n[L]).swapaxes(0, 1), U.bias(L)[..., None])
     out += by_channel(phi_b[..., 0], psi_w(L, L - 1))
-    W_out[L - 1] = out.reshape(lead + (e, n[L], n[L - 1]))
     X = _features(U, psi, suffix)
-    b_out[L - 1] = serial_matmul(X, params._last_bias).swapaxes(0, -2)
+    serial_matmul(X, params._last_bias, Y.bias(L).swapaxes(0, -2))
 
     # First layer: the weight and bias rows share one GEMM over [W]^(1,0) and
     # [WW]^(1,0)(L,0).  Their [bW]^(1)(L,0) blocks, times psi [W]^(L,0), are
@@ -431,8 +435,8 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
     rows = np.matmul(terms, coef[:, : 2 * n0]).sum(axis=-3)
     b_row = np.matmul(psi_w(1, 0)[..., None, :], coef[:, 2 * n0 : 3 * n0]) + coef[:, 3 * n0 :]
     rows += by_channel(U.bias(1), b_row[..., 0, :])
-    W_out[0] = rows[..., : e * n0].reshape(lead + (n[1], e, n0)).swapaxes(-3, -2)
-    b_out[0] = rows[..., e * n0 :].swapaxes(-2, -1)
+    Y.weight(1)[...] = rows[..., : e * n0].reshape(lead + (n[1], e, n0)).swapaxes(-3, -2)
+    Y.bias(1)[...] = rows[..., e * n0 :].swapaxes(-2, -1)
 
     # Interior layers: scalar coefficients for the weight row.  The bias row
     # reads [Wb]^(i,t)(t) = W^(i) [Wb]^(i-1,t)(t) for t = 1..i-1, then b^(i).
@@ -444,17 +448,17 @@ def equivariant_forward(params: EquivariantParams, U: WeightObject) -> WeightObj
         scalars, coef = params._interior[i]
         bw = U.bias(i)[..., :, None] * psi_w(i, i - 1)[..., None, :]  # [bW]^(i)(L,i-1)
         terms = np.concatenate([U.weight(i), ww(i, i - 1), bw], axis=-3)
-        out = np.matmul(scalars.T, terms.reshape(lead + (3 * d, -1)))
-        W_out[i - 1] = out.reshape(lead + (e, n[i], n[i - 1]))
+        out = Y.weight(i).reshape(lead + (e, -1), copy=False)
+        np.matmul(scalars.T, terms.reshape(lead + (3 * d, -1)), out=out)
         tail = np.concatenate([np.matmul(U.weight(i), tail), U.bias(i)[..., None]], axis=-1)
         # [W]^(L,0) times the [WW] and [bW] blocks at once: [..., d, 2, n_L, e]
         pair = np.matmul(suffix[0][..., None, :, :], coef[:, n0 : 3 * n0].reshape(d, 2, n0, e))
         rows = np.matmul(prefix[i], coef[:, :n0] + np.matmul(psi.ww[(i, 0)], pair[..., 0, :, :]))
         rows += np.matmul(tail, coef[:, 3 * n0 :])
         bw_row = np.matmul(psi.bw[(i, 0)][0], pair[..., 1, :, :])
-        b_out[i - 1] = (rows.sum(axis=-3) + by_channel(U.bias(i), bw_row)).swapaxes(-2, -1)
+        np.add(rows.sum(axis=-3), by_channel(U.bias(i), bw_row), out=Y.bias(i).swapaxes(-2, -1))
 
-    return WeightObject._derived(params._out_spec, tuple(W_out), tuple(b_out), U.batch)
+    return Y
 
 
 def invariant_forward(params: InvariantParams, U: WeightObject) -> np.ndarray:
@@ -474,7 +478,13 @@ def stack_forward(
     The channel widths must chain (input d -> e -> ... -> head input) and
     every activation must be compatible with the symmetry variant the stack
     is supposed to respect.  A batch runs through the whole stack
-    :data:`ROW_BLOCK` rows at a time.
+    :data:`ROW_BLOCK` rows at a time.  A batch of more than one block runs
+    its blocks on one thread per CPU the process may use, at most one per
+    block, the caller's thread among them: each thread claims the next
+    block until none is left and writes its rows into the one output.  Rows
+    are independent and each block runs the same serial BLAS calls, so the
+    result is bit-for-bit that of one thread.  The first exception a block
+    raises is re-raised here once every thread has stopped.
     """
     expected_d = U.spec.d
     for idx, (params, act) in enumerate(stack):
@@ -493,19 +503,44 @@ def stack_forward(
         )
     if U.batch is None or U.batch <= ROW_BLOCK:
         return _stack_rows(stack, head, U)
-    return np.concatenate(
-        [
-            _stack_rows(stack, head, U.rows(lo, lo + ROW_BLOCK))
-            for lo in range(0, U.batch, ROW_BLOCK)
-        ]
-    )
+    out = np.empty((U.batch, head.e, head.d_out))
+    pending = list(range(0, U.batch, ROW_BLOCK))[::-1]
+    lock, errors = threading.Lock(), []
+
+    def claim():  # run blocks until none is left or one has raised
+        while True:
+            with lock:
+                if errors or not pending:
+                    return
+                lo = pending.pop()
+            try:
+                out[lo : lo + ROW_BLOCK] = _stack_rows(stack, head, U.rows(lo, lo + ROW_BLOCK))
+            except BaseException as exc:  # re-raised by the caller
+                with lock:
+                    errors.append(exc)
+                return
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = [threading.Thread(target=claim) for _ in range(min(cpus, len(pending)) - 1)]
+    try:
+        for t in workers:
+            t.start()
+        claim()
+    finally:
+        for t in workers:
+            if t.is_alive():
+                t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _stack_rows(stack, head, U: WeightObject) -> np.ndarray:
     for params, act in stack:
         U = equivariant_forward(params, U)
-        # An activation is elementwise: it maps the output's flat array at once.
-        U = WeightObject._viewing(U.spec, U.batch, act(U.flat))
+        # An activation is elementwise: it maps the fresh output's flat array
+        # at once, in place.
+        act(U.flat, out=U.flat)
     return invariant_forward(head, U)
 
 

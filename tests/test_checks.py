@@ -208,6 +208,23 @@ def test_run_suites_rejects_a_non_finite_tolerance_before_any_suite(tol, monkeyp
         checks.run_suite("equiv", 2, 0, tolerance=tol)
 
 
+@pytest.mark.parametrize("tol", ["1e-9", True, np.True_, None, 1e-9j, [1e-9]])
+def test_run_suites_rejects_a_tolerance_that_is_not_a_real_number_before_any_suite(tol, monkeypatch):
+    # A bool would run at tolerance 1 and write "tolerance": true.
+    monkeypatch.setitem(checks._SUITE_FNS, "inv", lambda *a, **k: pytest.fail("suite ran"))
+    with pytest.raises(ValidationError, match="tolerance of suite 'inv' must be a real number"):
+        checks.run_suites("inv", 2, 0, tolerance_overrides={"inv": tol})
+    if tol is not None:  # run_suite's None is the suite's default
+        with pytest.raises(ValidationError, match="tolerance of suite 'inv' must be a real number"):
+            checks.run_suite("inv", 2, 0, tolerance=tol)
+
+
+@pytest.mark.parametrize("tol", [1, np.float32(1e-9), np.int64(1)])
+def test_run_suite_takes_integer_and_numpy_tolerances(tol):
+    rec = checks.run_suite("inv", 2, 0, tolerance=tol)
+    assert rec["pass"] is True and rec["tolerance"] == tol
+
+
 def test_run_suites_rejects_an_unknown_suite_in_the_overrides_before_any_suite(monkeypatch):
     monkeypatch.setitem(checks._SUITE_FNS, "inv", lambda *a, **k: pytest.fail("suite ran"))
     with pytest.raises(ValidationError, match="unknown suite 'bogus'"):

@@ -1,10 +1,14 @@
 """The O(L) fused-GEMM equivariant forward against the all_terms + einsum definition."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from magep import layers
-from magep.activations import tanh
+from magep.activations import relu, tanh
 from magep.checks import Grid
 from magep.dense import Rng, rel_residual
 from magep.stableterms import all_terms, featurize
@@ -163,17 +167,88 @@ def test_last_bias_row_is_the_invariant_map_of_the_features(batch):
     assert rel_residual(got, layers.invariant_forward(head, U)) <= 1e-14
 
 
-def test_stack_forward_row_blocks_match_per_row():
+def _stack(act):
     spec = WeightSpec(3, (3, 4, 4, 2), 1)
     r = Rng(8)
     p1 = layers.init_equivariant(spec, 2, r.child("p1"))
     p2 = layers.init_equivariant(WeightSpec(3, spec.n, 2), 3, r.child("p2"))
     head = layers.init_invariant(WeightSpec(3, spec.n, 3), 2, 4, r.child("head"))
-    stack = [(p1, tanh), (p2, tanh)]
-    batch = 2 * layers.ROW_BLOCK + 3  # two full blocks and a partial one
-    U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0), batch=batch)
+    U = random_weights(spec, r.child("U"), Uniform(-1.0, 1.0), batch=2 * layers.ROW_BLOCK + 3)
+    return [(p1, act), (p2, act)], head, U
+
+
+def test_stack_forward_row_blocks_match_per_row():
+    stack, head, U = _stack(tanh)  # two full blocks and a partial one
     got = layers.stack_forward(stack, head, U, "sign")
-    assert got.shape == (batch, 2, 4)
-    for k in range(batch):
-        row = WeightObject(spec, tuple(w[k] for w in U.W), tuple(v[k] for v in U.b))
+    assert got.shape == (U.batch, 2, 4)
+    for k in range(U.batch):
+        row = WeightObject(U.spec, tuple(w[k] for w in U.W), tuple(v[k] for v in U.b))
         assert rel_residual(got[k], layers.stack_forward(stack, head, row, "sign")) <= 1e-14
+
+
+def _bounded(fn):
+    """``fn()`` on a thread of its own, joined with a timeout."""
+    result = {}
+
+    def run():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:  # checked by the caller
+            result["error"] = exc
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive(), "stack_forward did not return within 60 s"
+    return result
+
+
+@pytest.mark.parametrize("cpus", [None, 8], ids=["affinity", "more-threads-than-cores"])
+@pytest.mark.parametrize("act, variant", [(tanh, "sign"), (relu, "positive")], ids=["tanh", "relu"])
+def test_threaded_row_blocks_give_the_bytes_of_each_block_alone(monkeypatch, cpus, act, variant):
+    stack, head, U = _stack(act)
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    real, threads = layers._stack_rows, set()
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(layers, "_stack_rows", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = _bounded(lambda: layers.stack_forward(stack, head, U, variant))
+    finally:
+        sys.setswitchinterval(interval)
+    got = result["value"]
+    assert got.shape == (U.batch, 2, 4)
+    for lo in range(0, U.batch, layers.ROW_BLOCK):
+        rows = U.rows(lo, lo + layers.ROW_BLOCK)
+        assert got[lo : lo + layers.ROW_BLOCK].tobytes() == real(stack, head, rows).tobytes()
+        for params, act in stack:  # each activation out of place, on a fresh array
+            V = layers.equivariant_forward(params, rows)
+            rows = WeightObject._viewing(V.spec, V.batch, act(V.flat))
+        assert got[lo : lo + layers.ROW_BLOCK].tobytes() == layers.invariant_forward(head, rows).tobytes()
+    if cpus is not None:
+        assert len(threads) > 1
+
+
+@pytest.mark.parametrize("failing", [0, 2 * layers.ROW_BLOCK], ids=["first-block", "last-block"])
+def test_a_raising_row_block_raises_in_the_caller_and_leaves_no_thread(monkeypatch, failing):
+    stack, head, U = _stack(tanh)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    real = layers._stack_rows
+
+    def failing_block(stack, head, rows):
+        if rows.flat[0].tobytes() == U.flat[failing].tobytes():
+            raise ArithmeticError(f"block at row {failing}")
+        return real(stack, head, rows)
+
+    monkeypatch.setattr(layers, "_stack_rows", failing_block)
+    before = threading.active_count()
+    result = _bounded(lambda: layers.stack_forward(stack, head, U, "sign"))
+    assert isinstance(result.get("error"), ArithmeticError)
+    assert str(result["error"]) == f"block at row {failing}"
+    assert threading.active_count() == before

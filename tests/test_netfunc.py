@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magep import monomial, netfunc
-from magep.activations import Activation, leaky_relu, relu, sin, tanh
+from magep.activations import Activation, abs_act, leaky_relu, relu, sin, tanh
 from magep.dense import Rng, rel_residual
 from magep.errors import DimensionError, ValidationError
 from magep.weightspace import Uniform, WeightObject, WeightSpec, random_weights
@@ -169,6 +169,22 @@ def test_activation_validation():
         Activation("softplus")
     with pytest.raises(ValidationError):
         Activation("leaky_relu", alpha=0.0)
+
+
+@pytest.mark.parametrize(
+    "act", [relu, leaky_relu(0.3), tanh, sin, abs_act], ids=["relu", "leaky", "tanh", "sin", "abs"]
+)
+def test_an_activation_into_out_writes_the_bytes_it_returns(act):
+    # -0.0 and NaN payloads, both signs, are where an in-place rewrite slips.
+    x = np.array([-2.5, -0.0, 0.0, 1.5, np.nan, -np.nan, np.inf, -np.inf, -1e-300, 7.0])
+    x = np.concatenate([x, Rng(3).uniform(-4.0, 4.0, 35)]).reshape(3, 3, -1)
+    with np.errstate(invalid="ignore"):
+        want = np.where(x >= 0, x, 0.3 * x) if act.kind == "leaky_relu" else act(x)
+        inplace = x.copy()
+        assert act(inplace, out=inplace) is inplace
+        into = np.full_like(x, 9.0)
+        act(x, out=into)
+        assert inplace.tobytes() == want.tobytes() == into.tobytes() == act(x).tobytes()
 
 
 def test_probe_targets_match_per_object_forward_across_blocks():
