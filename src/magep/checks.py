@@ -5,9 +5,22 @@ worst relative residual of one identity, and reports it against a pinned
 tolerance.  Every suite but rank is a trial function ``(r, k, grid)`` that
 one loop, :func:`_run_trials`, runs on the stream
 ``r = Rng(seed).child(name, k)`` for each trial k, keeping the worst
-residual; rank runs its own loop over a few specs.  A record reports the
-worst residual but not yet the trial that gave it, so a failure is located
-by calling that suite's trial function on each k.
+residual; rank's trials are a few specs, each drawn from
+``Rng(seed).child("rank", k)``.  A record reports the worst residual but
+not yet the trial that gave it, so a failure is located by calling that
+suite's trial function on each k.
+
+:func:`run_suites` splits the trials of one call into ``shares =
+min(usable CPUs, trials)`` shares: share j computes trial k of every
+selected suite where ``k % shares == j``.  It forks one worker per share
+but the first, once per call, and computes share 0 itself.  Each suite's
+record folds the trial outputs in k order, and the caller computes every
+trial no worker returned: one that raised, or whose worker died or sent a
+message that does not load.  As a trial is a pure function of its stream,
+the report has the bytes of one process, an error record's traceback
+included.  The caller computes every share itself where ``os.fork`` is
+missing, another thread is alive (a forked child could inherit a lock it
+holds) or one CPU is usable.
 """
 
 from __future__ import annotations
@@ -15,7 +28,11 @@ from __future__ import annotations
 import math
 import operator
 import os
+import pickle
+import signal
+import threading
 import traceback
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 
@@ -23,7 +40,7 @@ import numpy as np
 
 from . import layers, monomial, netfunc, oracle
 from .activations import abs_act, leaky_relu, relu, sin, tanh
-from .dense import Rng, rel_residual
+from .dense import Rng, _usable_cpus, rel_residual
 from .errors import ValidationError
 from .monomial import VARIANT_POSITIVE, VARIANT_SIGN
 from .stableterms import PsiParams, _w_chains, all_terms
@@ -107,17 +124,135 @@ def _record(name, trials, worst, tol, ok, **details) -> dict:
     }
 
 
+# The shares of the run_suites call in progress: (this process's share,
+# the number of shares, and the workers' read ends in the caller or this
+# worker's write end), or None where one process computes every trial.
+_SHARES: ContextVar[tuple | None] = ContextVar("_SHARES", default=None)
+
+
+class _ShareSent(BaseException):
+    """Raised in a worker once it has sent its share of a suite: the rest
+    of the suite, its fold and summary, is the caller's."""
+
+
+def _shared_trials(name: str, count: int, compute) -> dict:
+    """``{k: compute(k)}`` for the trials k < count of suite ``name`` that the
+    shares of the current run_suites call computed; empty without shares.
+
+    Each process computes its share in k order and stops at the first trial
+    that raises, which the caller then computes again and raises from.  A
+    worker sends its outputs to the caller and raises :class:`_ShareSent`."""
+    shares = _SHARES.get()
+    if shares is None:
+        return {}
+    j, n_shares, pipes = shares
+    done = {}
+    for k in range(j, count, n_shares):
+        try:
+            done[k] = compute(k)
+        except Exception:  # recomputed, and raised, in the caller
+            break
+    if j:
+        data = pickle.dumps((name, done))
+        pipes.write(len(data).to_bytes(8, "little") + data)
+        pipes.flush()
+        raise _ShareSent
+    for pipe in pipes:
+        done.update(_receive(pipe, name))
+    return done
+
+
+def _receive(pipe, name: str) -> dict:
+    """A worker's outputs for suite ``name``, read from its pipe; none when
+    the worker died or its message does not load."""
+    while True:
+        head = pipe.read(8)
+        size = int.from_bytes(head, "little")
+        body = pipe.read(size)
+        if len(head) < 8 or len(body) < size:  # the worker ended
+            return {}
+        try:
+            tag, done = pickle.loads(body)
+        except Exception:  # the caller computes the trials the message held
+            return {}
+        if tag == name:  # a stale message is of a suite the caller did not share
+            return done
+
+
+def _fork_shares(calls: list, trials: int, workers: list) -> int:
+    """The number of shares of a run_suites call at ``trials``.  Appends to
+    ``workers`` the ``(pid, read end)`` of one forked worker per share but
+    the first; none where the caller computes every share itself."""
+    n_shares = min(_usable_cpus(), trials)
+    if n_shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    for j in range(1, n_shares):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # the caller computes the shares left without a worker
+            os.close(r)
+            os.close(w)
+            break
+        if pid == 0:
+            _work(j, n_shares, w, [r] + [reader.fileno() for _, reader in workers], calls)
+        os.close(w)
+        workers.append((pid, os.fdopen(r, "rb")))
+    return n_shares
+
+
+def _work(j: int, n_shares: int, w: int, inherited: list, calls: list) -> None:
+    """Worker j's life: run every ``run_suite(*args)`` of ``calls`` on share j,
+    sending each suite's outputs down the pipe ``w``, then end the process.
+    Anything but a sent share ends it early, and the caller computes the
+    rest; it never returns into its caller's code."""
+    try:
+        for fd in inherited:  # the read ends, so that only the caller holds them
+            os.close(fd)
+        with os.fdopen(w, "wb") as pipe:
+            _SHARES.set((j, n_shares, pipe))
+            for args in calls:
+                try:
+                    run_suite(*args)
+                except _ShareSent:
+                    pass
+    finally:
+        os._exit(0)
+
+
+def _stop(workers: list) -> None:
+    """Close the workers' read ends, then end and reap every worker."""
+    for _, reader in workers:
+        reader.close()
+    for pid, _ in workers:
+        try:
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):  # still running
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped already, as where SIGCHLD is ignored
+            pass
+
+
+def _worse(a, b):
+    """The worse of two trial outputs at one position: ``max(a, b)``, or a
+    NaN, which ``max`` would drop or keep by the order of its arguments."""
+    return b if b != b or b > a else a
+
+
 def _run_trials(name, trial, summary, trials, rng, grid, tol, **options) -> dict:
     """Suite ``name``'s record from ``trial(r, k, grid)`` on each stream
     ``r = rng.child(name, k)``, k < trials.  A trial returns its residual,
     or a tuple of the residual and the suite's extras; each position is kept
-    at its max over the trials.  ``summary(rng, grid, *extras)`` gives the
-    pass condition and details the extras add; ``options`` reach both."""
+    at its worst over the trials, its max or a NaN.  ``summary(rng, grid,
+    *extras)`` gives the pass condition and details the extras add;
+    ``options`` reach both."""
+    compute = lambda k: trial(rng.child(name, k), k, grid, **options)
+    done = _shared_trials(name, trials, compute)
     worst = None
     for k in range(trials):
-        out = trial(rng.child(name, k), k, grid, **options)
+        out = done[k] if k in done else compute(k)
         out = out if isinstance(out, tuple) else (out,)
-        worst = out if worst is None else tuple(map(max, worst, out))
+        worst = out if worst is None else tuple(map(_worse, worst, out))
     residual, *extras = worst
     ok, details = summary(rng, grid, *extras, **options) if summary else (True, {})
     return _record(name, trials, residual, tol, ok and residual <= tol, **details)
@@ -164,7 +299,7 @@ def _trial_group(r, k, grid):
 def _group_summary(rng, grid, scale, perm_inexact):
     return not perm_inexact and scale <= GROUP_SCALE_TOL, {
         "perm_parts_exact": not perm_inexact,
-        "max_scale_residual": scale,
+        "max_scale_residual": scale if math.isfinite(scale) else None,
         "scale_tolerance": GROUP_SCALE_TOL,
     }
 
@@ -365,6 +500,15 @@ def _trial_oracle(r, k, grid):
     )
 
 
+def _trial_rank(r, k, tol):
+    """The rank report of spec k, of depth 2 + k % 2."""
+    L = 2 + (k % 2)
+    rn = r.child("n")
+    spec = WeightSpec(L, tuple(int(rn.integers(1, 3)) for _ in range(L + 1)), 1)
+    psi = PsiParams.random(spec, r.child("psi"))
+    return oracle.independence_report(spec, psi, r.child("report"), threshold=tol)
+
+
 def _suite_rank(trials, rng, grid, tol):
     """Rank of the stable-term families at random connection matrices, on
     ``min(max(trials // 20, 3), 10)`` specs of depth 2 or 3, widths 1-2 and
@@ -376,18 +520,14 @@ def _suite_rank(trials, rng, grid, tol):
     max_residual carries the smallest asserted ratio seen.
     """
     specs = min(max(trials // 20, 3), 10)
+    compute = lambda k: _trial_rank(rng.child("rank", k), k, tol)
+    done = _shared_trials("rank", specs, compute)
     worst_ratio = 1.0
     all_full = True
     exact = True
     reports = []
     for k in range(specs):
-        r = rng.child("rank", k)
-        L = 2 + (k % 2)
-        rn = r.child("n")
-        n = tuple(int(rn.integers(1, 3)) for _ in range(L + 1))
-        spec = WeightSpec(L, n, 1)
-        psi = PsiParams.random(spec, r.child("psi"))
-        rep = oracle.independence_report(spec, psi, r.child("report"), threshold=tol)
+        rep = done[k] if k in done else compute(k)
         reports.append(rep)
         worst_ratio = min(worst_ratio, rep["asserted_independent"]["sigma_ratio"])
         all_full = all_full and rep["asserted_independent"]["full_rank"]
@@ -474,21 +614,33 @@ def run_suites(
         if name not in _SUITE_FNS:
             raise ValidationError(f"unknown suite {name!r} in tolerance_overrides")
         _require_tolerance(name, tol)
-    records = []
-    for name in names:
-        sharing = mutate_sharing and name == "equiv"
-        try:
-            records.append(run_suite(name, trials, seed, grid, overrides.get(name), sharing))
-        except Exception as exc:  # partial report still emitted
-            tol = overrides.get(name, DEFAULT_TOLERANCES[name])
-            frames = traceback.extract_tb(exc.__traceback__, limit=-TRACEBACK_FRAMES)
-            records.append(
-                _record(
-                    name, trials, None, tol, False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=[f"{os.path.basename(f.filename)}:{f.lineno} in {f.name}" for f in frames],
+    calls = [
+        (name, trials, seed, grid, overrides.get(name), mutate_sharing and name == "equiv")
+        for name in names
+    ]
+    records, workers = [], []
+    token = _SHARES.set(None)
+    try:
+        n_shares = _fork_shares(calls, trials, workers)
+        if n_shares > 1:
+            _SHARES.set((0, n_shares, [reader for _, reader in workers]))
+        for args in calls:
+            try:
+                records.append(run_suite(*args))
+            except Exception as exc:  # partial report still emitted
+                name = args[0]
+                tol = overrides.get(name, DEFAULT_TOLERANCES[name])
+                frames = traceback.extract_tb(exc.__traceback__, limit=-TRACEBACK_FRAMES)
+                records.append(
+                    _record(
+                        name, trials, None, tol, False,
+                        error=f"{type(exc).__name__}: {exc}",
+                        traceback=[f"{os.path.basename(f.filename)}:{f.lineno} in {f.name}" for f in frames],
+                    )
                 )
-            )
+    finally:
+        _SHARES.reset(token)
+        _stop(workers)
     return {
         "format": "report/1",
         "command": "check",

@@ -7,14 +7,19 @@ are BLAS matrix products (``numpy.matmul``), whose results repeat exactly
 for a fixed BLAS build and thread count, and can differ in the last digits
 across them.  Their largest products go through :func:`serial_matmul`,
 which keeps each BLAS call small enough to run on the calling thread.  The
-parallelism is coarse instead: :func:`magep.layers.stack_forward` runs a
-batch's row blocks on several threads, each block's BLAS calls serial, as
-numpy releases the interpreter lock inside them.
+parallelism is coarse instead, one worker per CPU the process may use
+(:func:`_usable_cpus`): :func:`magep.layers.stack_forward` runs a batch's
+row blocks on several threads, each block's BLAS calls serial, as numpy
+releases the interpreter lock inside them; and
+:func:`magep.checks.run_suites`, whose trials are pure Python, computes
+them in forked processes, trial k in share ``k % shares``, and merges their
+outputs in k order into the bytes of one process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from functools import cached_property
 
@@ -39,6 +44,11 @@ def tensor(data) -> np.ndarray:
 # Larger ones it spreads over every core; with OpenBLAS 0.3.31 on a 2-vCPU
 # Xeon VM the switch lay between 0.8M and 1.6M multiply-adds.
 SERIAL_MADDS = 1 << 18
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def serial_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

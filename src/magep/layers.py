@@ -67,7 +67,6 @@ layer's own document, as :func:`save_params` writes it, key for key.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, fields
 from types import MappingProxyType
@@ -77,7 +76,7 @@ import numpy as np
 
 from . import jsonio
 from .activations import Activation
-from .dense import Rng, serial_matmul
+from .dense import Rng, _usable_cpus, serial_matmul
 from .errors import ConfigurationError, ValidationError
 from .stableterms import (
     _FEATURE_PARTS, PsiParams, _assign, _block, _built, _cells, _check_psi_fits,
@@ -520,8 +519,7 @@ def stack_forward(
                     errors.append(exc)
                 return
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = [threading.Thread(target=claim) for _ in range(min(cpus, len(pending)) - 1)]
+    workers = [threading.Thread(target=claim) for _ in range(min(_usable_cpus(), len(pending)) - 1)]
     try:
         for t in workers:
             t.start()

@@ -1,10 +1,15 @@
 import json
+import math
+import os
+import pickle
+import threading
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
-from magep import checks, cli, layers, oracle
+from magep import checks, cli, jsonio, layers, oracle
 from magep.dense import Rng
 from magep.errors import ValidationError
 
@@ -185,6 +190,22 @@ def test_a_nan_output_fails_its_suite(nan_forwards, suite):
     assert rec["pass"] is False and rec["max_residual"] is None, rec
 
 
+@pytest.mark.parametrize("position", [0, 1], ids=["residual", "extra"])
+def test_a_nan_fails_its_suite_at_any_trial(position):
+    # max(x, nan) is x and max(nan, x) is nan: a NaN's trial must not decide
+    # whether the record keeps it.
+    records = []
+    for at in range(3):
+        outs = [(1e-16, 0.0, False)] * 3
+        outs[at] = tuple(math.nan if i == position else v for i, v in enumerate(outs[at]))
+        trial = lambda r, k, grid: outs[k]
+        records.append(checks._run_trials("group", trial, checks._group_summary, 3, Rng(0), checks.Grid(), 1e-12))
+    assert records[0] == records[1] == records[2]
+    assert records[0]["pass"] is False
+    assert jsonio.dumps(records[0])  # a non-finite worst reads null, and writes
+    assert (records[0]["max_residual"] is None) == (position == 0)
+
+
 def test_check_reports_a_nan_output_and_exits_one(nan_forwards, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert cli.main(["check", "--suite", "equiv", "--trials", "10", "--seed", "1", "--out", str(out)]) == 1
@@ -335,7 +356,10 @@ def test_a_small_grid_builds_and_draws_a_pinned_number_of_times(monkeypatch):
     # The trials' set-up work as counts: a stream is seeded at its first
     # draw, small coefficient blocks are drawn in runs, Psi one buffer at a
     # time, and the rank report draws its design objects once.  A
-    # log_uniform call counts its uniform call too.
+    # log_uniform call counts its uniform call too.  On one CPU the calling
+    # process draws every trial; with more, forked workers would draw their
+    # shares out of the count's sight.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     generators, calls = [], Counter()
     pcg64 = np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda seed: generators.append(seed) or pcg64(seed))
@@ -353,3 +377,127 @@ def test_a_small_grid_builds_and_draws_a_pinned_number_of_times(monkeypatch):
     assert calls == Counter(
         uniform=359, random=46, log_uniform=25, signs=33, integers=138, permutation=58, choice=82
     )
+
+
+# -- trial shares: run_suites on several CPUs gives the bytes of one ----------
+
+
+def _report_on(monkeypatch, cpus, *args, **kwargs) -> str:
+    """The bytes of ``run_suites(*args, **kwargs)`` with ``cpus`` usable
+    CPUs, after asserting that no child process outlives the call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    report = checks.run_suites(*args, **kwargs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return jsonio.dumps(report)
+
+
+def _one_process_report(monkeypatch, *args, **kwargs) -> str:
+    """The bytes of a run_suites call on three shares, asserted equal to
+    those of the same call on one CPU."""
+    shared = _report_on(monkeypatch, 3, *args, **kwargs)
+    assert shared == _report_on(monkeypatch, 1, *args, **kwargs)
+    return shared
+
+
+@pytest.mark.parametrize("case", ["plain", "sharing-mutation", "nan-forwards"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("trials", [1, 2, 7])
+def test_shared_trials_give_the_report_of_one_process(monkeypatch, request, trials, seed, case):
+    if case == "nan-forwards":
+        request.getfixturevalue("nan_forwards")
+    real, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    report = json.loads(_one_process_report(
+        monkeypatch, "all", trials, seed, mutate_sharing=case == "sharing-mutation"
+    ))
+    # One fork per worker, all of them in the three-CPU call.
+    assert len(forks) == min(3, trials) - 1
+    assert report["pass"] is (case == "plain")
+
+
+@pytest.mark.parametrize("raising", [{1, 3, 5}, {5}], ids=["every-odd-k", "k-5"])
+def test_a_trial_raising_at_an_odd_k_gives_the_error_record_of_one_process(monkeypatch, raising):
+    def odd(r, k, grid):
+        if k in raising:
+            raise ArithmeticError(f"trial {k}")
+        return checks._trial_inv(r, k, grid)
+
+    monkeypatch.setitem(checks._SUITE_FNS, "inv", partial(checks._run_trials, "inv", odd, None))
+    report = json.loads(_one_process_report(monkeypatch, "all", 7, 1))
+    rec = report["suites"][checks.SUITE_NAMES.index("inv")]
+    assert rec["details"]["error"] == f"ArithmeticError: trial {min(raising)}"
+    assert rec["details"]["traceback"][-1].endswith(" in odd")
+    assert [r["suite"] for r in report["suites"] if not r["pass"]] == ["inv"]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(checks, "_draw"), (layers, "stack_forward"), (checks, "_trial_rank")],
+    ids=["first-suite", "stack", "rank"],
+)
+def test_a_worker_that_exits_leaves_the_report_of_one_process(monkeypatch, module, name):
+    caller, real = os.getpid(), getattr(module, name)
+
+    def exiting(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, exiting)
+    assert json.loads(_one_process_report(monkeypatch, "all", 7, 2))["pass"]
+
+
+def _refuse():
+    raise pickle.UnpicklingError("refused")
+
+
+class _Unloadable(float):
+    """A float whose pickle does not load."""
+
+    def __reduce__(self):
+        return _refuse, ()
+
+
+def test_a_message_that_does_not_load_leaves_the_report_of_one_process(monkeypatch):
+    caller, real = os.getpid(), checks.rel_residual
+    monkeypatch.setattr(
+        checks, "rel_residual",
+        lambda a, b: real(a, b) if os.getpid() == caller else _Unloadable(real(a, b)),
+    )
+    assert json.loads(_one_process_report(monkeypatch, "all", 7, 2))["pass"]
+
+
+def _failing_fork(monkeypatch, after: int) -> None:
+    """``os.fork`` raising ``OSError`` from its call ``after`` on."""
+    real, calls = os.fork, []
+
+    def fork():
+        calls.append(1)
+        if len(calls) > after:
+            raise OSError("no fork")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("case", ["no-fork", "thread-alive", "fork-fails", "second-fork-fails"])
+def test_the_caller_computes_the_shares_no_worker_runs(monkeypatch, case):
+    serial = _report_on(monkeypatch, 1, "all", 7, 1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif case == "thread-alive":
+        # A forked child could inherit a lock that the other thread holds.
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a live thread"))
+        thread.start()
+    else:
+        _failing_fork(monkeypatch, after=0 if case == "fork-fails" else 1)
+    try:
+        assert _report_on(monkeypatch, 3, "all", 7, 1) == serial
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()

@@ -68,6 +68,18 @@ def test_one_deep_forward_op_does_a_pinned_count_of_matmul_work(deep_forward, mo
     assert tally.largest < 800_000
 
 
+def test_one_tiny_probe_fit_op_does_a_pinned_count_of_matmul_work(workloads, monkeypatch):
+    # The same count on a repeated op and on another split: the featurizer's
+    # work is set by the spec and the number of objects alone.
+    workload = workloads.WORKLOADS["probe-fit"]
+    st = workload.setup(1, workload.TINY)
+    for k in (0, 0, 1):
+        with monkeypatch.context() as patch:
+            tally = count_matmul(patch)
+            workload.op(st, k)
+        assert (tally.calls, tally.madds) == (16, 5_440)
+
+
 def test_one_deep_forward_row_block_has_a_pinned_traced_peak(deep_forward):
     workload, st = deep_forward
     U = st["inputs"][0].rows(0, layers.ROW_BLOCK)
