@@ -15,12 +15,13 @@ min(usable CPUs, trials)`` shares: share j computes trial k of every
 selected suite where ``k % shares == j``.  It forks one worker per share
 but the first, once per call, and computes share 0 itself.  Each suite's
 record folds the trial outputs in k order, and the caller computes every
-trial no worker returned: one that raised, or whose worker died or sent a
-message that does not load.  As a trial is a pure function of its stream,
-the report has the bytes of one process, an error record's traceback
-included.  The caller computes every share itself where ``os.fork`` is
-missing, another thread is alive (a forked child could inherit a lock it
-holds) or one CPU is usable.
+trial no worker returned, one that raised included.  It stops reading from
+a worker whose message is missing, fails to load or names another suite,
+and computes that worker's trials itself from then on.  As a trial is a
+pure function of its stream, the report has the bytes of one process, an
+error record's traceback included.  The caller computes every share
+itself where ``os.fork`` is missing, another thread is alive (a forked
+child could inherit a lock it holds) or one CPU is usable.
 """
 
 from __future__ import annotations
@@ -48,18 +49,6 @@ from .weightspace import Uniform, WeightObject, WeightSpec, _count, random_weigh
 
 __all__ = ["Grid", "SUITE_NAMES", "DEFAULT_TOLERANCES", "run_suite", "run_suites"]
 
-SUITE_NAMES = (
-    "group",
-    "stability",
-    "chains",
-    "netinv",
-    "equiv",
-    "inv",
-    "stack",
-    "oracle",
-    "rank",
-)
-
 DEFAULT_TOLERANCES = {
     "group": 1e-12,      # action homomorphism; scale parts held to 1e-14
     "stability": 1e-10,
@@ -71,6 +60,7 @@ DEFAULT_TOLERANCES = {
     "oracle": 1e-12,
     "rank": oracle.RANK_THRESHOLD,  # full-rank bound and null-space cut of sigma ratios
 }
+SUITE_NAMES = tuple(DEFAULT_TOLERANCES)
 
 GROUP_SCALE_TOL = 1e-14
 NETINV_WITNESS_FLOOR = 1e-3
@@ -135,48 +125,39 @@ class _ShareSent(BaseException):
     of the suite, its fold and summary, is the caller's."""
 
 
-def _shared_trials(name: str, count: int, compute) -> dict:
-    """``{k: compute(k)}`` for the trials k < count of suite ``name`` that the
-    shares of the current run_suites call computed; empty without shares.
+def _outputs(name: str, count: int, compute) -> list:
+    """``[compute(k) for k in range(count)]``, the outputs of suite ``name``'s
+    trials in k order.
 
-    Each process computes its share in k order and stops at the first trial
-    that raises, which the caller then computes again and raises from.  A
-    worker sends its outputs to the caller and raises :class:`_ShareSent`."""
-    shares = _SHARES.get()
-    if shares is None:
-        return {}
-    j, n_shares, pipes = shares
+    Under shares each process computes its share in k order and stops at
+    the first trial that raises, which the caller then computes again and
+    raises from.  A worker sends ``(name, outputs)`` to the caller and
+    raises :class:`_ShareSent`.  The caller closes, and computes from then
+    on the trials of, a worker whose message is missing, does not load or
+    names another suite; the worker's next send then fails, and it ends."""
     done = {}
-    for k in range(j, count, n_shares):
-        try:
-            done[k] = compute(k)
-        except Exception:  # recomputed, and raised, in the caller
-            break
-    if j:
-        data = pickle.dumps((name, done))
-        pipes.write(len(data).to_bytes(8, "little") + data)
-        pipes.flush()
-        raise _ShareSent
-    for pipe in pipes:
-        done.update(_receive(pipe, name))
-    return done
-
-
-def _receive(pipe, name: str) -> dict:
-    """A worker's outputs for suite ``name``, read from its pipe; none when
-    the worker died or its message does not load."""
-    while True:
-        head = pipe.read(8)
-        size = int.from_bytes(head, "little")
-        body = pipe.read(size)
-        if len(head) < 8 or len(body) < size:  # the worker ended
-            return {}
-        try:
-            tag, done = pickle.loads(body)
-        except Exception:  # the caller computes the trials the message held
-            return {}
-        if tag == name:  # a stale message is of a suite the caller did not share
-            return done
+    shares = _SHARES.get()
+    if shares is not None:
+        j, n_shares, pipes = shares
+        for k in range(j, count, n_shares):
+            try:
+                done[k] = compute(k)
+            except Exception:  # computed again, and raised, below
+                break
+        if j:
+            pickle.dump((name, done), pipes)
+            pipes.flush()
+            raise _ShareSent
+        for pipe in pipes:
+            try:  # a pipe closed here before raises too
+                tag, sent = pickle.load(pipe)
+            except Exception:  # the worker died, or its message does not load
+                tag = None
+            if tag == name:
+                done.update(sent)
+            else:  # the worker's trials are the caller's from here on
+                pipe.close()
+    return [done[k] if k in done else compute(k) for k in range(count)]
 
 
 def _fork_shares(calls: list, trials: int, workers: list) -> int:
@@ -247,10 +228,8 @@ def _run_trials(name, trial, summary, trials, rng, grid, tol, **options) -> dict
     *extras)`` gives the pass condition and details the extras add;
     ``options`` reach both."""
     compute = lambda k: trial(rng.child(name, k), k, grid, **options)
-    done = _shared_trials(name, trials, compute)
     worst = None
-    for k in range(trials):
-        out = done[k] if k in done else compute(k)
+    for out in _outputs(name, trials, compute):
         out = out if isinstance(out, tuple) else (out,)
         worst = out if worst is None else tuple(map(_worse, worst, out))
     residual, *extras = worst
@@ -403,7 +382,7 @@ def _netinv_summary(rng, grid):
         if witness > NETINV_WITNESS_FLOOR:
             break
     return witness > NETINV_WITNESS_FLOOR, {
-        "mismatch_witness_residual": witness,
+        "mismatch_witness_residual": witness if math.isfinite(witness) else None,
         "witness_floor": NETINV_WITNESS_FLOOR,
     }
 
@@ -520,15 +499,11 @@ def _suite_rank(trials, rng, grid, tol):
     max_residual carries the smallest asserted ratio seen.
     """
     specs = min(max(trials // 20, 3), 10)
-    compute = lambda k: _trial_rank(rng.child("rank", k), k, tol)
-    done = _shared_trials("rank", specs, compute)
+    reports = _outputs("rank", specs, lambda k: _trial_rank(rng.child("rank", k), k, tol))
     worst_ratio = 1.0
     all_full = True
     exact = True
-    reports = []
-    for k in range(specs):
-        rep = done[k] if k in done else compute(k)
-        reports.append(rep)
+    for rep in reports:
         worst_ratio = min(worst_ratio, rep["asserted_independent"]["sigma_ratio"])
         all_full = all_full and rep["asserted_independent"]["full_rank"]
         exact = exact and all(c["deficiency"] == c["expected_deficiency"] for c in rep["coupled"])

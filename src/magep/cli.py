@@ -3,10 +3,8 @@
 Exit codes: 0 success, 1 suite failure, 2 usage error, 3 I/O error.
 All reports are JSON with a ``format: "report/1"`` field.  Trial ``k`` of
 suite ``name`` draws from ``Rng(seed).child(name, k)``; a check report does
-not yet name the trial behind a suite's worst residual.  A check computes
-trial k in share ``k % shares``, one share per usable CPU, each but the
-first in a forked worker, and folds the outputs in k order, so its report
-never depends on scheduling (see :mod:`magep.checks`).
+not yet name the trial behind a suite's worst residual.  Its bytes are
+those of one process however the trials are shared (see :mod:`magep.checks`).
 """
 
 from __future__ import annotations

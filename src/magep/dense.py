@@ -11,9 +11,8 @@ parallelism is coarse instead, one worker per CPU the process may use
 (:func:`_usable_cpus`): :func:`magep.layers.stack_forward` runs a batch's
 row blocks on several threads, each block's BLAS calls serial, as numpy
 releases the interpreter lock inside them; and
-:func:`magep.checks.run_suites`, whose trials are pure Python, computes
-them in forked processes, trial k in share ``k % shares``, and merges their
-outputs in k order into the bytes of one process.
+:func:`magep.checks.run_suites`, whose trials are pure Python, shares them
+among forked processes (see :mod:`magep.checks`).
 """
 
 from __future__ import annotations
